@@ -16,12 +16,11 @@ from .kronecker import KroneckerModule, is_semistable
 from .points import (CLAIMS, GenericityError, PointConfig, PointError,
                      flag_pair_presentation, minimal_resolution,
                      verify_point_claim)
-from .presentation import (InconsistentPresentationError, Presentation,
-                           PresentationError, dual, hilbert)
+from .presentation import Presentation, PresentationError, dual, hilbert
 from .stability import (BoundsQuery, bounds_check, minor_gcd_criterion,
                         pencil_block_criterion, two_by_two_criterion)
 from .strata import (ClassifyError, GenerationError, MODULI_DIM, REGISTRY,
-                     classify, dim_audit, generate, verify_row)
+                     StrataError, classify, dim_audit, generate, verify_row)
 
 DEFAULT_SEED = 123456789
 
@@ -85,7 +84,7 @@ def cmd_classify(args):
         label, prof, recipe = classify(P, with_profile=True)
     except ClassifyError as exc:
         raise CliError(EXIT_CLASSIFY, str(exc))
-    except (InconsistentPresentationError, PresentationError) as exc:
+    except (PresentationError, StrataError) as exc:
         raise CliError(EXIT_PRECONDITION, str(exc))
     _emit({
         "chi": label.chi,
@@ -225,11 +224,11 @@ def cmd_points(args):
 
 
 def cmd_flag_pair(args):
-    data = json.loads(_read_input(args.input))
     try:
-        cfg = PointConfig.from_json({"points": data["points"]})
+        data = json.loads(_read_input(args.input))
+        cfg = PointConfig.from_json(data)
         sextic = parse_form(data["sextic"])
-    except (KeyError, ParseError, PointError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, "bad flag-pair input: %s" % exc)
     try:
         P = flag_pair_presentation(cfg, sextic)

@@ -25,7 +25,8 @@ from itertools import combinations
 from math import gcd as int_gcd
 
 from .forms import Form, linearly_independent
-from .linalg import QMatrix, from_columns, hstack_all
+from .linalg import (LinalgError, QMatrix, from_columns, hstack_all, mod_rank,
+                     mod_residues)
 from .presentation import Presentation, derive_seed
 
 
@@ -395,46 +396,23 @@ def _full_search(K: KroneckerModule, budget: int, seed: int) -> Destabilizer | N
     # modular image drop is lifted to an exact rational certificate check
     rng = random.Random(seed)
     prime = (1 << 30) + 85   # 1073741909
-    slices = K.coefficient_slices()
-    mod_slices = [[[x.numerator * pow(x.denominator, prime - 2, prime) % prime
-                    for x in row] for row in sl.data] for sl in slices]
+    try:
+        mod_slices = [mod_residues(sl.data, prime) for sl in K.coefficient_slices()]
+    except LinalgError:
+        return None          # the module has no reduction modulo this prime
     for _ in range(budget):
         vec = [rng.randrange(-9, 10) for _ in range(K.p)]
         if not any(vec):
             continue
         image = [[sum(row[j] * vec[j] for j in range(K.p)) % prime for row in ms]
                  for ms in mod_slices]
-        rank = _mod_rank([list(col) for col in zip(*image)], prime, 3)
+        rank = mod_rank(zip(*image), prime)
         if rank < min(3, K.q):
             S = QMatrix(K.p, 1, [[Fraction(v)] for v in vec])
             D = _witness_from_subspace(K, S)
             if D is not None:
                 return D
     return None
-
-
-def _mod_rank(rows, p, ncols):
-    rank = 0
-    rows = [list(r) for r in rows]
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [v * inv % p for v in rows[rank]]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def is_semistable(K: KroneckerModule, budget: int = 200, seed: int = 0) -> KroneckerVerdict:

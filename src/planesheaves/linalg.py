@@ -2,9 +2,10 @@
 
 All matrices in this package are small (dimensions in the tens, at most a
 couple hundred rows for the audit systems), so plain Gaussian elimination
-with `fractions.Fraction` entries is the right tool.  A prime-field rank
-routine is provided as a randomized cross-check; it is never used as the
-primary answer.
+with `fractions.Fraction` entries is the right tool.  One prime-field rank
+routine (`mod_rank`) serves the randomized cross-check and the Kronecker
+sampling search; a rank modulo p only bounds the rational rank from below,
+so it is never used as the primary answer.
 """
 
 from __future__ import annotations
@@ -186,39 +187,53 @@ class QMatrix:
 
     def rank_mod_p(self, p: int) -> int:
         """Rank of the reduction modulo p.  Raises if p divides a denominator."""
-        m = []
-        for row in self.data:
-            r = []
-            for x in row:
-                den = x.denominator % p
-                if den == 0:
-                    raise LinalgError("prime divides a denominator")
-                r.append(x.numerator * pow(den, p - 2, p) % p)
-            m.append(r)
-        rank = 0
-        rows = len(m)
-        for c in range(self.cols):
-            piv = None
-            for i in range(rank, rows):
-                if m[i][c] % p:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            inv = pow(m[rank][c], p - 2, p)
-            m[rank] = [v * inv % p for v in m[rank]]
-            for i in range(rank + 1, rows):
-                if m[i][c] % p:
-                    f = m[i][c]
-                    m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
-            rank += 1
-            if rank == rows:
-                break
-        return rank
+        return mod_rank(mod_residues(self.data, p), p)
 
     def __repr__(self):
         return "QMatrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
+
+
+def mod_residues(rows, p: int):
+    """Rows of rationals reduced to residues modulo the prime p."""
+    out = []
+    for row in rows:
+        r = []
+        for x in row:
+            den = x.denominator % p
+            if den == 0:
+                raise LinalgError("prime divides a denominator")
+            r.append(x.numerator * pow(den, p - 2, p) % p)
+        out.append(r)
+    return out
+
+
+def mod_rank(rows, p: int) -> int:
+    """Rank over Z/p of a matrix of residues, given as a list of rows.
+
+    A rank found modulo p is a lower bound for the rank over Q, so full rank
+    modulo p proves full rank over Q."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(rank, len(rows)):
+            if rows[i][c] % p:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c] % p:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 class IncrementalSpan:

@@ -1,10 +1,11 @@
 """Reduced point configurations in the plane.
 
 Genericity predicates are determinant/rank computations; ideal slices are
-kernels of evaluation matrices; minimal free resolutions are computed degree
-by degree (new generators are a complement of the shifted previous slice,
-syzygies likewise), with the Hilbert function of the resolved ideal checked
-against the slices at every degree up to the cap.
+kernels of evaluation matrices.  Minimal free resolutions are counted, not
+eliminated: the Hilbert function and the generator degrees, read off the
+slices up to degree r_Z + 1, fix the syzygy degrees (Hilbert-Burch).  A
+configuration is resolved exactly when it has at most 15 points and
+r_Z <= 5; see `minimal_resolution`.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
-from .forms import (Form, ParseError, divides, monomial_index, monomials,
-                    mult_map, space_dim)
-from .linalg import IncrementalSpan, QMatrix, from_columns
+from .forms import Form, ParseError, divides, monomials, mult_map, space_dim
+from .linalg import QMatrix
 from .presentation import Presentation
 
 
@@ -67,7 +67,13 @@ class PointConfig:
             pts = obj["points"]
         except (KeyError, TypeError) as exc:
             raise ParseError("point JSON needs a 'points' list") from exc
-        return cls([[Fraction(str(c)) for c in p] for p in pts])
+        if not isinstance(pts, list) or not all(isinstance(p, list) for p in pts):
+            raise ParseError("'points' must be a list of coordinate lists")
+        try:
+            coords = [[Fraction(str(c)) for c in p] for p in pts]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError("bad point coordinate: %s" % exc) from exc
+        return cls(coords)
 
     def to_json(self) -> dict:
         return {"points": [[str(c) for c in p] for p in self.points]}
@@ -138,106 +144,63 @@ class BettiShape:
         return {"gens": list(self.generators), "syz": list(self.syzygies)}
 
 
-def _complement_basis(sub_vectors, all_vectors, dim, rng=None):
-    """Members of all_vectors extending span(sub_vectors); optionally shuffled
-    to exercise independence of the chosen complement."""
-    order = list(range(len(all_vectors)))
-    if rng is not None:
-        rng.shuffle(order)
-    span = IncrementalSpan(dim)
-    for v in sub_vectors:
-        span.insert(v)
-    chosen = []
-    for idx in order:
-        if span.insert(all_vectors[idx]):
-            chosen.append(all_vectors[idx])
-    return chosen
+# The last syzygy of a point ideal sits in degree r_Z + 2, so configurations
+# whose syzygies would reach this degree (r_Z > DEGREE_CAP - 3) are refused.
+DEGREE_CAP = 8
+
+_VARIABLES = (Form.monomial(1, 0, 0), Form.monomial(0, 1, 0), Form.monomial(0, 0, 1))
 
 
-def minimal_resolution(cfg: PointConfig, degree_cap: int = 8, rng=None) -> BettiShape:
-    """Generator and syzygy degrees of the minimal free resolution of the
-    point ideal.  Errors out if the cap truncates the computation."""
-    if len(cfg) > 15:
+def minimal_resolution(cfg: PointConfig) -> BettiShape:
+    """Generator and syzygy degrees of the minimal free resolution
+    0 -> (+) S(-b) -> (+) S(-a) -> I_Z -> 0 of the point ideal.
+
+    Only dimensions are computed.  For t = 0, 1, ... the ideal slice I_t gives
+    the Hilbert function H_Z(t) = dim S_t - dim I_t, and the generators new in
+    degree t number dim I_t - rank(S_1 * I_{t-1}).  The walk stops at
+    t = r_Z + 1, where r_Z = min{t : H_Z(t) = n} is the regularity index: no
+    generator lies above r_Z + 1.  By Hilbert-Burch the Hilbert-series
+    numerator 1 - sum s^a + sum s^b is the third difference
+    c_t = H(t) - 3H(t-1) + 3H(t-2) - H(t-3) (H = 0 below 0, H = n from r_Z
+    on), so the syzygies in degree t number c_t - [t = 0] + (generators in
+    degree t); the last one sits in degree r_Z + 2.
+
+    A configuration is accepted exactly when it has at most 15 points and
+    r_Z <= 5, so that every syzygy lies below DEGREE_CAP; otherwise
+    PointError.  The shape is then checked against the Hilbert function at
+    every degree up to the cap and against the point count beyond it.
+    """
+    n = len(cfg)
+    if n > 15:
         raise PointError("configurations above 15 points exceed the degree cap")
-    gens = []            # (degree, Form)
-    slice_dims = {}
+    hilb = []            # H_Z(t) for t = 0 .. r_Z + 1
+    gens = []            # generator degrees, ascending
     prev_slice = []
-    for t in range(degree_cap + 1):
+    for t in count():
         cur = ideal_slice(cfg, t)
-        slice_dims[t] = len(cur)
-        shifted = []
-        for f in prev_slice:
-            for var in (Form.monomial(1, 0, 0), Form.monomial(0, 1, 0), Form.monomial(0, 0, 1)):
-                shifted.append((f * var).coeffs)
-        new = _complement_basis(shifted, [f.coeffs for f in cur], space_dim(t), rng)
-        gens.extend((t, Form(t, v)) for v in new)
+        hilb.append(space_dim(t) - len(cur))
+        shifted = QMatrix.from_rows([(f * x).coeffs for f in prev_slice for x in _VARIABLES])
+        gens.extend([t] * (len(cur) - shifted.rank()))
+        if t > 0 and hilb[t - 1] == n:
+            break        # t = r_Z + 1
+        if hilb[t] < n and t + 3 >= DEGREE_CAP:
+            raise PointError("regularity index above %d: the last syzygy reaches "
+                             "the degree cap %d" % (DEGREE_CAP - 3, DEGREE_CAP))
         prev_slice = cur
-    if gens and gens[-1][0] >= degree_cap:
-        raise PointError("degree cap %d reached with unresolved generators" % degree_cap)
 
-    gen_degrees = [d for d, _ in gens]
-    syz = []             # (degree, coefficient vector over the generator summands)
+    padded = [0, 0, 0] + hilb + [n]      # H(-3) .. H(r_Z + 2)
+    syz = []
+    for t in range(len(hilb) + 1):
+        h3, h2, h1, h0 = padded[t:t + 4]
+        b = (h0 - 3 * h1 + 3 * h2 - h3) - (t == 0) + gens.count(t)
+        if b < 0:
+            raise PointError("Hilbert function gives %d syzygies in degree %d" % (b, t))
+        syz.extend([t] * b)
 
-    def relation_columns(t):
-        cols = []
-        for d, g in gens:
-            for (a, b, c) in monomials(t - d):
-                cols.append((g * Form.monomial(a, b, c)).coeffs)
-        return cols
-
-    prev_basis = []
-    for t in range(degree_cap + 1):
-        length = sum(space_dim(t - d) for d in gen_degrees)
-        # the generators span every slice by construction, so the relation
-        # space dimension is forced by counting
-        forced = length - slice_dims[t]
-        if forced == 0:
-            prev_basis = []
-            continue
-        span = IncrementalSpan(length)
-        for vec in prev_basis:
-            for var in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-                span.insert(_shift_syzygy(vec, gen_degrees, t - 1, var))
-        if span.rank == forced:
-            # no new syzygies: the shifted span is the whole relation space
-            prev_basis = [row for _, row in span.rows]
-            continue
-        cols = relation_columns(t)
-        kernel = from_columns(cols, space_dim(t)).kernel_basis()
-        if len(kernel) != forced:
-            raise PointError("relation space dimension %d does not match the "
-                             "forced count %d at degree %d" % (len(kernel), forced, t))
-        new = _complement_basis([row for _, row in span.rows], kernel, length, rng)
-        syz.extend((t, v) for v in new)
-        prev_basis = kernel
-
-    syz_degrees = [d for d, _ in syz]
-    if syz_degrees and max(syz_degrees) >= degree_cap:
-        raise PointError("degree cap %d reached with unresolved syzygies" % degree_cap)
-
-    shape = BettiShape(tuple(sorted(gen_degrees)), tuple(sorted(syz_degrees)))
-    _check_hilbert(cfg, shape, degree_cap, slice_dims)
+    shape = BettiShape(tuple(gens), tuple(syz))
+    slice_dims = {t: space_dim(t) - ht for t, ht in enumerate(hilb)}
+    _check_hilbert(cfg, shape, DEGREE_CAP, slice_dims)
     return shape
-
-
-def _shift_syzygy(vec, gen_degrees, t, var):
-    """Multiply a degree-t syzygy vector by a variable, re-indexed at t+1."""
-    out = []
-    pos = 0
-    for d in gen_degrees:
-        width_old = space_dim(t - d)
-        width_new = space_dim(t + 1 - d)
-        block = vec[pos:pos + width_old]
-        pos += width_old
-        newblock = [Fraction(0)] * width_new
-        if width_old:
-            idx_new = monomial_index(t + 1 - d)
-            for mono, c in zip(monomials(t - d), block):
-                if c:
-                    m = (mono[0] + var[0], mono[1] + var[1], mono[2] + var[2])
-                    newblock[idx_new[m]] += c
-        out.extend(newblock)
-    return out
 
 
 def _check_hilbert(cfg: PointConfig, shape: BettiShape, cap: int, slice_dims=None):

@@ -29,6 +29,12 @@ def test_classify_parse_error(capsys):
     assert code == 2
 
 
+def test_classify_wrong_multiplicity(capsys):
+    blob = json.dumps({"source": [-1], "target": [4], "matrix": [["X^5"]]})
+    code, _ = run(capsys, "classify", "--input", blob)
+    assert code == 4
+
+
 def test_classify_not_in_table(capsys):
     lines = ["X", "Y", "Z", "X + Y", "Y + Z", "X + Z"]
     ks = [-3, -3, -3, 0, 0, 0]
@@ -107,6 +113,9 @@ def test_points_claim_colinear_precondition(capsys):
 def test_points_parse_error(capsys):
     code, _ = run(capsys, "points", "resolve", "--input", json.dumps({"pts": []}))
     assert code == 2
+    for points in (1, [1, 2], ["abc"], [["1/0", "1", "1"]]):
+        code, _ = run(capsys, "points", "resolve", "--input", json.dumps({"points": points}))
+        assert code == 2, points
 
 
 def test_dims_chi1(capsys):
@@ -155,3 +164,15 @@ def test_flag_pair_cmd(capsys):
     data = json.loads(out)
     assert (data["chi"], data["stratum"]) == (1, "X_5")
     assert data["profile"][:3] == [1, 3, 4]
+
+
+def test_flag_pair_parse_errors(capsys):
+    sextic = "X^5*Y + Y^5*Z + Z^6 + X^3*Y^2*Z"
+    blobs = ["{bad",
+             json.dumps({"points": 1, "sextic": sextic}),
+             json.dumps({"points": [1, 2], "sextic": sextic}),
+             json.dumps({"points": [["1", "0", "0"], ["0", "1", "0"]], "sextic": 5}),
+             json.dumps({"points": [["1", "0", "0"], ["0", "1", "0"]]})]
+    for blob in blobs:
+        code, _ = run(capsys, "flag-pair", "--input", blob)
+        assert code == 2, blob

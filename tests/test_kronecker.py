@@ -115,6 +115,13 @@ def test_random_4x3_probably_semistable():
     assert is_semistable(K, budget=500).kind == "probably_semistable"
 
 
+def test_search_skips_sampling_without_a_reduction_mod_p():
+    # the sampling prime divides a coefficient's denominator: the module has
+    # no reduction modulo it, so the search ends without sampling
+    K = module([["1/1073741909*X", "Y"], ["Y", "Z"]])
+    assert is_semistable(K).kind == "probably_semistable"
+
+
 def test_minors_agree_with_definite_verdicts():
     rng = random.Random(99)
     for _ in range(40):

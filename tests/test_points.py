@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from planesheaves import points
 from planesheaves.forms import Form, space_dim
 from planesheaves.points import (CLAIMS, BettiShape, GenericityError,
                                  PointConfig, PointError,
@@ -118,13 +119,6 @@ def test_nine_generic_resolution():
     assert minimal_resolution(cfg) == BettiShape((3, 4, 4, 4), (5, 5, 5))
 
 
-def test_resolution_independent_of_complement_choice():
-    cfg = config_satisfying(CLAIMS["len8_general"].predicates, 8, random.Random(8))
-    base = minimal_resolution(cfg)
-    for seed in range(3):
-        assert minimal_resolution(cfg, rng=random.Random(seed)) == base
-
-
 def test_degeneration_changes_shape_as_predicted():
     rng = random.Random(9)
     general = PointConfig([(1, 0, 1), (0, 1, 1), (3, 2, 1)])
@@ -142,9 +136,31 @@ def test_single_and_double_point():
 
 
 def test_cap_violation_errors():
-    cfg = colinear_points(9, random.Random(10))
-    with pytest.raises(PointError):
-        minimal_resolution(cfg)
+    # n colinear points have regularity index n - 1 and their last syzygy in
+    # degree n + 1: six points are the last accepted below the degree cap 8
+    rng = random.Random(10)
+    assert minimal_resolution(colinear_points(6, rng)) == BettiShape((1, 6), (7,))
+    for n in (7, 9):
+        with pytest.raises(PointError):
+            minimal_resolution(colinear_points(n, rng))
+
+
+@pytest.mark.parametrize("cfg,last", [
+    (config_satisfying(CLAIMS["len8_general"].predicates, 8, random.Random(8)), 4),
+    (colinear_points(5, random.Random(18)), 5),
+    (TRIANGLE, 2),
+])
+def test_walk_stops_after_regularity_index(monkeypatch, cfg, last):
+    # the slices are read up to r_Z + 1 and no further
+    seen = []
+
+    def recording_slice(cfg, t):
+        seen.append(t)
+        return ideal_slice(cfg, t)
+
+    monkeypatch.setattr(points, "ideal_slice", recording_slice)
+    minimal_resolution(cfg)
+    assert seen == list(range(last + 1))
 
 
 # -- claims ---------------------------------------------------------------------------
