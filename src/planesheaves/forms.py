@@ -15,6 +15,12 @@ from .linalg import QMatrix
 
 VARIABLES = ("X", "Y", "Z")
 
+# Largest total degree parse_form accepts.  A form of degree d is a dense
+# vector of (d + 1)(d + 2) / 2 coefficients, so unbounded input degrees would
+# allocate without limit; every registry, test and benchmark form has
+# degree at most 10.
+MAX_DEGREE = 40
+
 
 class FormError(ValueError):
     pass
@@ -261,6 +267,9 @@ def parse_form(text: str, degree: int | None = None) -> Form:
             expect_factor = False
         if expect_factor:
             raise ParseError("dangling '*' in %r" % text)
+        if sum(expo) > MAX_DEGREE:
+            raise ParseError("term of degree %d exceeds the degree cap %d"
+                             % (sum(expo), MAX_DEGREE))
         if coeff == 0:
             continue
         key = tuple(expo)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd as int_gcd
 
-from .forms import Form, linearly_independent
+from .forms import Form, linearly_independent, monomial_index
 from .linalg import (LinalgError, QMatrix, from_columns, hstack_all, mod_rank,
                      mod_residues)
 from .presentation import Presentation, derive_seed
@@ -37,7 +37,7 @@ class KroneckerError(ValueError):
 class KroneckerModule:
     """q x p matrix of degree-1 forms; p source copies, q target copies."""
 
-    __slots__ = ("p", "q", "entries")
+    __slots__ = ("p", "q", "entries", "_slices")
 
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -56,6 +56,7 @@ class KroneckerModule:
         self.p = p
         self.q = q
         self.entries = entries
+        self._slices = None
 
     @classmethod
     def from_text(cls, rows) -> "KroneckerModule":
@@ -64,22 +65,19 @@ class KroneckerModule:
                     for row in rows])
 
     def coefficient_slices(self):
-        """The three scalar matrices K_X, K_Y, K_Z."""
-        slices = []
-        for v in range(3):
-            mono = [(1, 0, 0), (0, 1, 0), (0, 0, 1)][v]
-            data = []
-            for row in self.entries:
-                out = []
-                for f in row:
-                    if f.is_zero():
-                        out.append(Fraction(0))
-                    else:
-                        from .forms import monomial_index
-                        out.append(f.coeffs[monomial_index(1)[mono]])
-                data.append(out)
-            slices.append(QMatrix(self.q, self.p, data))
-        return tuple(slices)
+        """The three scalar matrices K_X, K_Y, K_Z, built once per module.
+
+        Callers share the returned matrices and must not mutate them."""
+        if self._slices is None:
+            index = monomial_index(1)
+            slices = []
+            for mono in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+                k = index[mono]
+                data = [[Fraction(0) if f.is_zero() else f.coeffs[k] for f in row]
+                        for row in self.entries]
+                slices.append(QMatrix(self.q, self.p, data))
+            self._slices = tuple(slices)
+        return self._slices
 
     def transpose(self) -> "KroneckerModule":
         return KroneckerModule(tuple(tuple(self.entries[i][j] for i in range(self.q))
@@ -213,13 +211,17 @@ def _witness_from_subspace(K: KroneckerModule, S: QMatrix) -> Destabilizer | Non
 
 
 def _coordinate_search(K: KroneckerModule):
+    slices = [sl.data for sl in K.coefficient_slices()]
     for p_prime, q_prime in _violating_pairs(K.p, K.q):
         for cols in combinations(range(K.p), p_prime):
-            S = QMatrix(K.p, p_prime)
-            for a, c in enumerate(cols):
-                S.data[c][a] = Fraction(1)
-            image = _image_of(K, S)
-            if K.q - image.cols >= q_prime:
+            # the image of the coordinate subspace is spanned by the chosen
+            # columns of the three slices
+            image = QMatrix(K.q, 3 * p_prime,
+                            [[sl[i][c] for sl in slices for c in cols] for i in range(K.q)])
+            if K.q - image.rank() >= q_prime:
+                S = QMatrix(K.p, p_prime)
+                for a, c in enumerate(cols):
+                    S.data[c][a] = Fraction(1)
                 D = _witness_from_subspace(K, S)
                 if D is not None:
                     return D

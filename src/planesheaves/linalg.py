@@ -1,16 +1,20 @@
 """Dense exact linear algebra over the rationals.
 
-All matrices in this package are small (dimensions in the tens, at most a
-couple hundred rows for the audit systems), so plain Gaussian elimination
-with `fractions.Fraction` entries is the right tool.  One prime-field rank
-routine (`mod_rank`) serves the randomized cross-check and the Kronecker
-sampling search; a rank modulo p only bounds the rational rank from below,
-so it is never used as the primary answer.
+Every elimination (`rank`, `det`, `rref`, `kernel_basis`, `solve`) runs one
+fraction-free routine, `_bareiss`: each row is scaled to integers once, by
+the lcm of its denominators, and rows are combined as (piv*a - f*b) // prev,
+a division that is always exact (Bareiss, Math. Comp. 22, 1968).  The
+entries stay minors of the scaled input, so no gcd is taken inside the
+loop; Fractions appear only in the returned rows and vectors.  One prime-field
+rank routine (`mod_rank`) serves the randomized cross-check and the
+Kronecker sampling search; a rank modulo p only bounds the rational rank
+from below, so it is never used as the primary answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
 
 class LinalgError(ValueError):
@@ -98,42 +102,24 @@ class QMatrix:
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
-    def _echelon(self):
-        """Return (echelon rows, pivot column list); does not modify self."""
-        m = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            p = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    p = i
-                    break
-            if p is None:
-                continue
-            m[r], m[p] = m[p], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
+    def _rref(self):
+        """(integer rows, pivot columns, d): the RREF is rows / d."""
+        m, _ = _integer_rows(self.data)
+        pivots, _, d = _bareiss(m, self.cols, reduced=True)
+        return m, pivots, d
 
     def rref(self):
-        m, pivots = self._echelon()
-        return QMatrix(self.rows, self.cols, m), pivots
+        m, pivots, d = self._rref()
+        return QMatrix(self.rows, self.cols,
+                       [[Fraction(a, d) for a in row] for row in m]), pivots
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        m, _ = _integer_rows(self.data)
+        return len(_bareiss(m, self.cols, reduced=False)[0])
 
     def kernel_basis(self):
         """Basis of the right null space, as a list of column vectors."""
-        m, pivots = self._echelon()
+        m, pivots, d = self._rref()
         pivset = set(pivots)
         free = [c for c in range(self.cols) if c not in pivset]
         basis = []
@@ -141,7 +127,7 @@ class QMatrix:
             v = [Fraction(0)] * self.cols
             v[fc] = Fraction(1)
             for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
+                v[pc] = Fraction(-m[r][fc], d)
             basis.append(v)
         return basis
 
@@ -151,39 +137,22 @@ class QMatrix:
             raise LinalgError("rhs length mismatch")
         aug = QMatrix(self.rows, self.cols + 1,
                       [self.data[i] + [_frac(rhs[i])] for i in range(self.rows)])
-        m, pivots = aug._echelon()
+        m, pivots, d = aug._rref()
         if self.cols in pivots:
             return None
         x = [Fraction(0)] * self.cols
         for r, pc in enumerate(pivots):
-            x[pc] = m[r][self.cols]
+            x[pc] = Fraction(m[r][self.cols], d)
         return x
 
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise LinalgError("det of non-square matrix")
-        m = [row[:] for row in self.data]
-        n = self.rows
-        sign = 1
-        det = Fraction(1)
-        for c in range(n):
-            p = None
-            for i in range(c, n):
-                if m[i][c]:
-                    p = i
-                    break
-            if p is None:
-                return Fraction(0)
-            if p != c:
-                m[c], m[p] = m[p], m[c]
-                sign = -sign
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det * sign
+        m, scale = _integer_rows(self.data)
+        pivots, sign, last = _bareiss(m, self.cols, reduced=False)
+        if len(pivots) < self.rows:
+            return Fraction(0)
+        return Fraction(sign * last, scale)
 
     def rank_mod_p(self, p: int) -> int:
         """Rank of the reduction modulo p.  Raises if p divides a denominator."""
@@ -191,6 +160,68 @@ class QMatrix:
 
     def __repr__(self):
         return "QMatrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
+
+
+def _integer_rows(data):
+    """Each row times the lcm of its denominators, which keeps the row space,
+    and the product of those scales."""
+    rows = []
+    scales = []
+    for row in data:
+        scale = lcm(*[x.denominator for x in row])
+        if scale == 1:
+            rows.append([x.numerator for x in row])
+        else:
+            rows.append([x.numerator * (scale // x.denominator) for x in row])
+            scales.append(scale)
+    return rows, prod(scales)
+
+
+def _bareiss(m, ncols: int, reduced: bool):
+    """Fraction-free elimination of the integer rows m, in place.
+
+    Returns (pivot columns, sign of the row permutation, last pivot).  After
+    k pivots every entry is a minor of the row-permuted input, so each
+    division by the previous pivot is exact; rows with a zero in the pivot
+    column are still scaled by piv // prev to keep that invariant.  With
+    `reduced`, rows above the pivot are cleared too, every pivot ends equal
+    to the last one, d, and the RREF is m / d; otherwise only the forward
+    pass runs and the last pivot of a full-rank square matrix is the
+    determinant of the permuted rows."""
+    nrows = len(m)
+    pivots = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = r
+        while p < nrows and not m[p][c]:
+            p += 1
+        if p == nrows:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        prow = m[r]
+        piv = prow[c]
+        tail = prow[c:]
+        for i in range(0 if reduced else r + 1, nrows):
+            if i == r:
+                continue
+            # entries left of column c are zero in every row below the pivot
+            lo, src = (c, tail) if i > r else (0, prow)
+            row = m[i]
+            f = row[c]
+            if f:
+                row[lo:] = [(piv * a - f * b) // prev for a, b in zip(row[lo:], src)]
+            elif piv != prev:
+                row[lo:] = [piv * a // prev for a in row[lo:]]
+        pivots.append(c)
+        prev = piv
+        r += 1
+    return pivots, sign, prev
 
 
 def mod_residues(rows, p: int):
@@ -234,41 +265,6 @@ def mod_rank(rows, p: int) -> int:
         if rank == len(rows):
             break
     return rank
-
-
-class IncrementalSpan:
-    """Row span maintained in echelon form; supports cheap membership tests."""
-
-    def __init__(self, length: int):
-        self.length = length
-        self.rows = []          # (pivot index, normalized row)
-
-    def reduce(self, vector):
-        v = [_frac(x) for x in vector]
-        for piv, row in self.rows:
-            if v[piv]:
-                f = v[piv]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def insert(self, vector) -> bool:
-        """Add the vector; returns True iff it enlarged the span."""
-        v = self.reduce(vector)
-        for piv in range(self.length):
-            if v[piv]:
-                inv = 1 / v[piv]
-                row = [x * inv for x in v]
-                self.rows.append((piv, row))
-                self.rows.sort(key=lambda pr: pr[0])
-                return True
-        return False
-
-    def contains(self, vector) -> bool:
-        return all(x == 0 for x in self.reduce(vector))
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 def hstack_all(mats) -> QMatrix:

@@ -22,6 +22,12 @@ from .forms import (Form, ParseError, format_form, mult_map, parse_form,
 from .linalg import QMatrix
 
 
+# Largest |twist| Presentation.from_text accepts.  Twists set the degrees of
+# the graded pieces whose dense matrices the cohomology computations build;
+# every registry, test and benchmark twist has |twist| <= 10.
+MAX_TWIST = 40
+
+
 class PresentationError(ValueError):
     pass
 
@@ -86,6 +92,12 @@ class Presentation:
     @classmethod
     def from_text(cls, source, target, rows) -> "Presentation":
         """Rows of polynomial text (or Form objects), target-major."""
+        try:
+            twists = [int(d) for d in (*source, *target)]
+        except (TypeError, ValueError) as exc:
+            raise ParseError("twists must be integers: %s" % exc) from exc
+        if any(abs(d) > MAX_TWIST for d in twists):
+            raise ParseError("twist beyond the cap: |twist| must be at most %d" % MAX_TWIST)
         matrix = []
         for row in rows:
             out = []

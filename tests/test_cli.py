@@ -29,6 +29,21 @@ def test_classify_parse_error(capsys):
     assert code == 2
 
 
+def test_oversize_degree_and_twist_are_parse_errors(capsys):
+    # caught before any dense coefficient vector or graded piece is built
+    oversize = [
+        {"source": [-4], "target": [2], "matrix": [["X^100000000"]]},
+        {"source": [-4], "target": [2], "matrix": [["X^6 + Y^35*Z^6"]]},
+        {"source": [10 ** 6 - 6], "target": [10 ** 6], "matrix": [[SEXTIC]]},
+        {"source": [-4], "target": [-(10 ** 6)], "matrix": [["0"]]},
+        {"source": [-4], "target": ["two"], "matrix": [[SEXTIC]]},
+    ]
+    for blob in oversize:
+        for cmd in ("classify", "hilbert"):
+            code, out = run(capsys, cmd, "--input", json.dumps(blob))
+            assert code == 2 and out == "", (cmd, blob)
+
+
 def test_classify_wrong_multiplicity(capsys):
     blob = json.dumps({"source": [-1], "target": [4], "matrix": [["X^5"]]})
     code, _ = run(capsys, "classify", "--input", blob)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from planesheaves import linalg
 from planesheaves.linalg import LinalgError, QMatrix
 
 
@@ -65,3 +66,111 @@ def test_kernel_members_annihilate():
     for v in m.kernel_basis():
         assert m.mat_vec(v) == [0] * 5
     assert m.rank() + len(m.kernel_basis()) == 9
+
+
+# -- the fraction-free core against sympy -------------------------------------------
+
+def random_oracle_matrices(seed, count=300):
+    """Rational matrices with denominators, empty shapes, zero rows and
+    columns, and planted rank deficiency."""
+    rng = random.Random(seed)
+
+    def entry():
+        k = rng.random()
+        if k < 0.3:
+            return Fraction(0)
+        if k < 0.65:
+            return Fraction(rng.randint(-9, 9))
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (4, 4)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(count)]
+    for r, c in shapes:
+        rows = [[entry() for _ in range(c)] for _ in range(r)]
+        if r >= 2 and rng.random() < 0.4:
+            i, j = rng.sample(range(r), 2)
+            a = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            rows[i] = [a * x for x in rows[j]]
+        if r >= 3 and rng.random() < 0.3:
+            i, j, k = rng.sample(range(r), 3)
+            rows[i] = [x - 2 * y for x, y in zip(rows[j], rows[k])]
+        if r and rng.random() < 0.2:
+            rows[rng.randrange(r)] = [Fraction(0)] * c
+        if c and rng.random() < 0.2:
+            col = rng.randrange(c)
+            for row in rows:
+                row[col] = Fraction(0)
+        yield QMatrix(r, c, rows), [entry() for _ in range(r)]
+
+
+def to_sympy(m, sympy):
+    return sympy.Matrix(m.rows, m.cols,
+                        [sympy.Rational(x.numerator, x.denominator) for row in m.data for x in row])
+
+
+def from_sympy(entries):
+    return [Fraction(int(x.p), int(x.q)) for x in entries]
+
+
+def test_core_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m, rhs in random_oracle_matrices(23):
+        s = to_sympy(m, sympy)
+        rref, pivots = m.rref()
+        s_rref, s_pivots = s.rref()
+        assert list(pivots) == list(s_pivots)
+        assert rref.data == [from_sympy(s_rref.row(i)) for i in range(m.rows)]
+        assert m.rank() == s.rank()
+        if m.rows == m.cols:
+            assert m.det() == from_sympy([s.det()])[0]
+        kernel = m.kernel_basis()
+        assert kernel == [from_sympy(v) for v in s.nullspace()]
+        b = to_sympy(QMatrix(m.rows, 1, [[x] for x in rhs]), sympy)
+        x = m.solve(rhs)
+        try:
+            sol, params = s.gauss_jordan_solve(b)
+        except ValueError:
+            assert x is None
+        else:
+            # solve sets every free variable to zero
+            assert x == from_sympy(sol.subs({p: 0 for p in params}))
+
+
+class ExactInt:
+    """Integer whose floor division insists on a zero remainder."""
+
+    divisions = 0
+
+    def __init__(self, v):
+        self.v = v.v if isinstance(v, ExactInt) else v
+
+    def __mul__(self, other):
+        return ExactInt(self.v * ExactInt(other).v)
+
+    def __sub__(self, other):
+        return ExactInt(self.v - ExactInt(other).v)
+
+    def __floordiv__(self, other):
+        q, rem = divmod(self.v, ExactInt(other).v)
+        assert rem == 0, "inexact Bareiss division"
+        ExactInt.divisions += 1
+        return ExactInt(q)
+
+    def __bool__(self):
+        return bool(self.v)
+
+    def __eq__(self, other):
+        return self.v == ExactInt(other).v
+
+
+def test_every_bareiss_division_is_exact():
+    ExactInt.divisions = 0
+    for m, _ in random_oracle_matrices(31):
+        for reduced in (False, True):
+            rows, _ = linalg._integer_rows(m.data)
+            checked = [[ExactInt(a) for a in row] for row in rows]
+            pivots, _, d = linalg._bareiss(checked, m.cols, reduced)
+            assert pivots == linalg._bareiss(rows, m.cols, reduced)[0]
+            if reduced:
+                assert all(checked[r][c] == d for r, c in enumerate(pivots))
+    assert ExactInt.divisions > 10000

@@ -163,6 +163,27 @@ def test_walk_stops_after_regularity_index(monkeypatch, cfg, last):
     assert seen == list(range(last + 1))
 
 
+def criterion_6_configs():
+    """The 200 configurations of the criterion-6 acceptance test."""
+    rng = random.Random(20240601)
+    for claim_id in ("len8_general", "len5_general", "len7_no_conic", "len9_unique_cubic"):
+        claim = CLAIMS[claim_id]
+        for _ in range(50):
+            yield config_satisfying(claim.predicates, claim.size, rng)
+
+
+def test_hilbert_function_is_n_from_the_regularity_index_on():
+    # _check_hilbert takes H_Z(t) = n for every t >= r_Z without a rank: the
+    # Hilbert function of reduced points is non-decreasing and bounded by n
+    rng = random.Random(19)
+    configs = list(criterion_6_configs()) + [colinear_points(n, rng) for n in range(1, 7)]
+    for cfg in configs:
+        n = len(cfg)
+        r_z = next(t for t in range(9) if evaluation_matrix(cfg, t).rank() == n)
+        for t in range(r_z, 9):
+            assert evaluation_matrix(cfg, t).rank() == n, (cfg.to_json(), t)
+
+
 # -- claims ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("claim_id,n", [
