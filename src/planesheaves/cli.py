@@ -390,9 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main builds on its first call and reuses afterwards; argparse
+# keeps no state between parse_args calls.  Not built at import, so importing
+# the package stays cheap.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

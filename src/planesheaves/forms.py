@@ -3,10 +3,15 @@
 A Form is a dense coefficient vector indexed by the graded-lex monomial
 basis (X > Y > Z) of its degree.  The zero form is representable in every
 degree.  Everything is immutable and exact.
+
+Polynomial text is read by one regular-expression pass (``_tokenize``) and a
+small term grammar (``parse_form``); ``format_form`` prints text that
+``parse_form`` reads back to the same form.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
@@ -20,6 +25,11 @@ VARIABLES = ("X", "Y", "Z")
 # allocate without limit; every registry, test and benchmark form has
 # degree at most 10.
 MAX_DEGREE = 40
+
+# Longest numeral (numerator or denominator, in digits) parse_form accepts.
+# Python refuses to convert decimal strings of more than 4300 digits; every
+# registry, test and benchmark numeral has at most 3.
+MAX_DIGITS = 1000
 
 
 class FormError(ValueError):
@@ -163,38 +173,36 @@ def form_mul(f: Form, g: Form) -> Form:
 # parsing / printing
 # ---------------------------------------------------------------------------
 
+# One match per token: a numeral (decimal digits, optionally "/" and more
+# digits), an operator or variable, or any other non-space character, which is
+# an error.  Every non-space character starts a match, so re.findall skips
+# whitespace and nothing else.
+_TOKEN = re.compile(r"(\d+)(/\d*)?|([-+*^XYZ])|(\S)")
+
+
 def _tokenize(text: str):
+    """Tokens of polynomial text: "+", "-", "*", "^", "X", "Y", "Z", and
+    numerals.  A plain numeral is an int; one written with a slash is an
+    integer (numerator, denominator) pair, so an exponent can insist on a
+    plain numeral.  Numerals longer than MAX_DIGITS digits and zero
+    denominators are parse errors."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^":
-            tokens.append(ch)
-            i += 1
-        elif ch in "XYZ":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ParseError("malformed rational near %r" % text[i:j + 1])
-                tokens.append(Fraction(int(text[i:j]), int(text[j + 1:k])))
-                i = k
-            else:
-                tokens.append(Fraction(int(text[i:j])))
-                i = j
+    for num, slash, op, other in _TOKEN.findall(text):
+        if op:
+            tokens.append(op)
+        elif other:
+            raise ParseError("unexpected character %r" % other)
+        elif len(num) > MAX_DIGITS or len(slash) > MAX_DIGITS + 1:
+            raise ParseError("numeral of more than %d digits" % MAX_DIGITS)
+        elif not slash:
+            tokens.append(int(num))
+        elif slash == "/":
+            raise ParseError("malformed rational near %r" % (num + slash))
         else:
-            raise ParseError("unexpected character %r" % ch)
+            den = int(slash[1:])
+            if not den:
+                raise ParseError("zero denominator in %r" % (num + slash))
+            tokens.append((int(num), den))
     return tokens
 
 
@@ -232,9 +240,8 @@ def parse_form(text: str, degree: int | None = None) -> Form:
     terms.append((sign, cur))
 
     acc: dict = {}
-    degrees = set()
     for sgn, toks in terms:
-        coeff = Fraction(sgn)
+        num, den = sgn, 1
         expo = [0, 0, 0]
         i = 0
         expect_factor = True
@@ -248,17 +255,20 @@ def parse_form(text: str, degree: int | None = None) -> Form:
                 continue
             if not expect_factor:
                 raise ParseError("missing operator in %r" % text)
-            if isinstance(tok, Fraction):
-                coeff *= tok
+            if isinstance(tok, int):
+                num *= tok
+                i += 1
+            elif isinstance(tok, tuple):
+                num *= tok[0]
+                den *= tok[1]
                 i += 1
             elif tok in VARIABLES:
                 v = VARIABLES.index(tok)
                 power = 1
                 if i + 1 < len(toks) and toks[i + 1] == "^":
-                    if i + 2 >= len(toks) or not isinstance(toks[i + 2], Fraction) \
-                            or toks[i + 2].denominator != 1 or toks[i + 2] < 0:
+                    if i + 2 >= len(toks) or not isinstance(toks[i + 2], int):
                         raise ParseError("malformed exponent in %r" % text)
-                    power = int(toks[i + 2])
+                    power = toks[i + 2]
                     i += 2
                 expo[v] += power
                 i += 1
@@ -270,22 +280,24 @@ def parse_form(text: str, degree: int | None = None) -> Form:
         if sum(expo) > MAX_DEGREE:
             raise ParseError("term of degree %d exceeds the degree cap %d"
                              % (sum(expo), MAX_DEGREE))
-        if coeff == 0:
-            continue
-        key = tuple(expo)
-        acc[key] = acc.get(key, Fraction(0)) + coeff
-        degrees.add(sum(expo))
+        if num:
+            key = tuple(expo)
+            acc[key] = acc.get(key, 0) + Fraction(num, den)
 
-    acc = {k: v for k, v in acc.items() if v != 0}
-    degrees = {sum(k) for k in acc}
+    acc = {k: v for k, v in acc.items() if v}
     if not acc:
         return Form.zero(degree if degree is not None else 0)
+    degrees = {sum(k) for k in acc}
     if len(degrees) > 1:
         raise ParseError("inhomogeneous polynomial: degrees %s" % sorted(degrees))
     d = degrees.pop()
     if degree is not None and d != degree:
         raise ParseError("polynomial has degree %d, expected %d" % (d, degree))
-    return Form.from_dict(d, acc)
+    index = monomial_index(d)
+    coeffs = [Fraction(0)] * space_dim(d)
+    for key, c in acc.items():
+        coeffs[index[key]] = c
+    return Form(d, coeffs)
 
 
 def _format_coeff(c: Fraction) -> str:
@@ -382,7 +394,9 @@ def _uni_prem(a, b):
     return a
 
 
-def _uni_gcd(a, b):
+def uni_gcd(a, b):
+    """gcd of integer polynomials given as coefficient lists, constant term
+    first: primitive, with positive leading coefficient ([] if both are zero)."""
     a = _uni_primitive(a)
     b = _uni_primitive(b)
     while b:
@@ -403,7 +417,7 @@ def _biv_trim(f):
 def _biv_content(f):
     g = []
     for c in f:
-        g = _uni_gcd(g, c)
+        g = uni_gcd(g, c)
         if g == [1]:
             break
     return g or [1]
@@ -477,7 +491,7 @@ def _biv_gcd(f, g):
         f, g = g, f
     while g:
         f, g = g, _biv_primitive(_biv_prem(f, g))
-    ccontent = _uni_gcd(cf, cg)
+    ccontent = uni_gcd(cf, cg)
     return _biv_scale(f, ccontent)
 
 

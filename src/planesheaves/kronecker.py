@@ -24,10 +24,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd as int_gcd
 
-from .forms import Form, linearly_independent, monomial_index
+from .forms import Form, linearly_independent, monomial_index, parse_form, uni_gcd
 from .linalg import (LinalgError, QMatrix, from_columns, hstack_all, mod_rank,
                      mod_residues)
-from .presentation import Presentation, derive_seed
+from .presentation import Presentation, derive_seed, random_invertible
 
 
 class KroneckerError(ValueError):
@@ -60,7 +60,6 @@ class KroneckerModule:
 
     @classmethod
     def from_text(cls, rows) -> "KroneckerModule":
-        from .forms import parse_form
         return cls([[e if isinstance(e, Form) else parse_form(str(e)) for e in row]
                     for row in rows])
 
@@ -326,7 +325,6 @@ def _pencil_line_search(K: KroneckerModule):
         # image rank <= 1 identically
         return [QMatrix(2, 1, [[1], [0]]), QMatrix(2, 1, [[0], [1]])]
     # clear denominators and take the gcd of all minors as binary quadrics
-    from .forms import _uni_gcd  # integer-poly gcd helper
     int_polys = []
     for poly in minor_polys:
         den = 1
@@ -335,7 +333,7 @@ def _pencil_line_search(K: KroneckerModule):
         int_polys.append([int(c * den) for c in poly])
     g = []
     for poly in int_polys:
-        g = _uni_gcd(g, poly)
+        g = uni_gcd(g, poly)
     candidates = []
     if len(g) > 1:
         for t in _rational_roots(g):
@@ -431,9 +429,8 @@ def is_semistable(K: KroneckerModule, budget: int = 200, seed: int = 0) -> Krone
 
 def conjugate(K: KroneckerModule, rng) -> KroneckerModule:
     """Random exact conjugation by invertible rational matrices on both sides."""
-    from .presentation import _random_invertible
-    g = _random_invertible(K.q, rng)
-    h = _random_invertible(K.p, rng)
+    g = random_invertible(K.q, rng)
+    h = random_invertible(K.p, rng)
     out = []
     for i in range(K.q):
         row = []

@@ -94,10 +94,13 @@ class Presentation:
         """Rows of polynomial text (or Form objects), target-major."""
         try:
             twists = [int(d) for d in (*source, *target)]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError("twists must be integers: %s" % exc) from exc
         if any(abs(d) > MAX_TWIST for d in twists):
             raise ParseError("twist beyond the cap: |twist| must be at most %d" % MAX_TWIST)
+        if not isinstance(rows, (list, tuple)) \
+                or not all(isinstance(row, (list, tuple)) for row in rows):
+            raise ParseError("the matrix must be a list of rows, each a list of entries")
         matrix = []
         for row in rows:
             out = []
@@ -353,7 +356,8 @@ def twist(P: Presentation, k: int) -> Presentation:
 # the symmetry group action (used by tests and the stabilizer audit)
 # ---------------------------------------------------------------------------
 
-def _random_invertible(n: int, rng) -> QMatrix:
+def random_invertible(n: int, rng) -> QMatrix:
+    """Random invertible n x n matrix with integer entries in [-4, 4]."""
     while True:
         m = QMatrix(n, n, [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)])
         if m.det() != 0:
@@ -373,7 +377,7 @@ def _random_auto(twists, rng):
     for idx, t in enumerate(twists):
         groups.setdefault(t, []).append(idx)
     for t, idxs in groups.items():
-        block = _random_invertible(len(idxs), rng)
+        block = random_invertible(len(idxs), rng)
         for a, ia in enumerate(idxs):
             for b, ib in enumerate(idxs):
                 g[ia][ib] = Form.constant(block.data[a][b])

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .forms import Form, form_gcd, divides, space_dim
+from .forms import Form, form_gcd, divides, space_dim, uni_gcd
 from .linalg import QMatrix
 from .presentation import (Presentation, PresentationError,
                            euler_char_line_bundle)
@@ -116,10 +116,9 @@ def _binary_gcd_has_root(quadrics):
         for c in q:
             den = den * c.denominator // int_gcd(den, c.denominator)
     ints = [[int(c * den) for c in q] for q in polys]
-    from .forms import _uni_gcd
     g = []
     for q in ints:
-        g = _uni_gcd(g, q)
+        g = uni_gcd(g, q)
         if g == [1] or g == [-1]:
             break
     if len(g) > 1:

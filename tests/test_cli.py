@@ -1,6 +1,18 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import planesheaves
+from planesheaves import cli
 from planesheaves.cli import main
+from planesheaves.forms import Form, format_form, space_dim
 from planesheaves.presentation import Presentation
 
 SEXTIC = "X^6 + Y^6 + Z^6 + X*Y*Z^4 + 2*X^2*Y^2*Z^2"
@@ -191,3 +203,110 @@ def test_flag_pair_parse_errors(capsys):
     for blob in blobs:
         code, _ = run(capsys, "flag-pair", "--input", blob)
         assert code == 2, blob
+
+
+def test_parser_crashes_are_parse_errors(capsys):
+    # a zero denominator, a numeral beyond Python's int-conversion limit and a
+    # digit that is not decimal used to escape as tracebacks with exit 1
+    for entry in ("1/0*X^6", "7" * 5000 + "*X^6", "2\u00b2*X^6"):
+        blob = json.dumps({"source": [-4], "target": [2], "matrix": [[entry]]})
+        code = main(["classify", "--input", blob])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", entry[:20]
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_malformed_matrix_and_infinite_twist_are_parse_errors(capsys):
+    for blob in ('{"source": [], "target": [], "matrix": null}',
+                 '{"source": [-1], "target": [0], "matrix": [5]}',
+                 '{"source": [1e400], "target": [2], "matrix": [["X"]]}'):
+        for cmd in ("classify", "dual"):
+            code, out = run(capsys, cmd, "--input", blob)
+            assert code == 2 and out == "", (cmd, blob)
+
+
+def _fresh_stdout(argv):
+    """Standard output of the CLI run in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(planesheaves.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "planesheaves.cli", *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    return proc.stdout
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    block = json.dumps({"source": [-1, -1], "target": [0, 0, 0],
+                        "matrix": [["X", "Y"], ["Y", "Z"], ["Z", "X"]]})
+    later = (["classify", "--input", OC2],
+             ["kron-check", "--input", block],
+             ["gen", "--chi", "3", "--stratum", "X_7"])
+    fresh = [_fresh_stdout(argv) for argv in later]
+    with pytest.raises(SystemExit) as exc:
+        main(["classify"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert main(["kron-check", "--input", block, "--budget", "5", "--seed", "7"]) == 0
+    capsys.readouterr()
+    for argv, expected in zip(later, fresh):
+        assert run(capsys, *argv) == (0, expected), argv[0]
+    args = cli._PARSER.parse_args(["kron-check", "--input", block])
+    assert (args.budget, args.seed) == (200, cli.DEFAULT_SEED)
+
+
+# ---------------------------------------------------------------------------
+# property test: every generated input ends with exit 0-4 and no traceback
+# ---------------------------------------------------------------------------
+
+_TWISTS = st.lists(st.integers(-6, 6), max_size=3)
+# entries that are not forms of the required degree, including the inputs
+# that used to crash the form parser
+_BAD_ENTRIES = st.sampled_from(["0", "1", "X^12/2", "1/0*X^6", "2\u00b2*X", "X +", "W",
+                                "", "9" * 5000, 7, 1.5, None, [1], {"a": 1}])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 6, 10 ** 6) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _presentation_blobs(draw):
+    source, target = draw(_TWISTS), draw(_TWISTS)
+    rows = []
+    for e in target:
+        row = []
+        for d in source:
+            k = e - d
+            if draw(st.integers(0, 9)) == 0:
+                row.append(draw(_BAD_ENTRIES))
+            elif 0 <= k <= 4:
+                coeffs = draw(st.lists(st.integers(-3, 3), min_size=space_dim(k),
+                                       max_size=space_dim(k)))
+                row.append(format_form(Form(k, coeffs)))
+            else:
+                row.append("0")
+        rows.append(row)
+    return {"source": source, "target": target, "matrix": rows}
+
+
+_BLOBS = st.one_of(
+    _presentation_blobs(),
+    st.fixed_dictionaries({"source": _JSON, "target": _JSON, "matrix": _JSON}))
+
+
+def _call(argv):
+    # capsys is per test, not per hypothesis example, so capture here
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(["classify", "hilbert", "dual", "kron-check"]), _BLOBS)
+def test_generated_input_exits_0_to_4_without_traceback(command, blob):
+    code, err = _call([command, "--input", json.dumps(blob)])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from planesheaves.forms import (Form, FormError, ParseError,
+from planesheaves.forms import (MAX_DIGITS, Form, FormError, ParseError,
                                 conic_is_irreducible, divides, form_gcd,
                                 form_mul, format_form, linearly_independent,
                                 monomials, mult_map, parse_form, space_dim)
@@ -195,7 +196,8 @@ def test_parse_rejects_inhomogeneous_with_degree_report():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "X +", "2**X", "W", "X^-1", "1/"):
+    for bad in ("", "X +", "2**X", "W", "X^-1", "1/", "X^12/2", "X^4/1", "1/0*X^6",
+                "7" * (MAX_DIGITS + 1), "2\u00b2*X^6"):
         with pytest.raises(ParseError):
             parse_form(bad)
 
@@ -206,3 +208,41 @@ def test_format_roundtrip_bit_exact():
         f = random_form(rng.randint(0, 4), rng)
         text = format_form(f)
         assert format_form(parse_form(text, degree=f.degree if not f.is_zero() else None)) == text
+
+
+# Pieces of polynomial text: the grammar's own tokens, whitespace, and what
+# used to escape the parser as a traceback (a digit that is not decimal, a
+# zero denominator, numerals beyond the digit cap and beyond Python's
+# int-conversion limit).
+_TEXT_PIECES = st.one_of(
+    st.sampled_from(["X", "Y", "Z", "+", "-", "*", "^", "/", "0", "1", "12", "1/2", "/0",
+                     " ", "\t", "\n", "\u00b2", "\u0663", "W", "(", "7" * MAX_DIGITS,
+                     "7" * (MAX_DIGITS + 1), "9" * 5000]),
+    st.text(alphabet="XYZ+-*^/0123456789 \u00b2", max_size=4))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(_TEXT_PIECES, max_size=12).map("".join), st.none() | st.integers(0, 4))
+def test_parse_form_returns_a_form_or_raises_parse_error(text, degree):
+    try:
+        f = parse_form(text, degree)
+    except ParseError:
+        return
+    assert isinstance(f, Form)
+
+
+@st.composite
+def _forms(draw):
+    degree = draw(st.integers(0, 4))
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    return Form(degree, draw(st.lists(coeff, min_size=space_dim(degree),
+                                      max_size=space_dim(degree))))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_forms())
+def test_format_parse_round_trip_property(f):
+    text = format_form(f)
+    g = parse_form(text, None if f.is_zero() else f.degree)
+    assert format_form(g) == text
+    assert f.is_zero() or g == f
