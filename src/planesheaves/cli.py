@@ -17,8 +17,7 @@ from .points import (CLAIMS, GenericityError, PointConfig, PointError,
                      flag_pair_presentation, minimal_resolution,
                      verify_point_claim)
 from .presentation import Presentation, PresentationError, dual, hilbert
-from .stability import (BoundsQuery, bounds_check, minor_gcd_criterion,
-                        pencil_block_criterion, two_by_two_criterion)
+from .stability import CRITERIA, BoundsQuery, bounds_check
 from .strata import (ClassifyError, GenerationError, MODULI_DIM, REGISTRY,
                      StrataError, classify, dim_audit, generate, verify_row)
 
@@ -143,23 +142,16 @@ def cmd_kron_check(args):
     return EXIT_OK
 
 
-_CRITERIA = {
-    "minor-gcd": minor_gcd_criterion,
-    "two-by-two": two_by_two_criterion,
-    "pencil-block": pencil_block_criterion,
-}
-
-
 def cmd_stability(args):
     P = _load_presentation(args.input)
     try:
         if args.criterion == "auto":
             for name in ("two-by-two", "minor-gcd"):
-                verdict = _CRITERIA[name](P)
+                verdict = CRITERIA[name](P)
                 if verdict.kind != "inconclusive":
                     break
         else:
-            verdict = _CRITERIA[args.criterion](P)
+            verdict = CRITERIA[args.criterion](P)
     except PresentationError as exc:
         raise CliError(EXIT_PRECONDITION, str(exc))
     _emit(verdict.to_json(), args.out_dir, "stability.json")
@@ -356,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("stability", help="stability criteria verdicts")
     p.add_argument("--input", required=True)
     p.add_argument("--criterion", default="auto",
-                   choices=["auto", "minor-gcd", "two-by-two", "pencil-block"])
+                   choices=["auto", *CRITERIA])
     p.set_defaults(func=cmd_stability)
 
     p = add_parser("bounds", help="excluded cohomology vector check")

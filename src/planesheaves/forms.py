@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd
 
-from .linalg import QMatrix
+from .linalg import QMatrix, integer_rows
 
 VARIABLES = ("X", "Y", "Z")
 
@@ -26,10 +26,12 @@ VARIABLES = ("X", "Y", "Z")
 # degree at most 10.
 MAX_DEGREE = 40
 
-# Longest numeral (numerator or denominator, in digits) parse_form accepts.
-# Python refuses to convert decimal strings of more than 4300 digits; every
-# registry, test and benchmark numeral has at most 3.
+# Longest numeral, and longest numerator or denominator of a coefficient it
+# builds, in digits, that parse_form accepts.  Python refuses to convert
+# decimal strings of more than 4300 digits; every registry, test and
+# benchmark numeral has at most 3.
 MAX_DIGITS = 1000
+_DIGIT_BOUND = 10 ** MAX_DIGITS
 
 
 class FormError(ValueError):
@@ -169,6 +171,12 @@ def form_mul(f: Form, g: Form) -> Form:
     return Form(deg, coeffs)
 
 
+def random_form(degree: int, rng, bound: int) -> Form:
+    """Form of the given degree with coefficients drawn uniformly from
+    [-bound, bound] by rng.randint, in monomial order."""
+    return Form(degree, [Fraction(rng.randint(-bound, bound)) for _ in range(space_dim(degree))])
+
+
 # ---------------------------------------------------------------------------
 # parsing / printing
 # ---------------------------------------------------------------------------
@@ -209,9 +217,10 @@ def _tokenize(text: str):
 def parse_form(text: str, degree: int | None = None) -> Form:
     """Parse polynomial text like ``3*X^2*Y - 1/2*Z^3``.
 
-    Rejects inhomogeneous input, reporting the degrees found.  If ``degree``
-    is given, the result is coerced to it (only possible for the zero form
-    or an exact match).
+    Rejects inhomogeneous input, reporting the degrees found, and any
+    coefficient whose numerator or denominator has more than MAX_DIGITS
+    digits.  If ``degree`` is given, the result is coerced to it (only
+    possible for the zero form or an exact match).
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -285,6 +294,14 @@ def parse_form(text: str, degree: int | None = None) -> Form:
             acc[key] = acc.get(key, 0) + Fraction(num, den)
 
     acc = {k: v for k, v in acc.items() if v}
+    # k terms whose numerals have D digits in all sum to a coefficient of at
+    # most D + log10(k) + 1 digits; D and k are at most len(text), so only
+    # text longer than MAX_DIGITS // 2 can build a coefficient that is too long
+    if len(text) > MAX_DIGITS // 2:
+        for c in acc.values():
+            # compared as integers: str() of a 4301-digit integer raises
+            if abs(c.numerator) >= _DIGIT_BOUND or c.denominator >= _DIGIT_BOUND:
+                raise ParseError("coefficient of more than %d digits" % MAX_DIGITS)
     if not acc:
         return Form.zero(degree if degree is not None else 0)
     degrees = {sum(k) for k in acc}
@@ -404,6 +421,24 @@ def uni_gcd(a, b):
     return a
 
 
+def binary_gcd(forms):
+    """Common factor of binary forms c_0 u^n + c_1 u^(n-1) v + ... + c_n v^n,
+    each given by its rational coefficients [c_0, ..., c_n].
+
+    Returns (g, at_infinity): g is the uni_gcd of the forms restricted to
+    u = 1, as integer polynomials in v, and at_infinity tells whether every
+    form vanishes at (u, v) = (0, 1).  The forms have a common root over the
+    closure iff len(g) > 1 or at_infinity.  Zero forms are skipped; if no
+    form is left, g is []."""
+    ints, _ = integer_rows([f for f in forms if any(f)])
+    g = []
+    for f in ints:
+        g = uni_gcd(g, f)
+        if g == [1]:
+            break
+    return g, all(f[-1] == 0 for f in ints)
+
+
 def _biv_degx(f):
     return len(f) - 1
 
@@ -505,18 +540,19 @@ def _strip_z(f: Form):
 
 
 def _dehomogenize(f: Form):
-    """f(X, Y, 1) as x-major integer bivariate rep, plus the cleared denominator."""
-    den = 1
-    for _, c in f.terms():
-        den = den * c.denominator // int_gcd(den, c.denominator)
+    """f(X, Y, 1) times the lcm of its denominators, as an x-major integer
+    bivariate rep."""
+    (ints,), _ = integer_rows([f.coeffs])
     biv: list = []
-    for (a, b, _c), coeff in f.terms():
+    for (a, b, _c), coeff in zip(monomials(f.degree), ints):
+        if not coeff:
+            continue
         while len(biv) <= a:
             biv.append([])
         col = biv[a]
         while len(col) <= b:
             col.append(0)
-        col[b] += int(coeff * den)
+        col[b] += coeff
     return _biv_trim([_trim(c) for c in biv])
 
 
@@ -623,4 +659,29 @@ def mult_map(f: Form, s: int) -> QMatrix:
     for j, (a2, b2, c2) in enumerate(monomials(s)):
         for (a1, b1, c1), coeff in f.terms():
             out.data[idx[(a1 + a2, b1 + b2, c1 + c2)]][j] += coeff
+    return out
+
+
+def block_mult_map(entries, row_deg, col_deg) -> QMatrix:
+    """Block matrix of a matrix of forms acting on forms.
+
+    Block (i, j) is mult_map(entries[i][j], col_deg[j]), from the degree
+    col_deg[j] forms to the degree row_deg[i] forms; a zero entry gives a
+    zero block.  Raises FormError if a nonzero entry has the wrong degree."""
+    row_dims = [space_dim(k) for k in row_deg]
+    col_dims = [space_dim(k) for k in col_deg]
+    out = QMatrix(sum(row_dims), sum(col_dims))
+    r0 = 0
+    for row, s_dim in zip(entries, row_dims):
+        c0 = 0
+        for f, s, c_dim in zip(row, col_deg, col_dims):
+            if s_dim and c_dim and not f.is_zero():
+                block = mult_map(f, s)
+                if block.rows != s_dim:
+                    raise FormError("entry of degree %d maps degree %d into %d rows, not %d"
+                                    % (f.degree, s, block.rows, s_dim))
+                for a, brow in enumerate(block.data):
+                    out.data[r0 + a][c0:c0 + c_dim] = brow
+            c0 += c_dim
+        r0 += s_dim
     return out

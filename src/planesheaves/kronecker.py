@@ -22,9 +22,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as int_gcd
 
-from .forms import Form, linearly_independent, monomial_index, parse_form, uni_gcd
+from .forms import (Form, binary_gcd, coefficient_matrix, linearly_independent,
+                    monomial_index, parse_form)
 from .linalg import (LinalgError, QMatrix, from_columns, hstack_all, mod_rank,
                      mod_residues)
 from .presentation import Presentation, derive_seed, random_invertible
@@ -177,16 +177,10 @@ def _violating_pairs(p: int, q: int):
     return pairs
 
 
-def _span_matrix(columns, nrows) -> QMatrix:
-    if not columns:
-        return QMatrix(nrows, 0)
-    return from_columns(columns, nrows)
-
-
 def _column_space_basis(mat: QMatrix) -> QMatrix:
     rref, pivots = mat.transpose().rref()
     cols = [rref.data[r] for r in range(len(pivots))]
-    return _span_matrix(cols, mat.rows)
+    return from_columns(cols, mat.rows)
 
 
 def _image_of(K: KroneckerModule, S: QMatrix) -> QMatrix:
@@ -234,16 +228,16 @@ def _kernel_seeds(K: KroneckerModule):
     seeds = []
     common = stacked.kernel_basis()
     if common:
-        seeds.append(_span_matrix(common, K.p))
+        seeds.append(from_columns(common, K.p))
     for a in range(3):
         ker = slices[a].kernel_basis()
         if ker:
-            seeds.append(_span_matrix(ker, K.p))
+            seeds.append(from_columns(ker, K.p))
     for a in range(3):
         for b in range(a + 1, 3):
             ker = slices[a].vstack(slices[b]).kernel_basis()
             if ker:
-                seeds.append(_span_matrix(ker, K.p))
+                seeds.append(from_columns(ker, K.p))
     return seeds
 
 
@@ -301,7 +295,7 @@ def _pencil_line_search(K: KroneckerModule):
         return [sl.mat_vec(s) for sl in slices]
 
     minor_polys = []
-    # each 2x2 minor of the q x 3 image matrix, as a quadratic in s = (1, t)
+    # each 2x2 minor of the q x 3 image matrix, as a binary quadric in s
     base = [image_cols([Fraction(1), Fraction(0)]),
             image_cols([Fraction(0), Fraction(1)])]
     for rows in combinations(range(K.q), 2):
@@ -316,31 +310,16 @@ def _pencil_line_search(K: KroneckerModule):
             d0 = base[0][cols[1]][rows[1]]
             d1 = base[1][cols[1]][rows[1]]
             # (a0 + a1 t)(d0 + d1 t) - (b0 + b1 t)(c0 + c1 t)
-            poly = [a0 * d0 - b0 * c0,
-                    a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0,
-                    a1 * d1 - b1 * c1]
-            if any(poly):
-                minor_polys.append(poly)
-    if not minor_polys:
+            minor_polys.append([a0 * d0 - b0 * c0,
+                                a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0,
+                                a1 * d1 - b1 * c1])
+    g, at_infinity = binary_gcd(minor_polys)
+    if not g:
         # image rank <= 1 identically
         return [QMatrix(2, 1, [[1], [0]]), QMatrix(2, 1, [[0], [1]])]
-    # clear denominators and take the gcd of all minors as binary quadrics
-    int_polys = []
-    for poly in minor_polys:
-        den = 1
-        for c in poly:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        int_polys.append([int(c * den) for c in poly])
-    g = []
-    for poly in int_polys:
-        g = uni_gcd(g, poly)
-    candidates = []
-    if len(g) > 1:
-        for t in _rational_roots(g):
-            candidates.append(QMatrix(2, 1, [[Fraction(1)], [t]]))
-    # the point at infinity s = (0, 1): all minors of base[1] columns must vanish
-    inf_ok = all(p[2] == 0 for p in int_polys)
-    if inf_ok:
+    # rational common roots, then the point at infinity s = (0, 1)
+    candidates = [QMatrix(2, 1, [[Fraction(1)], [t]]) for t in _rational_roots(g)]
+    if at_infinity:
         candidates.append(QMatrix(2, 1, [[Fraction(0)], [Fraction(1)]]))
     return candidates
 
@@ -348,9 +327,7 @@ def _pencil_line_search(K: KroneckerModule):
 def _exact_small_cases(K: KroneckerModule) -> KroneckerVerdict | None:
     p, q = K.p, K.q
     if p == 1:
-        entries = [row[0] for row in K.entries]
-        span = QMatrix.from_rows([
-            list(f.coeffs) if not f.is_zero() else [Fraction(0)] * 3 for f in entries])
+        span = coefficient_matrix(row[0] for row in K.entries)
         if span.rank() == q and q <= 3:
             return KroneckerVerdict("semistable")
         S = QMatrix.identity(1)
@@ -359,13 +336,11 @@ def _exact_small_cases(K: KroneckerModule) -> KroneckerVerdict | None:
             raise KroneckerError("internal: dependent column without witness")
         return KroneckerVerdict("unstable", D)
     if q == 1:
-        entries = [K.entries[0][j] for j in range(p)]
-        coeff = QMatrix.from_rows([
-            list(f.coeffs) if not f.is_zero() else [Fraction(0)] * 3 for f in entries])
+        coeff = coefficient_matrix(K.entries[0])
         if coeff.rank() == p and p <= 3:
             return KroneckerVerdict("semistable")
         kern = coeff.transpose().kernel_basis()
-        S = _span_matrix(kern, p)
+        S = from_columns(kern, p)
         D = _witness_from_subspace(K, S)
         if D is None:
             raise KroneckerError("internal: dependent row entries without witness")

@@ -104,7 +104,7 @@ class QMatrix:
 
     def _rref(self):
         """(integer rows, pivot columns, d): the RREF is rows / d."""
-        m, _ = _integer_rows(self.data)
+        m, _ = integer_rows(self.data)
         pivots, _, d = _bareiss(m, self.cols, reduced=True)
         return m, pivots, d
 
@@ -114,7 +114,7 @@ class QMatrix:
                        [[Fraction(a, d) for a in row] for row in m]), pivots
 
     def rank(self) -> int:
-        m, _ = _integer_rows(self.data)
+        m, _ = integer_rows(self.data)
         return len(_bareiss(m, self.cols, reduced=False)[0])
 
     def kernel_basis(self):
@@ -148,7 +148,7 @@ class QMatrix:
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise LinalgError("det of non-square matrix")
-        m, scale = _integer_rows(self.data)
+        m, scale = integer_rows(self.data)
         pivots, sign, last = _bareiss(m, self.cols, reduced=False)
         if len(pivots) < self.rows:
             return Fraction(0)
@@ -162,7 +162,7 @@ class QMatrix:
         return "QMatrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
 
 
-def _integer_rows(data):
+def integer_rows(data):
     """Each row times the lcm of its denominators, which keeps the row space,
     and the product of those scales."""
     rows = []

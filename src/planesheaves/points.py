@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
 
-from .forms import Form, ParseError, divides, monomials, mult_map, space_dim
+from .forms import Form, ParseError, block_mult_map, divides, monomials, space_dim
 from .linalg import QMatrix
 from .presentation import Presentation
 
@@ -329,10 +329,7 @@ def flag_pair_presentation(two_points: PointConfig, sextic: Form) -> Presentatio
     if conic is None:
         raise PointError("no conic through the points avoids the line")
     # solve  sextic = h * conic - g * line  for h (quartic), g (quintic)
-    mq = mult_map(conic, 4)
-    ml = mult_map(ell, 5)
-    system = mq.hstack(QMatrix(ml.rows, ml.cols,
-                               [[-x for x in row] for row in ml.data]))
+    system = block_mult_map([[conic, -ell]], [6], [4, 5])
     solution = system.solve(list(sextic.coeffs))
     if solution is None:
         raise PointError("sextic is not in the ideal of the two points")

@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import (Form, ParseError, format_form, mult_map, parse_form,
-                    space_dim)
+from .forms import (Form, ParseError, block_mult_map, format_form, parse_form,
+                    random_form, space_dim)
 from .linalg import QMatrix
 
 
@@ -93,7 +93,7 @@ class Presentation:
     def from_text(cls, source, target, rows) -> "Presentation":
         """Rows of polynomial text (or Form objects), target-major."""
         try:
-            twists = [int(d) for d in (*source, *target)]
+            twists = [_twist(d) for d in (*source, *target)]
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError("twists must be integers: %s" % exc) from exc
         if any(abs(d) > MAX_TWIST for d in twists):
@@ -137,6 +137,14 @@ class Presentation:
 
     def entry(self, i: int, j: int) -> Form:
         return self.matrix[i][j]
+
+
+def _twist(d) -> int:
+    """int(d), refusing a number that is not an integer instead of truncating it."""
+    t = int(d)
+    if not isinstance(d, str) and t != d:
+        raise ValueError("%r is not an integer" % (d,))
+    return t
 
 
 def _validate(source, target, matrix):
@@ -233,31 +241,8 @@ class GradedPiece:
     dim: int
 
 
-def _sections_matrix(P: Presentation, t: int) -> QMatrix:
-    rows = sum(space_dim(e + t) for e in P.target)
-    cols = sum(space_dim(d + t) for d in P.source)
-    out = QMatrix(rows, cols)
-    r0 = 0
-    for i, e in enumerate(P.target):
-        c0 = 0
-        re = space_dim(e + t)
-        for j, d in enumerate(P.source):
-            cd = space_dim(d + t)
-            f = P.matrix[i][j]
-            if cd and re and not f.is_zero():
-                block = mult_map(f, d + t)
-                for a in range(block.rows):
-                    row = out.data[r0 + a]
-                    brow = block.data[a]
-                    for b in range(block.cols):
-                        row[c0 + b] = brow[b]
-            c0 += cd
-        r0 += re
-    return out
-
-
 def graded_piece(P: Presentation, t: int) -> GradedPiece:
-    image = _sections_matrix(P, t)
+    image = block_mult_map(P.matrix, [e + t for e in P.target], [d + t for d in P.source])
     blocks = tuple((e, space_dim(e + t)) for e in P.target)
     ambient = sum(dim for _, dim in blocks)
     rank = image.rank()
@@ -270,29 +255,18 @@ def graded_piece(P: Presentation, t: int) -> GradedPiece:
     return GradedPiece(t, blocks, ambient, image, rank, dim)
 
 
+_VARIABLES = (Form.monomial(1, 0, 0), Form.monomial(0, 1, 0), Form.monomial(0, 0, 1))
+
+
 def _contraction_matrix(P: Presentation) -> QMatrix:
-    """Matrix of V ⊗ H^0-ambient(F) -> H^0-ambient(F(1)), (a,b,c)⊗s -> aXs+bYs+cZs."""
-    amb0_blocks = [space_dim(e) for e in P.target]
-    amb1_blocks = [space_dim(e + 1) for e in P.target]
-    amb0 = sum(amb0_blocks)
-    amb1 = sum(amb1_blocks)
-    out = QMatrix(amb1, 3 * amb0)
-    variables = (Form.monomial(1, 0, 0), Form.monomial(0, 1, 0), Form.monomial(0, 0, 1))
-    for v, var in enumerate(variables):
-        col0 = v * amb0
-        c_off = 0
-        r_off = 0
-        for e, c_dim, r_dim in zip(P.target, amb0_blocks, amb1_blocks):
-            if c_dim:
-                block = mult_map(var, e)
-                for a in range(block.rows):
-                    row = out.data[r_off + a]
-                    brow = block.data[a]
-                    for b in range(block.cols):
-                        row[col0 + c_off + b] = brow[b]
-            c_off += c_dim
-            r_off += r_dim
-    return out
+    """Matrix of V ⊗ H^0-ambient(F) -> H^0-ambient(F(1)), (a,b,c)⊗s -> aXs+bYs+cZs:
+    columns run over (variable, target summand), and the form matrix is
+    diagonal in the target summands."""
+    n = len(P.target)
+    zero = Form.zero(0)
+    entries = [[var if k == i else zero for var in _VARIABLES for k in range(n)]
+               for i in range(n)]
+    return block_mult_map(entries, [e + 1 for e in P.target], list(P.target) * 3)
 
 
 def h0_omega(P: Presentation) -> int:
@@ -364,10 +338,6 @@ def random_invertible(n: int, rng) -> QMatrix:
             return m
 
 
-def _random_form(degree: int, rng, lo=-4, hi=4) -> Form:
-    return Form(degree, [Fraction(rng.randint(lo, hi)) for _ in range(space_dim(degree))])
-
-
 def _random_auto(twists, rng):
     """Random invertible degree-compatible endomorphism of a twist list, as a
     form matrix g with g[a][b]: O(t_b) -> O(t_a) of degree t_a - t_b."""
@@ -384,7 +354,7 @@ def _random_auto(twists, rng):
     for a, ta in enumerate(twists):
         for b, tb in enumerate(twists):
             if ta > tb:
-                g[a][b] = _random_form(ta - tb, rng)
+                g[a][b] = random_form(ta - tb, rng, 4)
     return g
 
 

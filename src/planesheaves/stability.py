@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
 
-from .forms import Form, form_gcd, divides, space_dim, uni_gcd
+from .forms import Form, binary_gcd, divides, form_gcd, space_dim
 from .linalg import QMatrix
 from .presentation import (Presentation, PresentationError,
                            euler_char_line_bundle)
@@ -59,6 +58,8 @@ class StabilityVerdict:
 def _sorted_square(P: Presentation):
     if len(P.source) != len(P.target):
         raise PresentationError("criterion needs a square presentation")
+    if not P.source:
+        raise PresentationError("criterion needs a nonempty presentation")
     return list(P.source), list(P.target)
 
 
@@ -106,27 +107,6 @@ def _gcd_of_all(forms):
     return g.monic()
 
 
-def _binary_gcd_has_root(quadrics):
-    """Common projective root (over the closure) of binary quadrics a*u^2+b*uv+c*v^2."""
-    polys = [q for q in quadrics if any(q)]
-    if not polys:
-        return True
-    den = 1
-    for q in polys:
-        for c in q:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [[int(c * den) for c in q] for q in polys]
-    g = []
-    for q in ints:
-        g = uni_gcd(g, q)
-        if g == [1] or g == [-1]:
-            break
-    if len(g) > 1:
-        return True
-    # common root at infinity: all leading coefficients vanish
-    return all(q[2] == 0 for q in ints)
-
-
 def _pair_special_form(P: Presentation) -> bool:
     """For a 2x2 presentation with e1-d1 = e2-d2: can the (1,1) entry be made
     zero by the allowed triangular transformations?  Decided exactly."""
@@ -141,7 +121,7 @@ def _pair_special_form(P: Presentation) -> bool:
         return divides(f12, f11)
     # d1 == d2 (hence e1 == e2): both sides act by full 2x2 scalars; the slot
     # can be cleared iff a*phi*c = 0 for some nonzero scalar vectors a, c,
-    # i.e. the entrywise wedge quadric system has a root
+    # i.e. the entrywise wedge quadrics, binary in (u, v), have a common root
     dim = space_dim(P.target[0] - d1)
 
     def wedge(f, g):
@@ -150,15 +130,11 @@ def _pair_special_form(P: Presentation) -> bool:
         return [fa[a] * ga[b] - fa[b] * ga[a]
                 for a in range(dim) for b in range(a + 1, dim)]
 
-    col1 = (f11, f21)
-    col2 = (f12, f22)
-    quadrics = []
-    w_11 = wedge(col1[0], col1[1])
-    w_cross = [x + y for x, y in zip(wedge(col1[0], col2[1]), wedge(col2[0], col1[1]))]
-    w_22 = wedge(col2[0], col2[1])
-    for a, b, c in zip(w_11, w_cross, w_22):
-        quadrics.append([a, b, c])
-    return _binary_gcd_has_root(quadrics)
+    w_11 = wedge(f11, f21)
+    w_cross = [x + y for x, y in zip(wedge(f11, f22), wedge(f12, f21))]
+    w_22 = wedge(f12, f22)
+    g, at_infinity = binary_gcd(zip(w_11, w_cross, w_22))
+    return len(g) > 1 or at_infinity
 
 
 def two_by_two_criterion(P: Presentation) -> StabilityVerdict:
@@ -235,30 +211,45 @@ def minor_gcd_criterion(P: Presentation) -> StabilityVerdict:
         "integral slope ratio with possible subsheaf embeddings is undecided beyond pairs")
 
 
-def pencil_block_criterion(P: Presentation) -> StabilityVerdict:
-    """Shape O(-3)+2O(-2) -> 2O(-1)+O(1): the linear 2x2 block must have a
-    nonzero determinant and the two quadratic-column minors must stay
-    independent modulo determinant * (linear forms)."""
-    d, e = _sorted_square(P)
-    if tuple(d) != (-3, -2, -2) or tuple(e) != (-1, -1, 1):
-        raise PresentationError("pencil block criterion needs shape (-3,-2,-2) -> (-1,-1,1)")
-    q1, l11, l12 = P.matrix[0]
-    q2, l21, l22 = P.matrix[1]
+def pencil_block_failure(block) -> str | None:
+    """The pencil test on a 2x3 block [[q1, l11, l12], [q2, l21, l22]] of
+    one quadric and two linear forms per row: None if the linear 2x2 block
+    has a nonzero determinant and the two mixed minors are nonzero and
+    independent modulo determinant * (linear forms), else the failed part."""
+    (q1, l11, l12), (q2, l21, l22) = block
     det = l11 * l22 - l12 * l21
     if det.is_zero():
-        return StabilityVerdict("inconclusive", "linear block determinant vanishes")
+        return "linear block determinant vanishes"
     m1 = q1 * l21 - q2 * l11
     m2 = q1 * l22 - q2 * l12
     if m1.is_zero() or m2.is_zero():
-        return StabilityVerdict("inconclusive", "a mixed minor vanishes")
+        return "a mixed minor vanishes"
     x, y, z = Form.monomial(1, 0, 0), Form.monomial(0, 1, 0), Form.monomial(0, 0, 1)
     rows = [list((det * v).coeffs) for v in (x, y, z)]
-    base = QMatrix.from_rows(rows)
-    base_rank = base.rank()
-    full = QMatrix.from_rows(rows + [list(m1.coeffs), list(m2.coeffs)])
-    if full.rank() == base_rank + 2:
+    base_rank = QMatrix.from_rows(rows).rank()
+    if QMatrix.from_rows(rows + [list(m1.coeffs), list(m2.coeffs)]).rank() == base_rank + 2:
+        return None
+    return "mixed minors dependent modulo the pencil determinant"
+
+
+def pencil_block_criterion(P: Presentation) -> StabilityVerdict:
+    """Shape O(-3)+2O(-2) -> 2O(-1)+O(1): stable when the top 2x3 block
+    passes pencil_block_failure, inconclusive with the failed part otherwise."""
+    d, e = _sorted_square(P)
+    if tuple(d) != (-3, -2, -2) or tuple(e) != (-1, -1, 1):
+        raise PresentationError("pencil block criterion needs shape (-3,-2,-2) -> (-1,-1,1)")
+    failure = pencil_block_failure(P.matrix[:2])
+    if failure is None:
         return StabilityVerdict("stable", "mixed minors independent modulo the pencil determinant")
-    return StabilityVerdict("inconclusive", "mixed minors dependent modulo the pencil determinant")
+    return StabilityVerdict("inconclusive", failure)
+
+
+# The criteria by their command-line names.
+CRITERIA = {
+    "minor-gcd": minor_gcd_criterion,
+    "two-by-two": two_by_two_criterion,
+    "pencil-block": pencil_block_criterion,
+}
 
 
 # ---------------------------------------------------------------------------

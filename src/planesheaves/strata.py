@@ -16,17 +16,15 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 
-from .forms import Form, form_gcd, divides, linearly_independent, mult_map, space_dim
-from .kronecker import KroneckerModule, is_semistable
-from .linalg import QMatrix
+from .forms import (Form, block_mult_map, coefficient_matrix, divides, form_gcd,
+                    linearly_independent, random_form, space_dim)
+from .kronecker import KroneckerModule, is_semistable, minors_semistable
 from .presentation import (CohomologyProfile, Presentation, PresentationError,
                            derive_seed, dual, hilbert, h0_omega, h0_twist,
                            h1_omega, h1_twist, is_injective, profile, twist)
-from .stability import (BoundsQuery, bounds_check, minor_gcd_criterion,
-                        pencil_block_criterion, two_by_two_criterion)
+from .stability import CRITERIA, BoundsQuery, bounds_check, pencil_block_failure
 
 MODULI_DIM = 37   # r^2 + 1 for multiplicity 6
 
@@ -184,23 +182,6 @@ def _check(flag: bool) -> SideResult:
     return _PASS if flag else SideResult("fail")
 
 
-def _entries_independent(forms) -> bool:
-    return linearly_independent([f for f in forms])
-
-
-def _pencil_minors_independent(block) -> bool:
-    """Maximal minors of a 3x2 or 2x3 block of linear forms."""
-    if len(block) == 2:
-        block = [[block[i][j] for i in range(2)] for j in range(3)]
-    minors = []
-    for skip in range(3):
-        rows = [r for r in range(3) if r != skip]
-        a, b = block[rows[0]]
-        c, d = block[rows[1]]
-        minors.append(a * d - b * c)
-    return linearly_independent(minors)
-
-
 def _kron_filter(block, budget=40, seed=0) -> SideResult:
     """Kronecker semistability as a side condition: exact where closed-form."""
     K = KroneckerModule(block)
@@ -217,20 +198,6 @@ def _zero_cells_hold(P: Presentation, row: StratumRow) -> bool:
     return all(P.matrix[i][j].is_zero() for i, j in row.zero_cells)
 
 
-def _claim_pencil_conditions(q1, q2, l11, l12, l21, l22) -> bool:
-    det = l11 * l22 - l12 * l21
-    if det.is_zero():
-        return False
-    m1 = q1 * l21 - q2 * l11
-    m2 = q1 * l22 - q2 * l12
-    if m1.is_zero() or m2.is_zero():
-        return False
-    x, y, z = Form.monomial(1, 0, 0), Form.monomial(0, 1, 0), Form.monomial(0, 0, 1)
-    rows = [list((det * v).coeffs) for v in (x, y, z)]
-    base_rank = QMatrix.from_rows(rows).rank()
-    return QMatrix.from_rows(rows + [list(m1.coeffs), list(m2.coeffs)]).rank() == base_rank + 2
-
-
 def _coprime(f, g) -> bool:
     if f.is_zero() or g.is_zero():
         return False
@@ -242,16 +209,14 @@ def _side_chi1_X0(P):
 
 def _side_chi1_X2(P):
     l1, l2 = P.matrix[2][3], P.matrix[3][3]
-    if l1.is_zero() or l2.is_zero() or not _entries_independent([l1, l2]):
+    if l1.is_zero() or l2.is_zero() or not linearly_independent([l1, l2]):
         return SideResult("fail")
-    return _check(_claim_pencil_conditions(
-        P.matrix[0][0], P.matrix[1][0],
-        P.matrix[0][1], P.matrix[0][2], P.matrix[1][1], P.matrix[1][2]))
+    return _check(pencil_block_failure(_block(P, (0, 1), (0, 1, 2))) is None)
 
 def _side_chi1_X3(P):
-    if not _entries_independent([P.matrix[0][0], P.matrix[0][1]]):
+    if not linearly_independent([P.matrix[0][0], P.matrix[0][1]]):
         return SideResult("fail")
-    return _check(_pencil_minors_independent(_block(P, (1, 2, 3), (2, 3))))
+    return _check(minors_semistable(KroneckerModule(_block(P, (1, 2, 3), (2, 3)))))
 
 def _side_chi1_X4(P):
     return _check(_coprime(P.matrix[0][0], P.matrix[0][1]))
@@ -264,7 +229,7 @@ def _side_chi2_X1(P):
     inner = _kron_filter(_block(P, (0, 1, 2), (0, 1, 2, 3)))
     if inner.status == "fail":
         return inner
-    if not _entries_independent([P.matrix[3][4], P.matrix[4][4]]):
+    if not linearly_independent([P.matrix[3][4], P.matrix[4][4]]):
         return SideResult("fail")
     return inner
 
@@ -272,30 +237,28 @@ def _side_chi2_X3(P):
     f12 = P.matrix[0][1]
     if f12.is_zero() or divides(f12, P.matrix[0][0]):
         return SideResult("fail")
-    return _check(_pencil_minors_independent(_block(P, (1, 2, 3), (2, 3))))
+    return _check(minors_semistable(KroneckerModule(_block(P, (1, 2, 3), (2, 3)))))
 
 def _side_chi2_X5(P):
-    if not _entries_independent([P.matrix[0][0], P.matrix[0][1]]):
+    if not linearly_independent([P.matrix[0][0], P.matrix[0][1]]):
         return SideResult("fail")
     f22 = P.matrix[1][2]
     return _check(not f22.is_zero() and not divides(f22, P.matrix[2][2]))
 
 def _side_chi2_X6(P):
-    return _check(_entries_independent([P.matrix[0][1], P.matrix[1][1]]))
+    return _check(linearly_independent([P.matrix[0][1], P.matrix[1][1]]))
 
 def _side_chi3_X1(P):
-    span1 = QMatrix.from_rows([list(P.matrix[0][j].coeffs) if not P.matrix[0][j].is_zero()
-                               else [Fraction(0)] * 3 for j in range(3)])
-    span2 = QMatrix.from_rows([list(P.matrix[i][3].coeffs) if not P.matrix[i][3].is_zero()
-                               else [Fraction(0)] * 3 for i in (1, 2, 3)])
+    span1 = coefficient_matrix(P.matrix[0][j] for j in range(3))
+    span2 = coefficient_matrix(P.matrix[i][3] for i in (1, 2, 3))
     if span1.rank() < 2 or span2.rank() < 2:
         return SideResult("fail")
     return _ORBIT_UNKNOWN
 
 def _side_chi3_X2(P):
-    if not _pencil_minors_independent(_block(P, (0, 1), (0, 1, 2))):
+    if not minors_semistable(KroneckerModule(_block(P, (0, 1), (0, 1, 2)))):
         return SideResult("fail")
-    return _check(_pencil_minors_independent(_block(P, (2, 3, 4), (3, 4))))
+    return _check(minors_semistable(KroneckerModule(_block(P, (2, 3, 4), (3, 4)))))
 
 def _side_chi3_X3(P):
     return _kron_filter(_block(P, range(4), (1, 2, 3)))
@@ -315,9 +278,9 @@ def _side_chi3_X5(P):
     return _PASS
 
 def _side_chi3_X6(P):
-    if not _entries_independent([P.matrix[0][0], P.matrix[0][1]]):
+    if not linearly_independent([P.matrix[0][0], P.matrix[0][1]]):
         return SideResult("fail")
-    return _check(_entries_independent([P.matrix[1][2], P.matrix[2][2]]))
+    return _check(linearly_independent([P.matrix[1][2], P.matrix[2][2]]))
 
 def _side_chi0_X0(P):
     return _kron_filter(_block(P, range(6), range(6)))
@@ -329,10 +292,10 @@ def _side_chi0_X2(P):
     return _check(_coprime(P.matrix[0][1], P.matrix[1][1]))
 
 def _side_chi0_X3(P):
-    return _check(_pencil_minors_independent(_block(P, (0, 1, 2), (1, 2))))
+    return _check(minors_semistable(KroneckerModule(_block(P, (0, 1, 2), (1, 2)))))
 
 def _side_chi0_X3D(P):
-    return _check(_pencil_minors_independent(_block(P, (0, 1), (0, 1, 2))))
+    return _check(minors_semistable(KroneckerModule(_block(P, (0, 1), (0, 1, 2)))))
 
 def _side_chi0_X4(P):
     return _check(not P.matrix[0][1].is_zero())
@@ -382,10 +345,6 @@ def side_condition(P: Presentation, row: StratumRow) -> SideResult:
 # instance generation
 # ---------------------------------------------------------------------------
 
-def _random_entry(degree: int, rng) -> Form:
-    return Form(degree, [Fraction(rng.randint(-9, 9)) for _ in range(space_dim(degree))])
-
-
 def generate(chi: int, stratum_id: str, seed: int, max_attempts: int = 1000) -> Presentation:
     """Rejection sampling: random integer matrices of the row's shape with its
     forced zero pattern, accepted when validation, injectivity, the exact side
@@ -402,7 +361,7 @@ def generate(chi: int, stratum_id: str, seed: int, max_attempts: int = 1000) -> 
                 if deg < 0 or (i, j) in zero:
                     out.append(Form.zero(0))
                 else:
-                    out.append(_random_entry(deg, rng))
+                    out.append(random_form(deg, rng, 9))
             matrix.append(out)
         try:
             P = Presentation(row.source, row.target, matrix)
@@ -456,59 +415,40 @@ class DimAudit:
 
 def generic_stabilizer_dim(P: Presentation) -> int:
     """Dimension of the stabilizer of P in the symmetry group, computed exactly
-    as the solution space of gB . phi = phi . gA minus the global scalar."""
+    as the solution space of gB . phi = phi . gA minus the global scalar.
+
+    The unknowns are the blocks gA[a][b]: O(d_b) -> O(d_a) and
+    gB[a][b]: O(e_b) -> O(e_a) of nonnegative degree.  Cell (i, j) of the
+    equation puts +phi[k][j] on gB[i][k] and -phi[i][k] on gA[k][j]."""
     d, e = P.source, P.target
-    var_blocks = []          # (side, a, b, degree, offset)
-    offset = 0
-    for b in range(len(d)):          # gA[a][b]: O(d_b) -> O(d_a)
-        for a in range(len(d)):
-            deg = d[a] - d[b]
-            if deg >= 0:
-                var_blocks.append(("A", a, b, deg, offset))
-                offset += space_dim(deg)
-    for b in range(len(e)):          # gB[a][b]: O(e_b) -> O(e_a)
-        for a in range(len(e)):
-            deg = e[a] - e[b]
-            if deg >= 0:
-                var_blocks.append(("B", a, b, deg, offset))
-                offset += space_dim(deg)
-    nvars = offset
-    lookup = {(side, a, b): (deg, off) for side, a, b, deg, off in var_blocks}
-    rows = []
+    column, col_deg = {}, []     # unknown (side, a, b) -> block column; degrees
+    for side, t in (("A", d), ("B", e)):
+        for b in range(len(t)):
+            for a in range(len(t)):
+                if t[a] >= t[b]:
+                    column[side, a, b] = len(col_deg)
+                    col_deg.append(t[a] - t[b])
+    zero = Form.zero(0)
+    entries, row_deg = [], []
     for i in range(len(e)):
         for j in range(len(d)):
-            cell_deg = e[i] - d[j]
-            if cell_deg < 0:
+            if e[i] < d[j]:
                 continue
-            block = QMatrix(space_dim(cell_deg), nvars)
-            any_term = False
-            for k in range(len(e)):      # + gB[i][k] * phi[k][j]
-                key = ("B", i, k)
-                if key in lookup and not P.matrix[k][j].is_zero():
-                    deg, off = lookup[key]
-                    mm = mult_map(P.matrix[k][j], deg)
-                    for rr in range(mm.rows):
-                        row = block.data[rr]
-                        for cc in range(mm.cols):
-                            row[off + cc] += mm.data[rr][cc]
-                    any_term = True
-            for k in range(len(d)):      # - phi[i][k] * gA[k][j]
-                key = ("A", k, j)
-                if key in lookup and not P.matrix[i][k].is_zero():
-                    deg, off = lookup[key]
-                    mm = mult_map(P.matrix[i][k], deg)
-                    for rr in range(mm.rows):
-                        row = block.data[rr]
-                        for cc in range(mm.cols):
-                            row[off + cc] -= mm.data[rr][cc]
-                    any_term = True
-            if any_term:
-                rows.extend(block.data)
-    if not rows:
+            placed = {}
+            for k in range(len(e)):
+                if ("B", i, k) in column and not P.matrix[k][j].is_zero():
+                    placed[column["B", i, k]] = P.matrix[k][j]
+            for k in range(len(d)):
+                if ("A", k, j) in column and not P.matrix[i][k].is_zero():
+                    placed[column["A", k, j]] = -P.matrix[i][k]
+            if placed:
+                entries.append([placed.get(n, zero) for n in range(len(col_deg))])
+                row_deg.append(e[i] - d[j])
+    nvars = sum(space_dim(deg) for deg in col_deg)
+    if not entries:
         return (nvars - 1) if nvars else 0
-    system = QMatrix(len(rows), nvars, rows)
-    solutions = nvars - system.rank()
-    return solutions - 1
+    system = block_mult_map(entries, row_deg, col_deg)
+    return nvars - system.rank() - 1
 
 
 def dim_audit(row: StratumRow, seed: int = 0) -> DimAudit:
@@ -539,21 +479,16 @@ def dim_audit(row: StratumRow, seed: int = 0) -> DimAudit:
 # per-row verification
 # ---------------------------------------------------------------------------
 
+# (criterion named as in stability.CRITERIA, expected verdict kind)
 _STABILITY_SPOT_CHECKS = {
-    ("chi1", "X_4"): ("two_by_two", "inconclusive"),
-    ("chi1", "X_5"): ("two_by_two", "stable"),
-    ("chi2", "X_2"): ("minor_gcd", "stable"),
-    ("chi2", "X_4"): ("pencil_block", "stable"),
-    ("chi3", "X_4"): ("two_by_two", "stable"),
-    ("chi0", "X_2"): ("two_by_two", "stable"),
-    ("chi0", "X_3"): ("minor_gcd", "stable"),
-    ("chi0", "X_4"): ("two_by_two", "stable"),
-}
-
-_CRITERIA = {
-    "two_by_two": two_by_two_criterion,
-    "minor_gcd": minor_gcd_criterion,
-    "pencil_block": pencil_block_criterion,
+    ("chi1", "X_4"): ("two-by-two", "inconclusive"),
+    ("chi1", "X_5"): ("two-by-two", "stable"),
+    ("chi2", "X_2"): ("minor-gcd", "stable"),
+    ("chi2", "X_4"): ("pencil-block", "stable"),
+    ("chi3", "X_4"): ("two-by-two", "stable"),
+    ("chi0", "X_2"): ("two-by-two", "stable"),
+    ("chi0", "X_3"): ("minor-gcd", "stable"),
+    ("chi0", "X_4"): ("two-by-two", "stable"),
 }
 
 
@@ -627,9 +562,9 @@ def verify_row(chi: int, stratum_id: str, samples: int, seed: int) -> RowReport:
                                     "check": "euler_contraction", "detail": ""})
         if spot is not None:
             criterion, expected = spot
-            verdict = _CRITERIA[criterion](P)
+            verdict = CRITERIA[criterion](P)
             if verdict.kind != expected:
                 report.failures.append({"sample": k, "seed": sample_seed,
-                                        "check": "stability_" + criterion,
+                                        "check": "stability_" + criterion.replace("-", "_"),
                                         "detail": verdict.kind + ": " + verdict.reason})
     return report

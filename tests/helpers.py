@@ -1,18 +1,16 @@
 """Shared random builders for the test suite (all seeded, all exact)."""
 
-from fractions import Fraction
-
-from planesheaves.forms import Form, space_dim
+from planesheaves import forms
 from planesheaves.points import PointConfig
 
 
-def random_form(degree, rng, lo=-9, hi=9):
-    return Form(degree, [Fraction(rng.randint(lo, hi)) for _ in range(space_dim(degree))])
+def random_form(degree, rng):
+    return forms.random_form(degree, rng, 9)
 
 
-def random_nonzero_form(degree, rng, lo=-9, hi=9):
+def random_nonzero_form(degree, rng):
     while True:
-        f = random_form(degree, rng, lo, hi)
+        f = random_form(degree, rng)
         if not f.is_zero():
             return f
 

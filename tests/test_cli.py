@@ -206,20 +206,28 @@ def test_flag_pair_parse_errors(capsys):
 
 
 def test_parser_crashes_are_parse_errors(capsys):
-    # a zero denominator, a numeral beyond Python's int-conversion limit and a
-    # digit that is not decimal used to escape as tracebacks with exit 1
-    for entry in ("1/0*X^6", "7" * 5000 + "*X^6", "2\u00b2*X^6"):
+    # a zero denominator, a numeral beyond Python's int-conversion limit, a
+    # digit that is not decimal, and a coefficient of more than 4300 digits
+    # built from short numerals (a product of five 1000-digit numerals, a sum
+    # of five fractions with 998-digit denominators) are parse errors, not
+    # tracebacks with exit 1
+    product = "*".join(["9" * 1000] * 5) + "*X^6"
+    fractions = " + ".join("1/%d*X^6" % (10 ** 997 + k) for k in range(1, 6))
+    for entry in ("1/0*X^6", "7" * 5000 + "*X^6", "2\u00b2*X^6", product, fractions):
         blob = json.dumps({"source": [-4], "target": [2], "matrix": [[entry]]})
-        code = main(["classify", "--input", blob])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == "", entry[:20]
-        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        for cmd in ("classify", "dual"):
+            code = main([cmd, "--input", blob])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", (cmd, entry[:20])
+            assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_malformed_matrix_and_infinite_twist_are_parse_errors(capsys):
+    # a twist that is not an integer is rejected, not truncated
     for blob in ('{"source": [], "target": [], "matrix": null}',
                  '{"source": [-1], "target": [0], "matrix": [5]}',
-                 '{"source": [1e400], "target": [2], "matrix": [["X"]]}'):
+                 '{"source": [1e400], "target": [2], "matrix": [["X"]]}',
+                 '{"source": [-1.5], "target": [0.9], "matrix": [["X"]]}'):
         for cmd in ("classify", "dual"):
             code, out = run(capsys, cmd, "--input", blob)
             assert code == 2 and out == "", (cmd, blob)
@@ -304,9 +312,13 @@ def _call(argv):
     return code, err.getvalue()
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(st.sampled_from(["classify", "hilbert", "dual", "kron-check"]), _BLOBS)
+_COMMANDS = [["classify"], ["hilbert"], ["dual"], ["kron-check"]] + [
+    ["stability", "--criterion", c] for c in ("auto", "minor-gcd", "two-by-two", "pencil-block")]
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(st.sampled_from(_COMMANDS), _BLOBS)
 def test_generated_input_exits_0_to_4_without_traceback(command, blob):
-    code, err = _call([command, "--input", json.dumps(blob)])
+    code, err = _call([*command, "--input", json.dumps(blob)])
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err

@@ -5,9 +5,10 @@ import pytest
 
 from planesheaves.forms import Form
 from planesheaves.kronecker import (Destabilizer, KroneckerError,
-                                    KroneckerModule, conjugate,
-                                    dim_kronecker_moduli, is_semistable,
-                                    minors_semistable, verify_destabilizer)
+                                    KroneckerModule, _pencil_line_search,
+                                    conjugate, dim_kronecker_moduli,
+                                    is_semistable, minors_semistable,
+                                    verify_destabilizer)
 from planesheaves.linalg import QMatrix
 from helpers import random_form
 
@@ -92,6 +93,32 @@ def test_minors_transpose_case():
     assert minors_semistable(module([["X", "Y", "Z"], ["Y", "Z", "X"]]))
     with pytest.raises(KroneckerError):
         minors_semistable(module([["X"], ["Y"]]))
+
+
+@pytest.mark.parametrize("rows,semistable", [
+    ([["X", "0"], ["Y", "X"], ["Z", "Y"]], True),          # a zero entry
+    ([["X", "0"], ["Y", "0"], ["Z", "X"]], False),         # zero entries, a zero minor
+    ([["X", "Y"], ["2*X", "2*Y"], ["Z", "X"]], False),     # dependent minors
+    ([["X", "Y"], ["Y", "Z"], ["X + Y", "Y + Z"]], False),
+])
+def test_minors_in_both_orientations(rows, semistable):
+    K = module(rows)
+    assert (K.p, K.q) == (2, 3)
+    assert minors_semistable(K) == semistable
+    assert minors_semistable(K.transpose()) == semistable
+
+
+# The 2x2 minors of the image matrix [K_X s, K_Y s, K_Z s] are binary
+# quadrics in s = (s0, s1); their common roots are the candidate lines.
+@pytest.mark.parametrize("rows,lines", [
+    ([["X", "Y"], ["Y", "X"]], [(1, -1), (1, 1)]),   # s0^2 - s1^2: rational roots
+    ([["X", "Y"], ["Z", "0"]], [(0, 1)]),            # s0^2 and s0*s1: only s = (0, 1)
+    ([["X", "Y"], ["2*Y", "X"]], []),                # 2*s0^2 - s1^2: irrational roots
+    ([["X", "Y"], ["Y", "Z"]], []),                  # s0^2, s0*s1, s1^2: none
+])
+def test_pencil_line_search_candidates(rows, lines):
+    found = sorted(tuple(S.column(0)) for S in _pencil_line_search(module(rows)))
+    assert found == lines
 
 
 # -- is_semistable ------------------------------------------------------------

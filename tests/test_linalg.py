@@ -167,7 +167,7 @@ def test_every_bareiss_division_is_exact():
     ExactInt.divisions = 0
     for m, _ in random_oracle_matrices(31):
         for reduced in (False, True):
-            rows, _ = linalg._integer_rows(m.data)
+            rows, _ = linalg.integer_rows(m.data)
             checked = [[ExactInt(a) for a in row] for row in rows]
             pivots, _, d = linalg._bareiss(checked, m.cols, reduced)
             assert pivots == linalg._bareiss(rows, m.cols, reduced)[0]

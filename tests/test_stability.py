@@ -6,7 +6,8 @@ import pytest
 from planesheaves.presentation import Presentation, PresentationError, hilbert
 from planesheaves.stability import (BoundsQuery, bounds_check,
                                     minor_gcd_criterion,
-                                    pencil_block_criterion, slope,
+                                    pencil_block_criterion,
+                                    pencil_block_failure, slope,
                                     two_by_two_criterion)
 from planesheaves.strata import generate
 from helpers import random_form
@@ -126,7 +127,32 @@ def test_pair_agrees_with_minor_gcd_on_shared_domain():
     assert hits >= 5
 
 
+# The wedge quadrics of [[f11, f12], [f21, f22]] in (u, v) vanish where
+# u*(f11, f21) + v*(f12, f22) has dependent entries.
+@pytest.mark.parametrize("rows,kind", [
+    ([["X", "Y"], ["Y", "X"]], "properly_semistable"),     # u^2 - v^2: rational roots
+    ([["X", "Y"], ["2*Y", "X"]], "properly_semistable"),   # 2u^2 - v^2: irrational roots
+    ([["X", "Y"], ["Y", "Z"]], "stable"),                  # u^2, u*v, v^2: no root
+])
+def test_pair_special_form_wedge_quadrics(rows, kind):
+    P = Presentation.from_text([0, 0], [1, 1], rows)
+    assert two_by_two_criterion(P).kind == kind
+
+
 # -- pencil block criterion -----------------------------------------------------
+
+@pytest.mark.parametrize("rows,failure", [
+    ([["Y^2", "X", "Y"], ["Z^2", "Z", "X"]], None),
+    ([["Y^2", "X", "Y"], ["Z^2", "2*X", "2*Y"]], "linear block determinant vanishes"),
+    ([["0", "X", "Y"], ["0", "Z", "X"]], "a mixed minor vanishes"),
+    # q1 = l11*l22 - l12*l21, q2 = 0: both mixed minors lie in det * (linear forms)
+    ([["X^2 - Y*Z", "X", "Y"], ["0", "Z", "X"]],
+     "mixed minors dependent modulo the pencil determinant"),
+])
+def test_pencil_block_failure_reasons(rows, failure):
+    block = Presentation.from_text([-3, -2, -2], [-1, -1], rows).matrix
+    assert pencil_block_failure(block) == failure
+
 
 def test_pencil_block_generic_true():
     for seed in range(3):
