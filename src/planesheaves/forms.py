@@ -7,6 +7,12 @@ degree.  Everything is immutable and exact.
 Polynomial text is read by one regular-expression pass (``_tokenize``) and a
 small term grammar (``parse_form``); ``format_form`` prints text that
 ``parse_form`` reads back to the same form.
+
+Questions about factors are linear algebra on multiplication matrices
+(``mult_map``), run by the one exact core in ``linalg``: ``form_gcd`` takes
+one rank, one kernel and one solve, ``divides`` one solve.  Only binary forms
+(``uni_gcd``, ``binary_gcd``) keep a univariate pseudo-remainder gcd, because
+their callers need the gcd's rational roots.
 """
 
 from __future__ import annotations
@@ -348,7 +354,7 @@ def format_form(f: Form) -> str:
 
 
 # ---------------------------------------------------------------------------
-# gcd machinery (primitive PRS on integer coefficients)
+# binary forms: univariate primitive PRS on integer coefficients
 # ---------------------------------------------------------------------------
 
 def _trim(p):
@@ -372,18 +378,6 @@ def _uni_primitive(p):
     if p[-1] < 0:
         g = -g
     return [c // g for c in p]
-
-
-def _uni_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
 
 
 def _uni_sub(a, b):
@@ -439,143 +433,19 @@ def binary_gcd(forms):
     return g, all(f[-1] == 0 for f in ints)
 
 
-def _biv_degx(f):
-    return len(f) - 1
-
-
-def _biv_trim(f):
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _biv_content(f):
-    g = []
-    for c in f:
-        g = uni_gcd(g, c)
-        if g == [1]:
-            break
-    return g or [1]
-
-
-def _biv_primitive(f):
-    f = _biv_trim([_trim(list(c)) for c in f])
-    if not f:
-        return f
-    cont = _biv_content(f)
-    if cont == [1]:
-        return f
-    return [_uni_exact_div(c, cont) for c in f]
-
-
-def _uni_exact_div(a, b):
-    """Exact division of integer polynomials (remainder known to be zero)."""
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1) if len(a) >= len(b) else []
-    db = len(b) - 1
-    lb = b[-1]
-    while a and len(a) - 1 >= db:
-        la = a[-1]
-        q, r = divmod(la, lb)
-        if r:
-            raise FormError("inexact polynomial division")
-        shift = len(a) - 1 - db
-        out[shift] = q
-        a = _uni_sub(a, _uni_scale([0] * shift + b, q))
-    if a:
-        raise FormError("inexact polynomial division")
-    return _trim(out)
-
-
-def _biv_sub(f, g):
-    out = [list(c) for c in f] + [[] for _ in range(max(0, len(g) - len(f)))]
-    for i, c in enumerate(g):
-        out[i] = _uni_sub(out[i], c)
-    for i in range(len(f)):
-        out[i] = _trim(out[i])
-    return _biv_trim(out)
-
-
-def _biv_scale(f, s):
-    """Multiply a poly in x over Z[y] by the Z[y] polynomial s."""
-    return _biv_trim([_uni_mul(c, s) for c in f])
-
-
-def _biv_prem(f, g):
-    f = [list(c) for c in f]
-    dg = _biv_degx(g)
-    lg = g[-1]
-    while f and _biv_degx(f) >= dg:
-        lf = f[-1]
-        shift = _biv_degx(f) - dg
-        f = _biv_sub(_biv_scale(f, lg), [[]] * shift + _biv_scale(g, lf))
-    return f
-
-
-def _biv_gcd(f, g):
-    """gcd in Z[x, y] (up to sign) by primitive PRS in x."""
-    f = _biv_trim([_trim(list(c)) for c in f])
-    g = _biv_trim([_trim(list(c)) for c in g])
-    if not f:
-        return g
-    if not g:
-        return f
-    cf, cg = _biv_content(f), _biv_content(g)
-    f, g = _biv_primitive(f), _biv_primitive(g)
-    if _biv_degx(f) < _biv_degx(g):
-        f, g = g, f
-    while g:
-        f, g = g, _biv_primitive(_biv_prem(f, g))
-    ccontent = uni_gcd(cf, cg)
-    return _biv_scale(f, ccontent)
-
-
-def _strip_z(f: Form):
-    """Largest k with Z^k dividing f, and the cofactor."""
-    k = min(c for (_, _, c), _coef in f.terms())
-    if k == 0:
-        return 0, f
-    terms = {(a, b, c - k): coeff for (a, b, c), coeff in f.terms()}
-    return k, Form.from_dict(f.degree - k, terms)
-
-
-def _dehomogenize(f: Form):
-    """f(X, Y, 1) times the lcm of its denominators, as an x-major integer
-    bivariate rep."""
-    (ints,), _ = integer_rows([f.coeffs])
-    biv: list = []
-    for (a, b, _c), coeff in zip(monomials(f.degree), ints):
-        if not coeff:
-            continue
-        while len(biv) <= a:
-            biv.append([])
-        col = biv[a]
-        while len(col) <= b:
-            col.append(0)
-        col[b] += coeff
-    return _biv_trim([_trim(c) for c in biv])
-
-
-def _rehomogenize(biv) -> Form:
-    total = 0
-    for i, col in enumerate(biv):
-        for j, c in enumerate(col):
-            if c:
-                total = max(total, i + j)
-    terms = {}
-    for i, col in enumerate(biv):
-        for j, c in enumerate(col):
-            if c:
-                terms[(i, j, total - i - j)] = Fraction(c)
-    return Form.from_dict(total, terms)
-
+# ---------------------------------------------------------------------------
+# plane forms: gcd and divisibility from multiplication matrices
+# ---------------------------------------------------------------------------
 
 def form_gcd(f: Form, g: Form) -> Form:
     """Greatest common divisor, monic in the graded-lex leading term.
 
-    Strategy: split off the common power of Z, dehomogenize at Z = 1, run a
-    fraction-free (primitive PRS) bivariate gcd over the integers, and
-    rehomogenize.
+    Write f = h*f' and g = h*g' with d = deg h.  The map (a, b) -> a*f + b*g
+    from the forms of degrees (deg g - 1, deg f - 1) has the kernel
+    (c*g', -c*f') over the forms c of degree d - 1, so its nullity is
+    d(d + 1)/2, and it is injective iff f and g are coprime (Macaulay's
+    resultant matrix).  At degrees (deg g - d, deg f - d) the kernel is the
+    line of c*(g', -f') with c a constant; then h solves (c*f')*h = f.
     """
     if f.is_zero() and g.is_zero():
         raise FormError("gcd undefined for two zero forms")
@@ -583,25 +453,29 @@ def form_gcd(f: Form, g: Form) -> Form:
         return g.monic()
     if g.is_zero():
         return f.monic()
-    kf, f1 = _strip_z(f)
-    kg, g1 = _strip_z(g)
-    h = _biv_gcd(_dehomogenize(f1), _dehomogenize(g1))
-    result = _rehomogenize(h)
-    k = min(kf, kg)
-    if k:
-        result = result * Form.monomial(0, 0, k)
-    return result.monic()
+    m, n = f.degree, g.degree
+    sylvester = mult_map(f, n - 1).hstack(mult_map(g, m - 1))
+    nullity = sylvester.cols - sylvester.rank()
+    d = 0
+    while space_dim(d - 1) < nullity:
+        d += 1
+    if d == 0:
+        return Form.constant(1)
+    (v,) = mult_map(f, n - d).hstack(mult_map(g, m - d)).kernel_basis()
+    cofactor = Form(m - d, v[space_dim(n - d):])
+    return Form(d, mult_map(cofactor, d).solve(f.coeffs)).monic()
 
 
 def divides(f: Form, g: Form) -> bool:
-    """True iff g = f * h for some form h."""
+    """True iff g = f * h for some form h, i.e. g lies in the column space
+    of multiplication by f."""
     if f.is_zero():
         raise FormError("divisibility by the zero form is undefined")
     if g.is_zero():
         return True
     if g.degree < f.degree:
         return False
-    return form_gcd(f, g).degree == f.degree
+    return mult_map(f, g.degree - f.degree).solve(g.coeffs) is not None
 
 
 def conic_is_irreducible(q: Form) -> bool:

@@ -54,9 +54,6 @@ class QMatrix:
             m.data[i][i] = Fraction(1)
         return m
 
-    def copy(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, [row[:] for row in self.data])
-
     def transpose(self) -> "QMatrix":
         return QMatrix(self.cols, self.rows,
                        [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])

@@ -241,11 +241,6 @@ def _pred_no_colinear(k):
     return ("no_%d_colinear" % k, lambda cfg: not colinear_subset_exists(cfg, k))
 
 
-def _pred_colinear(k):
-    return ("all_%d_colinear" % k, lambda cfg: QMatrix.from_rows(
-        [list(p) for p in cfg.points]).rank() <= 2)
-
-
 CLAIMS = {
     "len8_general": PointClaim(
         8, BettiShape((3, 3, 4), (5, 5)),

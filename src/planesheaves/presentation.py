@@ -16,6 +16,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 from .forms import (Form, ParseError, block_mult_map, format_form, parse_form,
                     random_form, space_dim)
@@ -140,9 +141,12 @@ class Presentation:
 
 
 def _twist(d) -> int:
-    """int(d), refusing a number that is not an integer instead of truncating it."""
+    """int(d) for a number d of integral value.  A bool or a string is
+    refused instead of converted, a fraction instead of truncated."""
+    if isinstance(d, bool) or not isinstance(d, Real):
+        raise TypeError("%r is not a number" % (d,))
     t = int(d)
-    if not isinstance(d, str) and t != d:
+    if t != d:
         raise ValueError("%r is not an integer" % (d,))
     return t
 
@@ -205,15 +209,20 @@ def h1_twist(P: Presentation, t: int) -> int:
     return h1
 
 
-def is_injective(P: Presentation, seed: int = 0, trials: int = 8) -> bool:
+# Random points is_injective tries before it reports a likely degenerate map.
+INJECTIVITY_TRIALS = 8
+
+
+def is_injective(P: Presentation, seed: int = 0) -> bool:
     """Generic-rank certificate: full column rank at one random point proves
-    injectivity of the sheaf map; repeated failure reports likely degeneracy."""
+    injectivity of the sheaf map; failure at INJECTIVITY_TRIALS points
+    reports likely degeneracy."""
     p = len(P.source)
     q = len(P.target)
     if p > q:
         raise PresentationError("injectivity test needs at most as many source summands")
     rng = random.Random(derive_seed("inject", seed, P.source, P.target))
-    for _ in range(trials):
+    for _ in range(INJECTIVITY_TRIALS):
         point = tuple(Fraction(rng.randint(-100, 100)) for _ in range(3))
         if point == (0, 0, 0):
             continue

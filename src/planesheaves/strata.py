@@ -55,9 +55,6 @@ class StratumRow:
     dual_id: str | None
     stability_asserted: bool
 
-    def condition_keys(self):
-        return tuple(sorted(self.conditions))
-
     def matches(self, prof: CohomologyProfile) -> bool:
         values = {"h0_Fm1": prof.h0_Fm1, "h1_F": prof.h1_F,
                   "h0_omega": prof.h0_omega, "h1_F1": prof.h1_F1}
@@ -182,13 +179,18 @@ def _check(flag: bool) -> SideResult:
     return _PASS if flag else SideResult("fail")
 
 
-def _kron_filter(block, budget=40, seed=0) -> SideResult:
+# Sampling budget of the Kronecker search behind a side condition; the search
+# runs at is_semistable's default seed.
+KRON_FILTER_BUDGET = 40
+
+
+def _kron_filter(block) -> SideResult:
     """Kronecker semistability as a side condition: exact where closed-form."""
     K = KroneckerModule(block)
     if K.p <= 1 or K.q <= 1 or (K.p, K.q) in ((2, 3), (3, 2)):
         verdict = is_semistable(K)
         return _check(verdict.kind == "semistable")
-    verdict = is_semistable(K, budget=budget, seed=seed)
+    verdict = is_semistable(K, budget=KRON_FILTER_BUDGET)
     if verdict.kind == "unstable":
         return SideResult("fail")
     return SideResult("unknown", "Kronecker semistability only semi-decided for this shape")
@@ -345,14 +347,18 @@ def side_condition(P: Presentation, row: StratumRow) -> SideResult:
 # instance generation
 # ---------------------------------------------------------------------------
 
-def generate(chi: int, stratum_id: str, seed: int, max_attempts: int = 1000) -> Presentation:
+# Random candidates generate draws before it gives up on a row.
+MAX_ATTEMPTS = 1000
+
+
+def generate(chi: int, stratum_id: str, seed: int) -> Presentation:
     """Rejection sampling: random integer matrices of the row's shape with its
     forced zero pattern, accepted when validation, injectivity, the exact side
     conditions and the classifier all agree with the row."""
     row = get_row(chi, stratum_id)
     zero = set(row.zero_cells)
     rng = random.Random(derive_seed("generate", chi, stratum_id, seed))
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         matrix = []
         for i, e in enumerate(row.target):
             out = []
@@ -380,7 +386,7 @@ def generate(chi: int, stratum_id: str, seed: int, max_attempts: int = 1000) -> 
             return P
     raise GenerationError(
         "no instance of (chi=%d, %s) in %d attempts (seed %d)"
-        % (chi, stratum_id, max_attempts, seed))
+        % (chi, stratum_id, MAX_ATTEMPTS, seed))
 
 
 # ---------------------------------------------------------------------------

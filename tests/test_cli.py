@@ -227,7 +227,10 @@ def test_malformed_matrix_and_infinite_twist_are_parse_errors(capsys):
     for blob in ('{"source": [], "target": [], "matrix": null}',
                  '{"source": [-1], "target": [0], "matrix": [5]}',
                  '{"source": [1e400], "target": [2], "matrix": [["X"]]}',
-                 '{"source": [-1.5], "target": [0.9], "matrix": [["X"]]}'):
+                 '{"source": [-1.5], "target": [0.9], "matrix": [["X"]]}',
+                 # a bool or a numeric string is not converted to a twist
+                 '{"source": [true], "target": [0], "matrix": [["X"]]}',
+                 '{"source": [-1], "target": ["2"], "matrix": [["X"]]}'):
         for cmd in ("classify", "dual"):
             code, out = run(capsys, cmd, "--input", blob)
             assert code == 2 and out == "", (cmd, blob)

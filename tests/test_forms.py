@@ -118,6 +118,49 @@ def test_divides_perturbation_oracle():
         assert not divides(ell, q + eps)
 
 
+def _planted_pairs(rng, count):
+    """(h, f, g): forms f, g of degree <= 5 with the planted common factor h
+    of degree 0-3, in turn a random form, a power of Z times a random form, a
+    power of Z, or a constant (then f and g are coprime but for chance).
+    Every fifth f is zero and every seventh g is a constant."""
+    planted = (lambda k: random_nonzero_form(k, rng),
+               lambda k: Form.monomial(0, 0, k) * random_nonzero_form(rng.randint(0, 3 - k), rng),
+               lambda k: Form.monomial(0, 0, k),
+               lambda k: Form.constant(rng.randint(1, 9)))
+    for i in range(count):
+        h = planted[i % 4](rng.randint(0, 3))
+        f, g = (h * random_nonzero_form(rng.randint(0, 5 - h.degree), rng) for _ in range(2))
+        if i % 5 == 4:
+            f = Form.zero(f.degree)
+        if i % 7 == 6:
+            g = Form.constant(rng.randint(1, 9))
+        yield h, f, g
+
+
+def test_gcd_and_divides_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("X Y Z")
+
+    def to_sympy(f):
+        return sum((sympy.Rational(c.numerator, c.denominator) * sympy.prod(
+            v ** e for v, e in zip(gens, mono)) for mono, c in f.terms()), sympy.Integer(0))
+
+    def from_sympy(expr):
+        poly = sympy.Poly(expr, *gens)
+        return Form.from_dict(poly.total_degree(), {
+            mono: Fraction(int(c.p), int(c.q)) for mono, c in poly.terms()})
+
+    for h, f, g in _planted_pairs(random.Random(57), 60):
+        assert form_gcd(f, g) == from_sympy(sympy.gcd(to_sympy(f), to_sympy(g))).monic()
+        for a, b in ((f, g), (g, f), (h, f)):
+            if a.is_zero():
+                with pytest.raises(FormError):
+                    divides(a, b)
+                continue
+            remainder = sympy.div(to_sympy(b), to_sympy(a), *gens)[1]
+            assert divides(a, b) == (remainder == 0)
+
+
 def test_conic_irreducible():
     # Gram matrix of XZ - Y^2 has determinant 1/4 by direct expansion
     gram = QMatrix.from_rows([
