@@ -319,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--out-dir", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
+    registry_chis = sorted({row.chi for row in REGISTRY})
 
     def add_parser(name, **kwargs):
         return sub.add_parser(name, parents=[common], **kwargs)
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = add_parser("dims", help="dimension audit of the strata registry")
-    p.add_argument("--chi", type=int, default=None)
+    p.add_argument("--chi", type=int, default=None, choices=registry_chis)
     p.add_argument("--format", default="json", choices=["json", "markdown"])
     p.set_defaults(func=cmd_dims)
 
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flag_pair)
 
     p = add_parser("verify-tables", help="regenerate and check the registry")
-    p.add_argument("--chi", type=int, default=None)
+    p.add_argument("--chi", type=int, default=None, choices=registry_chis)
     p.add_argument("--samples", type=int, default=25)
     p.add_argument("--format", default="json", choices=["json", "markdown"])
     p.set_defaults(func=cmd_verify_tables)

@@ -243,7 +243,6 @@ class GradedPiece:
     column space of the global-sections matrix of the presentation."""
 
     t: int
-    ambient_blocks: tuple
     ambient_dim: int
     image: QMatrix
     image_rank: int
@@ -252,8 +251,7 @@ class GradedPiece:
 
 def graded_piece(P: Presentation, t: int) -> GradedPiece:
     image = block_mult_map(P.matrix, [e + t for e in P.target], [d + t for d in P.source])
-    blocks = tuple((e, space_dim(e + t)) for e in P.target)
-    ambient = sum(dim for _, dim in blocks)
+    ambient = sum(space_dim(e + t) for e in P.target)
     rank = image.rank()
     dim = ambient - rank
     expected = h0_twist(P, t)
@@ -261,46 +259,45 @@ def graded_piece(P: Presentation, t: int) -> GradedPiece:
         raise InconsistentPresentationError(
             "graded piece at t=%d has dimension %d, twist arithmetic expects %d"
             % (t, dim, expected))
-    return GradedPiece(t, blocks, ambient, image, rank, dim)
-
-
-_VARIABLES = (Form.monomial(1, 0, 0), Form.monomial(0, 1, 0), Form.monomial(0, 0, 1))
-
-
-def _contraction_matrix(P: Presentation) -> QMatrix:
-    """Matrix of V ⊗ H^0-ambient(F) -> H^0-ambient(F(1)), (a,b,c)⊗s -> aXs+bYs+cZs:
-    columns run over (variable, target summand), and the form matrix is
-    diagonal in the target summands."""
-    n = len(P.target)
-    zero = Form.zero(0)
-    entries = [[var if k == i else zero for var in _VARIABLES for k in range(n)]
-               for i in range(n)]
-    return block_mult_map(entries, [e + 1 for e in P.target], list(P.target) * 3)
+    return GradedPiece(t, ambient, image, rank, dim)
 
 
 def h0_omega(P: Presentation) -> int:
-    """h^0(F ⊗ Ω¹(1)) via the Euler sequence: kernel of the contraction
-    V ⊗ H^0(F) -> H^0(F(1)) computed on the graded-piece models."""
+    """h^0(F ⊗ Ω¹(1)) via the Euler sequence: the kernel of the contraction
+    V ⊗ H^0(F) -> H^0(F(1)), (a,b,c)⊗s -> aXs+bYs+cZs, counted.
+
+    On the graded-piece models V ⊗ S_e -> S_{e+1} is onto for e >= 0, so the
+    contraction and the degree-1 sections matrix together span every target
+    block with e_i >= 0, plus rank C in the one-row blocks of the O(-1)
+    target summands.  C is the first #{e_i = -1} rows of the degree-1
+    sections matrix (twists ascend): the constant entries from O(-1) source
+    to O(-1) target summands.  Hence
+    h0(F ⊗ Ω¹(1)) = 3 h0(F) - h0(F(1)) + #{e_i = -1} - rank C.
+    Both graded pieces are still built: their dimension checks reject some
+    non-injective maps."""
     g0 = graded_piece(P, 0)
     g1 = graded_piece(P, 1)
-    if g0.ambient_dim == 0:
-        return 0
-    M = _contraction_matrix(P)
-    rank_b1 = g1.image_rank
-    rank_joint = M.hstack(g1.image).rank()
-    value = 3 * g0.ambient_dim - (rank_joint - rank_b1) - 3 * g0.image_rank
+    n = P.target.count(-1)
+    rank_c = QMatrix(n, g1.image.cols, g1.image.data[:n]).rank()
+    value = 3 * g0.dim - g1.dim + n - rank_c
     if value < 0:
         raise InconsistentPresentationError("negative contraction kernel dimension")
     return value
 
 
-def h1_omega(P: Presentation) -> int:
-    """h^1(F ⊗ Ω¹(1)) from the six-term sequence of the Euler tensor sequence."""
-    value = (h0_omega(P) - 3 * h0_twist(P, 0) + h0_twist(P, 1)
+def h1_omega_from_h0(P: Presentation, h0_omega_value: int) -> int:
+    """h^1(F ⊗ Ω¹(1)) from h^0(F ⊗ Ω¹(1)) and twist arithmetic, by the
+    six-term sequence of the Euler tensor sequence."""
+    value = (h0_omega_value - 3 * h0_twist(P, 0) + h0_twist(P, 1)
              + 3 * h1_twist(P, 0) - h1_twist(P, 1))
     if value < 0:
         raise InconsistentPresentationError("negative h1 of the cotangent twist")
     return value
+
+
+def h1_omega(P: Presentation) -> int:
+    """h^1(F ⊗ Ω¹(1)); see h1_omega_from_h0."""
+    return h1_omega_from_h0(P, h0_omega(P))
 
 
 def profile(P: Presentation) -> CohomologyProfile:
@@ -318,16 +315,8 @@ def profile(P: Presentation) -> CohomologyProfile:
 
 def dual(P: Presentation) -> Presentation:
     """Transpose with twists reflected through -3; swaps chi and -chi."""
-    new_source_raw = [-3 - e for e in P.target]
-    new_target_raw = [-3 - d for d in P.source]
-    src_order = sorted(range(len(new_source_raw)), key=lambda i: new_source_raw[i])
-    tgt_order = sorted(range(len(new_target_raw)), key=lambda j: new_target_raw[j])
-    source = tuple(new_source_raw[i] for i in src_order)
-    target = tuple(new_target_raw[j] for j in tgt_order)
-    matrix = tuple(tuple(P.matrix[src_order[jj]][tgt_order[ii]]
-                         for jj in range(len(source)))
-                   for ii in range(len(target)))
-    return Presentation(source, target, matrix, _checked=False)
+    return Presentation([-3 - e for e in P.target], [-3 - d for d in P.source],
+                        [[row[j] for row in P.matrix] for j in range(len(P.source))])
 
 
 def twist(P: Presentation, k: int) -> Presentation:

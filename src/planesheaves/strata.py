@@ -22,8 +22,9 @@ from .forms import (Form, block_mult_map, coefficient_matrix, divides, form_gcd,
                     linearly_independent, random_form, space_dim)
 from .kronecker import KroneckerModule, is_semistable, minors_semistable
 from .presentation import (CohomologyProfile, Presentation, PresentationError,
-                           derive_seed, dual, hilbert, h0_omega, h0_twist,
-                           h1_omega, h1_twist, is_injective, profile, twist)
+                           derive_seed, dual, hilbert, h0_twist,
+                           h1_omega_from_h0, h1_twist, is_injective, profile,
+                           twist)
 from .stability import CRITERIA, BoundsQuery, bounds_check, pencil_block_failure
 
 MODULI_DIM = 37   # r^2 + 1 for multiplicity 6
@@ -563,7 +564,7 @@ def verify_row(chi: int, stratum_id: str, samples: int, seed: int) -> RowReport:
                 report.failures.append({"sample": k, "seed": sample_seed,
                                         "check": "serre_duality", "detail": "t=%d" % t})
                 break
-        if h0_omega(P) - h1_omega(P) != 2 * chi - 6:
+        if prof.h0_omega - h1_omega_from_h0(P, prof.h0_omega) != 2 * chi - 6:
             report.failures.append({"sample": k, "seed": sample_seed,
                                     "check": "euler_contraction", "detail": ""})
         if spot is not None:

@@ -153,6 +153,10 @@ def test_dims_chi1(capsys):
     x0 = next(r for r in data["rows"] if r["stratum"] == "X_0")
     assert (x0["dimW"], x0["dimG"], x0["dimX"]) == (90, 53, 37)
     assert all(r["check_corrected"] for r in data["rows"])
+    # a chi with no registry rows is a usage error, not an empty table
+    with pytest.raises(SystemExit) as exc:
+        main(["dims", "--chi", "-1"])
+    assert exc.value.code == 2
 
 
 def test_verify_tables_small(capsys, tmp_path):
@@ -172,6 +176,10 @@ def test_verify_tables_dim_audit_only(capsys):
     data = json.loads(out)
     assert data["reports"] == []
     assert len(data["audits"]) == 6
+    # a chi with no registry rows would check nothing and report a pass
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-tables", "--chi", "9", "--samples", "1"])
+    assert exc.value.code == 2
 
 
 def test_cli_determinism(capsys):

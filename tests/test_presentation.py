@@ -229,3 +229,10 @@ def test_nonminimal_presentation_accepted():
     hd = hilbert(P)
     assert (hd.r, hd.chi) == (6, 3)
     assert profile(P).as_tuple() == (3, 3, 8, 1)
+    # a cancelling pair of O(-1) summands: its constant entry is the block of
+    # the degree-1 sections matrix that h0_omega subtracts the rank of
+    P = Presentation.from_text(
+        [-4, -1], [-1, 2],
+        [["X^3", "1"], [SEXTIC, "X^3"]])
+    assert is_injective(P)
+    assert profile(P).as_tuple() == (3, 3, 8, 1)
