@@ -138,6 +138,8 @@ def cmd_kron_check(args):
     out = {"kind": verdict.kind}
     if verdict.witness is not None:
         out["witness"] = verdict.witness.to_json()
+    if verdict.certificate is not None:
+        out["certificate"] = verdict.certificate.to_json()
     _emit(out, args.out_dir, "kron-check.json")
     return EXIT_OK
 
@@ -310,6 +312,13 @@ def _tables_markdown(rows, reports, audits) -> str:
 
 # ---------------------------------------------------------------------------
 
+def _count(text) -> int:
+    """A nonnegative integer argument; argparse turns the error into exit 2."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError("must be a nonnegative integer: %r" % text)
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planesheaves",
@@ -343,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("kron-check", help="Kronecker semistability verdict")
     p.add_argument("--input", required=True)
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=_count, default=200)
     p.set_defaults(func=cmd_kron_check)
 
     p = add_parser("stability", help="stability criteria verdicts")
@@ -376,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("verify-tables", help="regenerate and check the registry")
     p.add_argument("--chi", type=int, default=None, choices=registry_chis)
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--samples", type=_count, default=25)
     p.add_argument("--format", default="json", choices=["json", "markdown"])
     p.set_defaults(func=cmd_verify_tables)
 

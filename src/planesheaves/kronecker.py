@@ -6,14 +6,20 @@ condition: for every q' x p' zero submatrix of any representative,
 p'/p + q'/q <= 1.  Violations are certified exactly by a pair of subspaces
 (S, T) with K(S) contained in T ⊗ V*.
 
-Destabilizer search is one-sided: certificates are exact over the
-rationals; when the exact detectors and the sampling budget find nothing,
-the verdict is ProbablySemistable.  The strata classifier never depends on
-this verdict, it only gates instance generation.
-
-Extension point: for q = p + 1 the unstable orbits have a block-triangular
-normal form, which suggests an exact decision procedure; only the closed
-forms below (p <= 1, q <= 1, and the pencil shapes) are implemented.
+Every definite verdict is a proof.  Closed forms decide p <= 1, q <= 1 and
+the pencil shapes (2, 3), (3, 2).  Any other shape first tries a
+semistability certificate: with g = gcd(p, q), integer matrices T_X, T_Y,
+T_Z of size (p/g) x (q/g) such that the square matrix
+K_X ⊗ T_X + K_Y ⊗ T_Y + K_Z ⊗ T_Z has nonzero determinant modulo 2^61 - 1.
+A destabilizer (S, T) would map S ⊗ Q^(q/g) into the smaller space
+T ⊗ Q^(p/g), so that determinant vanishes over Q for every unstable module;
+nonzero modulo the prime, it is nonzero over Q (King 1994: semistable iff
+some semi-invariant does not vanish; Derksen-Weyman 2000: the determinantal
+semi-invariants span).  One draw is made.  Without a certificate, a
+destabilizer search runs, whose witnesses are exact over the rationals;
+when it finds nothing within its sampling budget the verdict is
+ProbablySemistable.  The strata classifier never depends on this verdict,
+it only gates instance generation.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .forms import (Form, binary_gcd, coefficient_matrix, linearly_independent,
                     monomial_index, parse_form)
@@ -109,10 +116,27 @@ class Destabilizer:
         }
 
 
+# The prime modulo which a semistability certificate's determinant is taken.
+CERTIFICATE_PRIME = (1 << 61) - 1
+
+
+@dataclass(frozen=True)
+class SemistabilityCertificate:
+    """Integer matrices T_X, T_Y, T_Z of size (p/g) x (q/g), g = gcd(p, q),
+    for which sum_k K_k ⊗ T_k has full rank modulo `prime`."""
+
+    blocks: tuple
+    prime: int = CERTIFICATE_PRIME
+
+    def to_json(self):
+        return {"prime": self.prime, "blocks": [[list(row) for row in T] for T in self.blocks]}
+
+
 @dataclass
 class KroneckerVerdict:
     kind: str                      # "semistable" | "unstable" | "probably_semistable"
     witness: Destabilizer | None = None
+    certificate: SemistabilityCertificate | None = None
 
     def is_definite(self) -> bool:
         return self.kind != "probably_semistable"
@@ -143,6 +167,41 @@ def verify_destabilizer(K: KroneckerModule, D: Destabilizer) -> bool:
             if D.target_basis.hstack(image).rank() != t_rank:
                 return False
     return True
+
+
+def verify_certificate(K: KroneckerModule, cert: SemistabilityCertificate) -> bool:
+    """Exact check: the blocks have the (p/g) x (q/g) integer shape and the
+    blown-up matrix sum_k K_k ⊗ T_k, rows (i, a) and columns (j, b), has full
+    rank modulo CERTIFICATE_PRIME."""
+    g = gcd(K.p, K.q)
+    rows, cols = K.p // g, K.q // g
+    blocks = cert.blocks
+    if cert.prime != CERTIFICATE_PRIME or len(blocks) != 3:
+        return False
+    for T in blocks:
+        if len(T) != rows or any(len(r) != cols for r in T) \
+                or any(type(x) is not int for r in T for x in r):
+            return False
+    try:
+        kx, ky, kz = [mod_residues(sl.data, cert.prime) for sl in K.coefficient_slices()]
+    except LinalgError:
+        return False         # the module has no reduction modulo the prime
+    tx, ty, tz = blocks
+    blown_up = [[(kx[i][j] * tx[a][b] + ky[i][j] * ty[a][b] + kz[i][j] * tz[a][b]) % cert.prime
+                 for j in range(K.p) for b in range(cols)]
+                for i in range(K.q) for a in range(rows)]
+    return mod_rank(blown_up, cert.prime) == K.q * rows
+
+
+def semistability_certificate(K: KroneckerModule, seed: int = 0):
+    """One random draw of T_X, T_Y, T_Z with entries in [-9, 9]: the
+    certificate if it verifies, else None (which proves nothing)."""
+    g = gcd(K.p, K.q)
+    rng = random.Random(derive_seed("kron-certificate", seed))
+    cert = SemistabilityCertificate(tuple(
+        tuple(tuple(rng.randint(-9, 9) for _ in range(K.q // g)) for _ in range(K.p // g))
+        for _ in range(3)))
+    return cert if verify_certificate(K, cert) else None
 
 
 def minors_semistable(K: KroneckerModule) -> bool:
@@ -391,11 +450,15 @@ def _full_search(K: KroneckerModule, budget: int, seed: int) -> Destabilizer | N
 
 
 def is_semistable(K: KroneckerModule, budget: int = 200, seed: int = 0) -> KroneckerVerdict:
-    """Exact verdicts for p <= 1, q <= 1, (2,3) and (3,2); otherwise a search
-    whose Unstable answers are exact and whose exhaustion is Probably."""
+    """Exact verdicts for p <= 1, q <= 1, (2,3) and (3,2); otherwise a
+    semistability certificate, then a search whose Unstable answers are
+    exact and whose exhaustion is Probably."""
     verdict = _exact_small_cases(K)
     if verdict is not None:
         return verdict
+    cert = semistability_certificate(K, seed)
+    if cert is not None:
+        return KroneckerVerdict("semistable", certificate=cert)
     D = _full_search(K, budget=budget, seed=derive_seed("kron-search", seed))
     if D is not None:
         return KroneckerVerdict("unstable", D)

@@ -6,9 +6,10 @@ the lcm of its denominators, and rows are combined as (piv*a - f*b) // prev,
 a division that is always exact (Bareiss, Math. Comp. 22, 1968).  The
 entries stay minors of the scaled input, so no gcd is taken inside the
 loop; Fractions appear only in the returned rows and vectors.  One prime-field
-rank routine (`mod_rank`) serves the randomized cross-check and the
-Kronecker sampling search; a rank modulo p only bounds the rational rank
-from below, so it is never used as the primary answer.
+rank routine (`mod_rank`) serves the randomized cross-check, the Kronecker
+semistability certificate and the Kronecker sampling search; a rank modulo p
+only bounds the rational rank from below, so it proves something only when
+it is full.
 """
 
 from __future__ import annotations
@@ -227,6 +228,9 @@ def mod_residues(rows, p: int):
     for row in rows:
         r = []
         for x in row:
+            if x.denominator == 1:
+                r.append(x.numerator % p)
+                continue
             den = x.denominator % p
             if den == 0:
                 raise LinalgError("prime divides a denominator")
@@ -252,12 +256,14 @@ def mod_rank(rows, p: int) -> int:
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
+        # entries left of column c are zero mod p in the pivot row and below it
         inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [v * inv % p for v in rows[rank]]
+        tail = [v * inv % p for v in rows[rank][c:]]
         for i in range(rank + 1, len(rows)):
-            if rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+            row = rows[i]
+            f = row[c] % p
+            if f:
+                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
         rank += 1
         if rank == len(rows):
             break

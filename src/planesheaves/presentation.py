@@ -16,10 +16,12 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from numbers import Real
+from operator import mul
 
-from .forms import (Form, ParseError, block_mult_map, format_form, parse_form,
-                    random_form, space_dim)
+from .forms import (Form, ParseError, block_mult_map, format_form, monomials,
+                    parse_form, random_form, space_dim)
 from .linalg import QMatrix
 
 
@@ -216,19 +218,31 @@ INJECTIVITY_TRIALS = 8
 def is_injective(P: Presentation, seed: int = 0) -> bool:
     """Generic-rank certificate: full column rank at one random point proves
     injectivity of the sheaf map; failure at INJECTIVITY_TRIALS points
-    reports likely degeneracy."""
+    reports likely degeneracy, which is not a proof.
+
+    The points are integers and each matrix row is put over one integer
+    denominator, which keeps the rank, so every value is an integer: a dot
+    product with one table of monomial values per point and degree."""
     p = len(P.source)
     q = len(P.target)
     if p > q:
         raise PresentationError("injectivity test needs at most as many source summands")
+    rows = []
+    for row in P.matrix:
+        scale = lcm(*[c.denominator for f in row for c in f.coeffs])
+        rows.append([(f.degree, [c.numerator * (scale // c.denominator) for c in f.coeffs])
+                     for f in row])
+    degrees = {d for row in rows for d, _ in row}
+    top = max(degrees, default=0)
     rng = random.Random(derive_seed("inject", seed, P.source, P.target))
     for _ in range(INJECTIVITY_TRIALS):
-        point = tuple(Fraction(rng.randint(-100, 100)) for _ in range(3))
-        if point == (0, 0, 0):
+        x, y, z = (rng.randint(-100, 100) for _ in range(3))
+        if x == y == z == 0:
             continue
-        values = QMatrix(q, p, [[P.matrix[i][j].evaluate(point) for j in range(p)]
-                                for i in range(q)])
-        if values.rank() == p:
+        xs, ys, zs = ([v ** k for k in range(top + 1)] for v in (x, y, z))
+        table = {d: [xs[a] * ys[b] * zs[c] for a, b, c in monomials(d)] for d in degrees}
+        values = [[sum(map(mul, coeffs, table[d])) for d, coeffs in row] for row in rows]
+        if QMatrix(q, p, values).rank() == p:
             return True
     return False
 
@@ -273,31 +287,25 @@ def h0_omega(P: Presentation) -> int:
     sections matrix (twists ascend): the constant entries from O(-1) source
     to O(-1) target summands.  Hence
     h0(F ⊗ Ω¹(1)) = 3 h0(F) - h0(F(1)) + #{e_i = -1} - rank C.
-    Both graded pieces are still built: their dimension checks reject some
-    non-injective maps."""
+    The count is the dimension of that kernel for any matrix (x·B_0 lies in
+    B_1, B_t the image in degree t), so it is never negative.  Both graded
+    pieces are still built: their dimension checks reject some non-injective
+    maps."""
     g0 = graded_piece(P, 0)
     g1 = graded_piece(P, 1)
     n = P.target.count(-1)
     rank_c = QMatrix(n, g1.image.cols, g1.image.data[:n]).rank()
-    value = 3 * g0.dim - g1.dim + n - rank_c
-    if value < 0:
-        raise InconsistentPresentationError("negative contraction kernel dimension")
-    return value
+    return 3 * g0.dim - g1.dim + n - rank_c
 
 
-def h1_omega_from_h0(P: Presentation, h0_omega_value: int) -> int:
+def h1_omega(P: Presentation) -> int:
     """h^1(F ⊗ Ω¹(1)) from h^0(F ⊗ Ω¹(1)) and twist arithmetic, by the
     six-term sequence of the Euler tensor sequence."""
-    value = (h0_omega_value - 3 * h0_twist(P, 0) + h0_twist(P, 1)
+    value = (h0_omega(P) - 3 * h0_twist(P, 0) + h0_twist(P, 1)
              + 3 * h1_twist(P, 0) - h1_twist(P, 1))
     if value < 0:
         raise InconsistentPresentationError("negative h1 of the cotangent twist")
     return value
-
-
-def h1_omega(P: Presentation) -> int:
-    """h^1(F ⊗ Ω¹(1)); see h1_omega_from_h0."""
-    return h1_omega_from_h0(P, h0_omega(P))
 
 
 def profile(P: Presentation) -> CohomologyProfile:

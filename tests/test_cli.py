@@ -13,6 +13,8 @@ import planesheaves
 from planesheaves import cli
 from planesheaves.cli import main
 from planesheaves.forms import Form, format_form, space_dim
+from planesheaves.kronecker import (CERTIFICATE_PRIME, KroneckerModule,
+                                    SemistabilityCertificate, verify_certificate)
 from planesheaves.presentation import Presentation
 
 SEXTIC = "X^6 + Y^6 + Z^6 + X*Y*Z^4 + 2*X^2*Y^2*Z^2"
@@ -104,6 +106,33 @@ def test_kron_check(capsys):
     code, out = run(capsys, "kron-check", "--input", P)
     assert code == 0
     assert json.loads(out)["kind"] == "semistable"
+
+
+def test_kron_check_prints_a_certificate_only_when_one_exists(capsys):
+    pencil = json.dumps({"source": [-1, -1], "target": [0, 0, 0],
+                         "matrix": [["X", "Y"], ["Y", "Z"], ["Z", "X"]]})
+    code, out = run(capsys, "kron-check", "--input", pencil)
+    assert code == 0 and "certificate" not in json.loads(out)
+    rows = [["X", "Y", "Z", "X + Y"], ["Y", "Z", "X", "Y - Z"], ["Z", "X + Z", "Y", "X"]]
+    block = json.dumps({"source": [-1] * 4, "target": [0] * 3, "matrix": rows})
+    code, out = run(capsys, "kron-check", "--input", block)
+    data = json.loads(out)
+    assert code == 0 and data["kind"] == "semistable"
+    assert data["certificate"]["prime"] == CERTIFICATE_PRIME
+    cert = SemistabilityCertificate(
+        tuple(tuple(tuple(r) for r in T) for T in data["certificate"]["blocks"]),
+        data["certificate"]["prime"])
+    assert verify_certificate(KroneckerModule.from_text(rows), cert)
+
+
+def test_negative_counts_are_usage_errors(capsys):
+    # --samples 0 stays valid: test_verify_tables_dim_audit_only
+    for argv in (["verify-tables", "--chi", "0", "--samples", "-2"],
+                 ["kron-check", "--input", "{}", "--budget", "-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == ""
 
 
 def test_stability_cmd(capsys):

@@ -4,12 +4,16 @@ from fractions import Fraction
 import pytest
 
 from planesheaves.forms import Form
-from planesheaves.kronecker import (Destabilizer, KroneckerError,
-                                    KroneckerModule, _pencil_line_search,
-                                    conjugate, dim_kronecker_moduli,
-                                    is_semistable, minors_semistable,
-                                    verify_destabilizer)
+from planesheaves.kronecker import (CERTIFICATE_PRIME, Destabilizer,
+                                    KroneckerError, KroneckerModule,
+                                    SemistabilityCertificate, _full_search,
+                                    _pencil_line_search, conjugate,
+                                    dim_kronecker_moduli, is_semistable,
+                                    minors_semistable,
+                                    semistability_certificate,
+                                    verify_certificate, verify_destabilizer)
 from planesheaves.linalg import QMatrix
+from planesheaves.strata import generate, get_row, side_condition
 from helpers import random_form
 
 
@@ -136,17 +140,19 @@ def test_planted_block_detected():
     assert verify_destabilizer(K, planted_witness(4, 3, 2, 2))
 
 
-def test_random_4x3_probably_semistable():
+def test_random_4x3_certified_semistable():
     rng = random.Random(13)
     K = random_module(3, 4, rng)
-    assert is_semistable(K, budget=500).kind == "probably_semistable"
+    verdict = is_semistable(K, budget=500)
+    assert verdict.kind == "semistable"
+    assert verify_certificate(K, verdict.certificate)
 
 
 def test_search_skips_sampling_without_a_reduction_mod_p():
     # the sampling prime divides a coefficient's denominator: the module has
     # no reduction modulo it, so the search ends without sampling
     K = module([["1/1073741909*X", "Y"], ["Y", "Z"]])
-    assert is_semistable(K).kind == "probably_semistable"
+    assert _full_search(K, budget=200, seed=0) is None
 
 
 def test_minors_agree_with_definite_verdicts():
@@ -187,6 +193,92 @@ def test_every_returned_witness_verifies():
         verdict = is_semistable(K)
         assert verdict.kind == "unstable"
         assert verify_destabilizer(K, verdict.witness)
+
+
+# -- semistability certificate -------------------------------------------------
+
+# the planted shapes (p, q, p', q') of acceptance criterion 7
+PLANTED_SHAPES = [(4, 3, 2, 2), (3, 3, 2, 2), (2, 3, 1, 3), (4, 4, 3, 2), (5, 4, 3, 3),
+                  (3, 4, 2, 3), (4, 3, 3, 1), (2, 2, 1, 2), (5, 5, 4, 2), (6, 6, 4, 3)]
+
+# the six registry rows whose Kronecker block has no closed form: (rows, cols)
+UNKNOWN_KRONECKER_BLOCKS = {
+    (1, "X_0"): (range(4), range(5)),
+    (2, "X_1"): ((0, 1, 2), (0, 1, 2, 3)),
+    (3, "X_3"): (range(4), (1, 2, 3)),
+    (3, "X_3D"): ((0, 1, 2), range(4)),
+    (0, "X_0"): (range(6), range(6)),
+    (0, "X_1"): ((0, 1, 2), (1, 2, 3)),
+}
+
+
+def test_no_certificate_for_a_planted_unstable_module():
+    rng = random.Random(2024)
+    issued = 0
+    for p, q, pp, qq in PLANTED_SHAPES:
+        for draw in range(5):
+            K = plant_zero_block(p, q, pp, qq, rng)
+            for M in (K, K.transpose()):
+                for seed in range(3):
+                    if semistability_certificate(M, seed) is not None:
+                        issued += 1
+    assert issued == 0
+
+
+@pytest.mark.parametrize("key", sorted(UNKNOWN_KRONECKER_BLOCKS),
+                         ids=lambda key: "chi%d-%s" % key)
+def test_generated_blocks_without_closed_form_are_certified(key):
+    chi, sid = key
+    rows, cols = UNKNOWN_KRONECKER_BLOCKS[key]
+    for seed in range(10):
+        P = generate(chi, sid, seed=seed)
+        K = KroneckerModule([[P.matrix[i][j] for j in cols] for i in rows])
+        verdict = is_semistable(K, budget=40)
+        assert verdict.kind == "semistable", (key, seed)
+        assert verify_certificate(K, verdict.certificate)
+        assert side_condition(P, get_row(chi, sid)).status == "pass"
+
+
+def test_tampered_certificate_is_rejected():
+    # det(t_X K_X + t_Y K_Y + t_Z K_Z) = t_X * t_Y for this 2 x 2 module
+    K = module([["X", "0"], ["0", "Y"]])
+    good = SemistabilityCertificate((((1,),), ((1,),), ((0,),)))
+    assert verify_certificate(K, good)
+    tampered = [
+        SemistabilityCertificate((((0,),), ((1,),), ((0,),))),        # a changed entry
+        SemistabilityCertificate((((1, 0), (0, 1)),) * 3),            # wrong shape
+        SemistabilityCertificate((((1,),), ((1,),))),                 # a block missing
+        SemistabilityCertificate((((True,),), ((1,),), ((0,),))),     # not an integer
+        SemistabilityCertificate(good.blocks, prime=CERTIFICATE_PRIME - 2),
+        SemistabilityCertificate(good.blocks, prime=7),
+    ]
+    for cert in tampered:
+        assert not verify_certificate(K, cert), cert
+    # a certificate belongs to its module: a planted unstable one rejects it
+    rng = random.Random(13)
+    semistable = random_module(3, 4, rng)
+    cert = is_semistable(semistable).certificate
+    assert verify_certificate(semistable, cert)
+    assert not verify_certificate(plant_zero_block(3, 4, 2, 3, rng), cert)
+
+
+def test_certificate_falls_through_without_a_reduction_mod_p():
+    K = module([["1/%d*X" % CERTIFICATE_PRIME, "Y", "Z", "X + Y"],
+                ["Y", "Z", "X", "Y - Z"],
+                ["Z", "X + Z", "Y", "X"]])
+    assert semistability_certificate(K) is None
+    verdict = is_semistable(K, budget=20)
+    assert verdict.kind == "probably_semistable"
+    assert verdict.certificate is None
+
+
+def test_skew_symmetric_3x3_has_no_certificate_of_this_size():
+    # semistable (no destabilizer), but every t_X K_X + t_Y K_Y + t_Z K_Z is
+    # skew-symmetric of odd size, so singular: the 1 x 1 blow-up never
+    # certifies it and the verdict stays one-sided
+    K = module([["0", "X", "Y"], ["-X", "0", "Z"], ["-Y", "-Z", "0"]])
+    assert all(semistability_certificate(K, seed) is None for seed in range(5))
+    assert is_semistable(K).kind == "probably_semistable"
 
 
 def test_moduli_dimensions():

@@ -1,14 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from planesheaves.presentation import (InconsistentPresentationError,
+from planesheaves.forms import Form
+from planesheaves.linalg import QMatrix
+from planesheaves.presentation import (INJECTIVITY_TRIALS,
+                                       InconsistentPresentationError,
                                        Presentation, PresentationError,
-                                       dual, graded_piece, h0_omega, h0_twist,
-                                       h1_omega, h1_twist, hilbert,
-                                       is_injective, profile,
+                                       derive_seed, dual, graded_piece,
+                                       h0_omega, h0_twist, h1_omega, h1_twist,
+                                       hilbert, is_injective, profile,
                                        random_equivalence, twist)
-from planesheaves.strata import generate
+from planesheaves.strata import REGISTRY, generate
+from helpers import random_form
 
 SEXTIC = "X^6 + Y^6 + Z^6 + X*Y*Z^4 + 2*X^2*Y^2*Z^2"
 
@@ -82,6 +87,62 @@ def test_not_injective_identical_columns():
 def test_injective_conic_matrix():
     P = generate(3, "X_0", seed=2)
     assert is_injective(P)
+
+
+def fraction_is_injective(P, seed=0):
+    """is_injective as it was before it moved to integer arithmetic:
+    Fraction points, Form.evaluate and a rational rank."""
+    p, q = len(P.source), len(P.target)
+    rng = random.Random(derive_seed("inject", seed, P.source, P.target))
+    for _ in range(INJECTIVITY_TRIALS):
+        point = tuple(Fraction(rng.randint(-100, 100)) for _ in range(3))
+        if point == (0, 0, 0):
+            continue
+        values = QMatrix(q, p, [[P.matrix[i][j].evaluate(point) for j in range(p)]
+                                for i in range(q)])
+        if values.rank() == p:
+            return True
+    return False
+
+
+def _rescaled(P, rng):
+    """Every entry times its own random rational: rational coefficients."""
+    return Presentation(P.source, P.target,
+                        [[f.scale(Fraction(rng.randint(1, 9), rng.randint(1, 30)))
+                          for f in row] for row in P.matrix])
+
+
+def _singular(P, rng):
+    """Maps that are not injective: a zero row, a zero column and, with two
+    or more columns, a column made a multiple of another."""
+    d = P.source
+    rows = [list(r) for r in P.matrix]
+    out = [[[Form.zero(0)] * len(d)] + rows[1:], [[Form.zero(0)] + r[1:] for r in rows]]
+    if len(d) > 1:
+        j1 = max(range(len(d)), key=lambda j: d[j])
+        j2 = 0 if j1 else len(d) - 1
+        g = random_form(d[j1] - d[j2], rng)
+        out.append([r[:j2] + [r[j1] * g] + r[j2 + 1:] for r in rows])
+    return [Presentation(d, P.target, m) for m in out]
+
+
+def test_integer_injectivity_matches_the_fraction_evaluation():
+    rng = random.Random(8)
+    injective = singular = 0
+    for row in REGISTRY:
+        for seed in (1, 2):
+            P = generate(row.chi, row.id, seed=seed)
+            corpus = [P, dual(P), random_equivalence(P, rng), _rescaled(P, rng)]
+            for Q in corpus:
+                for s in range(2):
+                    verdict = is_injective(Q, seed=s)
+                    assert verdict == fraction_is_injective(Q, seed=s)
+                    injective += verdict
+            for Q in _singular(P, rng):
+                assert not is_injective(Q) and not fraction_is_injective(Q)
+                singular += 1
+    assert injective == 28 * 2 * 4 * 2
+    assert singular == 2 * (3 * 28 - sum(len(row.source) == 1 for row in REGISTRY))
 
 
 # -- twisted cohomology -----------------------------------------------------
