@@ -101,7 +101,7 @@ class Form:
         return cls(0, (Fraction(value),))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def terms(self):
         basis = monomials(self.degree)
@@ -530,9 +530,12 @@ def mult_map(f: Form, s: int) -> QMatrix:
     if cols == 0 or rows == 0 or f.is_zero():
         return out
     idx = monomial_index(s + f.degree)
+    terms = f.terms()
+    # for a fixed m_j the products m_f * m_j are distinct, so each cell is
+    # written at most once
     for j, (a2, b2, c2) in enumerate(monomials(s)):
-        for (a1, b1, c1), coeff in f.terms():
-            out.data[idx[(a1 + a2, b1 + b2, c1 + c2)]][j] += coeff
+        for (a1, b1, c1), coeff in terms:
+            out.data[idx[(a1 + a2, b1 + b2, c1 + c2)]][j] = coeff
     return out
 
 

@@ -2,14 +2,20 @@
 
 Every elimination (`rank`, `det`, `rref`, `kernel_basis`, `solve`) runs one
 fraction-free routine, `_bareiss`: each row is scaled to integers once, by
-the lcm of its denominators, and rows are combined as (piv*a - f*b) // prev,
+the lcm of its denominators, and rows are combined as (piv*a - f*b) // p_j,
 a division that is always exact (Bareiss, Math. Comp. 22, 1968).  The
 entries stay minors of the scaled input, so no gcd is taken inside the
-loop; Fractions appear only in the returned rows and vectors.  One prime-field
-rank routine (`mod_rank`) serves the randomized cross-check, the Kronecker
-semistability certificate and the Kronecker sampling search; a rank modulo p
-only bounds the rational rank from below, so it proves something only when
-it is full.
+loop; Fractions appear only in the returned rows and vectors.  Rows that a
+step leaves alone are not rescaled: each row keeps the level j it was last
+brought to, and its Bareiss value at a later level k is row_j * p_k / p_j,
+p_0 = 1, p_1, ... the pivots (telescoping), so a row is brought up to date
+only when it is combined or chosen as pivot.  `rank` eliminates along the
+shorter side: a tall matrix is eliminated through its columns, each scaled
+by the lcm of its denominators, since row rank equals column rank.  One
+prime-field rank routine (`mod_rank`) serves the randomized cross-check, the
+Kronecker semistability certificate and the Kronecker sampling search; a
+rank modulo p only bounds the rational rank from below, so it proves
+something only when it is full.
 """
 
 from __future__ import annotations
@@ -112,6 +118,9 @@ class QMatrix:
                        [[Fraction(a, d) for a in row] for row in m]), pivots
 
     def rank(self) -> int:
+        if self.rows > self.cols:
+            m, _ = integer_rows(zip(*self.data))
+            return len(_bareiss(m, self.rows, reduced=False)[0])
         m, _ = integer_rows(self.data)
         return len(_bareiss(m, self.cols, reduced=False)[0])
 
@@ -179,17 +188,26 @@ def _bareiss(m, ncols: int, reduced: bool):
     """Fraction-free elimination of the integer rows m, in place.
 
     Returns (pivot columns, sign of the row permutation, last pivot).  After
-    k pivots every entry is a minor of the row-permuted input, so each
-    division by the previous pivot is exact; rows with a zero in the pivot
-    column are still scaled by piv // prev to keep that invariant.  With
-    `reduced`, rows above the pivot are cleared too, every pivot ends equal
-    to the last one, d, and the RREF is m / d; otherwise only the forward
-    pass runs and the last pivot of a full-rank square matrix is the
-    determinant of the permuted rows."""
+    k pivots p_1..p_k the Bareiss value of every entry is a minor of the
+    row-permuted input, and the next step maps a row a to
+    (p_(k+1)*a - f*b) // p_k, b the pivot row.  A row whose entry in the
+    pivot column is zero would only be scaled by p_(k+1) // p_k, so it is
+    left alone and keeps its level j: its value at level k is
+    row_j * p_k / p_j, exact because the eager steps telescope.  A row a at
+    level j is combined straight from that level as (p_(k+1)*a - f*b) // p_j,
+    which equals the eager step on its level-k value (numerator and divisor
+    both lose the factor p_k / p_j), so that division is exact too; a row is
+    lifted to level k first only when it becomes the pivot row.  Zero entries are zero at every level, so the
+    choice of pivots is unchanged.  With `reduced`, rows above the pivot are
+    cleared too, every row is lifted to the last level at the end, every
+    pivot ends equal to the last one, d, and the RREF is m / d; otherwise
+    only the forward pass runs and the last pivot of a full-rank square
+    matrix is the determinant of the permuted rows."""
     nrows = len(m)
     pivots = []
     sign = 1
-    prev = 1
+    past = [1]              # past[j] = p_j; after r pivots every level is <= r
+    level = [0] * nrows
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -201,25 +219,34 @@ def _bareiss(m, ncols: int, reduced: bool):
             continue
         if p != r:
             m[r], m[p] = m[p], m[r]
+            level[r], level[p] = level[p], level[r]
             sign = -sign
         prow = m[r]
+        # entries left of column c are zero in the pivot row and below it
+        if level[r] < r:
+            prev, pj = past[r], past[level[r]]
+            prow[c:] = [a * prev // pj for a in prow[c:]]
         piv = prow[c]
         tail = prow[c:]
         for i in range(0 if reduced else r + 1, nrows):
-            if i == r:
-                continue
-            # entries left of column c are zero in every row below the pivot
-            lo, src = (c, tail) if i > r else (0, prow)
             row = m[i]
             f = row[c]
-            if f:
-                row[lo:] = [(piv * a - f * b) // prev for a, b in zip(row[lo:], src)]
-            elif piv != prev:
-                row[lo:] = [piv * a // prev for a in row[lo:]]
+            if f and i != r:
+                lo, src = (c, tail) if i > r else (0, prow)
+                pj = past[level[i]]
+                row[lo:] = [(piv * a - f * b) // pj for a, b in zip(row[lo:], src)]
+                level[i] = r + 1
+        level[r] = r + 1
+        past.append(piv)
         pivots.append(c)
-        prev = piv
         r += 1
-    return pivots, sign, prev
+    if reduced:
+        d = past[r]
+        for i in range(r):
+            if level[i] < r:
+                pj = past[level[i]]
+                m[i] = [a * d // pj for a in m[i]]
+    return pivots, sign, past[r]
 
 
 def mod_residues(rows, p: int):

@@ -223,6 +223,18 @@ def test_mult_map_composition_law():
         assert lhs == rhs
 
 
+def test_mult_map_columns_are_products():
+    rng = random.Random(47)
+    for _ in range(80):
+        deg = rng.randint(0, 4)
+        f = Form(deg, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.6
+                       else 0 for _ in range(space_dim(deg))])
+        s = rng.randint(0, 4)
+        m = mult_map(f, s)
+        for j, mono in enumerate(monomials(s)):
+            assert m.column(j) == list(form_mul(f, Form.monomial(*mono)).coeffs)
+
+
 def test_block_mult_map_places_mult_map_blocks():
     m = block_mult_map([[X, Form.zero(0)], [Y * Y, Z]], [1, 2], [0, 1])
     assert (m.rows, m.cols) == (space_dim(1) + space_dim(2), space_dim(0) + space_dim(1))

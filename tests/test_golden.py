@@ -1,9 +1,12 @@
 """Golden outputs: sha256 of CLI stdout for fixed commands and seeds.
 
-The hashes were recorded before the modular semistability certificate and
-the integer injectivity test landed, so they show that both changes leave
-`gen`, `dims` and `kron-check` output byte-identical.  A deliberate change
-of output must update the table below and say why.
+The `gen`, `dims` and `kron-check` hashes were recorded before the modular
+semistability certificate and the integer injectivity test landed, so they
+show that both changes leave that output byte-identical.  The
+`verify-tables`, `points resolve` and `points claim` hashes were recorded
+before the lazy Bareiss scaling and the shorter-side rank landed; they reach
+`rref`, `kernel_basis` and `solve`, which the first set does not.  A
+deliberate change of output must update the table below and say why.
 """
 
 import hashlib
@@ -21,6 +24,10 @@ PLANTED = json.dumps({"source": [-1, -1, -1, -1], "target": [0, 0, 0],
                       "matrix": [["0", "0", "X", "Y"],
                                  ["0", "0", "Y + Z", "X - Z"],
                                  ["X", "Y", "Z", "X + Y"]]})
+_POINTS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"],
+           ["1", "2", "3"], ["2", "-1", "5"], ["3", "1", "-2"], ["1/2", "4", "1"],
+           ["-1", "3", "2"]]
+POINTS = {n: json.dumps({"points": _POINTS[:n]}) for n in (5, 8, 9)}
 
 GOLDEN = {
     "gen chi1 X_0": "6b686f189dea2b463612b429176cf49a53560e864e5c5bf08107cf44b6c5d95d",
@@ -54,6 +61,13 @@ GOLDEN = {
     "dims": "c108de9799532b0f43e6d2396520d8343079bdaa4431d74d36d9c4c62b3bac24",
     "kron-check pencil": "330f4049fd789fcc6943dbf755d336ba9af7270dddbad69d25346d043ef41303",
     "kron-check planted": "40202d9587a42d68642ed9c914e48f552965592e3b3d50a2303b90ce14e05a6a",
+    # the JSON holds counts and failures only, so a passing run reads the
+    # same at every seed
+    "verify-tables seed 1": "e1c6f600de4562cef3b1048d98a11cba913aca8ffb7f6594202071ebc29939c8",
+    "verify-tables seed 2": "e1c6f600de4562cef3b1048d98a11cba913aca8ffb7f6594202071ebc29939c8",
+    "points resolve 5": "0c187f5303578f5d198161d15e6de2f50a9fb7ad35a9eea12ac7ef9f8874a3c6",
+    "points resolve 9": "5171a398b07de330d2962885678a4b2e7e5aa6cd2ae980021a2e7d716547bd03",
+    "points claim len8_general": "e20fa4fc24ffa5e4280fbb8ceef8c822f956b3e235f31db10e7be4e3968fb894",
 }
 
 
@@ -82,3 +96,24 @@ def test_kron_check(capsys, name, blob):
     code, digest = _sha(capsys, "kron-check", "--input", blob)
     assert code == 0
     assert digest == GOLDEN["kron-check " + name]
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_verify_tables(capsys, seed):
+    code, digest = _sha(capsys, "verify-tables", "--samples", "2", "--seed", seed)
+    assert code == 0
+    assert digest == GOLDEN["verify-tables seed " + seed]
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_points_resolve(capsys, n):
+    code, digest = _sha(capsys, "points", "resolve", "--input", POINTS[n])
+    assert code == 0
+    assert digest == GOLDEN["points resolve %d" % n]
+
+
+def test_points_claim_len8_general(capsys):
+    code, digest = _sha(capsys, "points", "claim", "--claim", "len8_general",
+                        "--input", POINTS[8])
+    assert code == 0
+    assert digest == GOLDEN["points claim len8_general"]

@@ -174,3 +174,125 @@ def test_every_bareiss_division_is_exact():
             if reduced:
                 assert all(checked[r][c] == d for r, c in enumerate(pivots))
     assert ExactInt.divisions > 10000
+
+
+# -- lazy row scaling and the shorter side ------------------------------------------
+
+def eager_bareiss(m, ncols, reduced):
+    """`_bareiss` as it was before lazy row scaling: every row with a zero in
+    the pivot column is rescaled by piv // prev at every step."""
+    nrows = len(m)
+    pivots = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = r
+        while p < nrows and not m[p][c]:
+            p += 1
+        if p == nrows:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        prow = m[r]
+        piv = prow[c]
+        tail = prow[c:]
+        for i in range(0 if reduced else r + 1, nrows):
+            if i == r:
+                continue
+            lo, src = (c, tail) if i > r else (0, prow)
+            row = m[i]
+            f = row[c]
+            if f:
+                row[lo:] = [(piv * a - f * b) // prev for a, b in zip(row[lo:], src)]
+            elif piv != prev:
+                row[lo:] = [piv * a // prev for a in row[lo:]]
+        pivots.append(c)
+        prev = piv
+        r += 1
+    return pivots, sign, prev
+
+
+def stabilizer_like_systems(seed, count=24):
+    """Sparse tall integer systems shaped like the generic-stabilizer systems
+    (40-110 rows, 10-72 columns, 5-25% nonzeros), with planted dependent
+    rows and columns."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r, c = rng.randint(40, 110), rng.randint(10, 72)
+        density = rng.uniform(0.05, 0.25)
+        rows = [[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0
+                 for _ in range(c)] for _ in range(r)]
+        for _ in range(rng.randint(1, r // 3)):
+            i, j, k = rng.sample(range(r), 3)
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+        for _ in range(rng.randint(0, c // 4)):
+            i, j = rng.sample(range(c), 2)
+            for row in rows:
+                row[i] = row[j] - row[i] if rng.random() < 0.5 else 2 * row[j]
+        yield rows, c
+
+
+def test_lazy_bareiss_equals_eager():
+    inputs = [(linalg.integer_rows(m.data)[0], m.cols) for m, _ in random_oracle_matrices(37)]
+    inputs += list(stabilizer_like_systems(41))
+    inputs += [([], 0), ([], 5), ([[] for _ in range(4)], 0)]
+    deficient = 0
+    for rows, ncols in inputs:
+        for reduced in (False, True):
+            lazy = [row[:] for row in rows]
+            eager = [row[:] for row in rows]
+            got = linalg._bareiss(lazy, ncols, reduced)
+            assert got == eager_bareiss(eager, ncols, reduced)
+            if reduced:
+                assert lazy == eager
+        deficient += len(got[0]) < min(len(rows), ncols)
+    assert deficient > 50
+
+
+def fraction_rank(rows):
+    """Textbook Gaussian elimination over the Fractions."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_along_the_shorter_side():
+    rng = random.Random(43)
+    shapes = [(0, 0), (0, 4), (4, 0), (7, 0), (0, 7)]
+    for _ in range(120):
+        short, long = rng.randint(1, 8), rng.randint(2, 24)
+        shapes.append((long, short) if rng.random() < 0.6 else (short, long))
+    tall = 0
+    for r, c in shapes:
+        rows = [[Fraction(rng.randint(-20, 20), rng.randint(1, 12)) if rng.random() < 0.5
+                 else Fraction(0) for _ in range(c)] for _ in range(r)]
+        if r and rng.random() < 0.3:
+            rows[rng.randrange(r)] = [Fraction(0)] * c
+        if c and rng.random() < 0.3:
+            col = rng.randrange(c)
+            for row in rows:
+                row[col] = Fraction(0)
+        if c >= 2 and rng.random() < 0.4:
+            i, j = rng.sample(range(c), 2)
+            a = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+            for row in rows:
+                row[i] = a * row[j]
+        m = QMatrix(r, c, rows)
+        tall += r > c
+        assert m.rank() == fraction_rank(rows) == m.transpose().rank(), (r, c)
+    assert tall > 50

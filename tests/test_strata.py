@@ -3,7 +3,9 @@ from importlib import resources
 
 import pytest
 
-from planesheaves.presentation import Presentation, dual, hilbert, profile, twist
+from planesheaves.cli import main
+from planesheaves.presentation import (Presentation, derive_seed, dual, hilbert,
+                                       profile, twist)
 from planesheaves.strata import (REGISTRY, ClassifyError, MODULI_DIM,
                                  StrataError, apply_recipe,
                                  classify, dim_audit, generate,
@@ -255,6 +257,17 @@ def test_stabilizer_dim_matches_forced_zeros_on_flag_rows():
         P = generate(chi, sid, seed=3)
         z = len(row.zero_cells)
         assert generic_stabilizer_dim(P) == z
+
+
+def test_generic_stabilizer_dims_match_the_dims_column(capsys):
+    assert main(["dims"]) == 0
+    column = {(a["chi"], a["stratum"]): a["stabilizer_dim"]
+              for a in json.loads(capsys.readouterr().out)["rows"]}
+    direct = {(row.chi, row.id): generic_stabilizer_dim(
+                  generate(row.chi, row.id, seed=derive_seed("audit", row.chi, row.id, 0)))
+              for row in REGISTRY}
+    assert len(direct) == 28
+    assert direct == column
 
 
 # -- verify_row -----------------------------------------------------------------------
