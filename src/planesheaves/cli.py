@@ -134,7 +134,7 @@ def cmd_kron_check(args):
         K = KroneckerModule.from_presentation(P)
     except Exception as exc:
         raise CliError(EXIT_PRECONDITION, str(exc))
-    verdict = is_semistable(K, budget=args.budget, seed=args.seed)
+    verdict = is_semistable(K, seed=args.seed)
     out = {"kind": verdict.kind}
     if verdict.witness is not None:
         out["witness"] = verdict.witness.to_json()
@@ -352,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("kron-check", help="Kronecker semistability verdict")
     p.add_argument("--input", required=True)
-    p.add_argument("--budget", type=_count, default=200)
     p.set_defaults(func=cmd_kron_check)
 
     p = add_parser("stability", help="stability criteria verdicts")

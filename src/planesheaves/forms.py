@@ -524,19 +524,7 @@ def linearly_independent(forms) -> bool:
 
 def mult_map(f: Form, s: int) -> QMatrix:
     """Matrix of g -> f*g from degree-s forms to degree-(s + deg f) forms."""
-    rows = space_dim(s + f.degree)
-    cols = space_dim(s)
-    out = QMatrix(rows, cols)
-    if cols == 0 or rows == 0 or f.is_zero():
-        return out
-    idx = monomial_index(s + f.degree)
-    terms = f.terms()
-    # for a fixed m_j the products m_f * m_j are distinct, so each cell is
-    # written at most once
-    for j, (a2, b2, c2) in enumerate(monomials(s)):
-        for (a1, b1, c1), coeff in terms:
-            out.data[idx[(a1 + a2, b1 + b2, c1 + c2)]][j] = coeff
-    return out
+    return block_mult_map([[f]], [s + f.degree], [s])
 
 
 def block_mult_map(entries, row_deg, col_deg) -> QMatrix:
@@ -544,21 +532,27 @@ def block_mult_map(entries, row_deg, col_deg) -> QMatrix:
 
     Block (i, j) is mult_map(entries[i][j], col_deg[j]), from the degree
     col_deg[j] forms to the degree row_deg[i] forms; a zero entry gives a
-    zero block.  Raises FormError if a nonzero entry has the wrong degree."""
+    zero block.  The terms are written straight into the output: for a fixed
+    source monomial m_j the products m_f * m_j are distinct, so each cell is
+    written at most once.  Raises FormError if a nonzero entry has the wrong
+    degree."""
     row_dims = [space_dim(k) for k in row_deg]
     col_dims = [space_dim(k) for k in col_deg]
     out = QMatrix(sum(row_dims), sum(col_dims))
+    data = out.data
     r0 = 0
-    for row, s_dim in zip(entries, row_dims):
+    for row, t, t_dim in zip(entries, row_deg, row_dims):
         c0 = 0
-        for f, s, c_dim in zip(row, col_deg, col_dims):
-            if s_dim and c_dim and not f.is_zero():
-                block = mult_map(f, s)
-                if block.rows != s_dim:
+        for f, s, s_dim in zip(row, col_deg, col_dims):
+            if t_dim and s_dim and not f.is_zero():
+                if f.degree + s != t:
                     raise FormError("entry of degree %d maps degree %d into %d rows, not %d"
-                                    % (f.degree, s, block.rows, s_dim))
-                for a, brow in enumerate(block.data):
-                    out.data[r0 + a][c0:c0 + c_dim] = brow
-            c0 += c_dim
-        r0 += s_dim
+                                    % (f.degree, s, space_dim(s + f.degree), t_dim))
+                idx = monomial_index(t)
+                terms = f.terms()
+                for j, (a2, b2, c2) in enumerate(monomials(s), c0):
+                    for (a1, b1, c1), coeff in terms:
+                        data[r0 + idx[(a1 + a2, b1 + b2, c1 + c2)]][j] = coeff
+            c0 += s_dim
+        r0 += t_dim
     return out

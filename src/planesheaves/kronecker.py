@@ -6,20 +6,40 @@ condition: for every q' x p' zero submatrix of any representative,
 p'/p + q'/q <= 1.  Violations are certified exactly by a pair of subspaces
 (S, T) with K(S) contained in T ⊗ V*.
 
-Every definite verdict is a proof.  Closed forms decide p <= 1, q <= 1 and
-the pencil shapes (2, 3), (3, 2).  Any other shape first tries a
-semistability certificate: with g = gcd(p, q), integer matrices T_X, T_Y,
-T_Z of size (p/g) x (q/g) such that the square matrix
-K_X ⊗ T_X + K_Y ⊗ T_Y + K_Z ⊗ T_Z has nonzero determinant modulo 2^61 - 1.
-A destabilizer (S, T) would map S ⊗ Q^(q/g) into the smaller space
-T ⊗ Q^(p/g), so that determinant vanishes over Q for every unstable module;
-nonzero modulo the prime, it is nonzero over Q (King 1994: semistable iff
-some semi-invariant does not vanish; Derksen-Weyman 2000: the determinantal
-semi-invariants span).  One draw is made.  Without a certificate, a
-destabilizer search runs, whose witnesses are exact over the rationals;
-when it finds nothing within its sampling budget the verdict is
-ProbablySemistable.  The strata classifier never depends on this verdict,
-it only gates instance generation.
+Both verdicts are proofs.  Closed forms decide p <= 1, q <= 1 and the
+semistable pencils of shape (2, 3), (3, 2).  Every other module is decided
+on blow-ups: with g = gcd(p, q) and m = 1, 2, ..., integer matrices T_X,
+T_Y, T_Z of size (m p/g) x (m q/g) give the square matrix
+B = K_X ⊗ T_X + K_Y ⊗ T_Y + K_Z ⊗ T_Z.
+
+* Semistable: B has nonzero determinant modulo 2^61 - 1.  A destabilizer
+  (S, T) would map S ⊗ Q^(mq/g) into the smaller space T ⊗ Q^(mp/g), so
+  that determinant vanishes over Q for every unstable module; nonzero
+  modulo the prime, it is nonzero over Q (King 1994: semistable iff some
+  semi-invariant does not vanish; Derksen-Weyman 2000: the determinantal
+  semi-invariants span).  The draw is the certificate.
+* Unstable: the second Wong sequence of B in the blow-up space
+  A ⊗ M, A = span(K_X, K_Y, K_Z), ends inside im B while B is singular
+  (Ivanyos-Karpinski-Qiao-Santha 2015).  It is W_0 = 0,
+  W_(i+1) = (A ⊗ M)(B^-1(W_i)), and each W_i is R_i ⊗ Q^(mp/g) with
+  R_(i+1) = K(S_(i+1)), S_(i+1) the column span of the p x (mq/g) reshapes
+  of B^-1(W_i).  If the limit W = R ⊗ Q^(mp/g) lies in im B, put
+  U = B^-1(W) and S its reshape span: (A ⊗ M)(U) = W = K(S) ⊗ Q^(mp/g) and
+  dim U - dim W = corank B > 0, while U lies in S ⊗ Q^(mq/g), so
+  (mp/g) dim K(S) < (mq/g) dim S, that is p dim K(S) < q dim S, and S with
+  T = K(S) is a destabilizer, checked again exactly.
+
+The lemma the loop relies on: if rank B equals the non-commutative rank of
+the blow-up space, the limit lies in im B (IKQS 2015).  A blow-up with
+m < pq/g always reaches that rank (Derksen-Makam 2017), and each variable
+of det B has degree at most q < 19, so a draw with entries in [-9, 9]
+reaches it with positive probability.  So the loop ends with probability
+one: m grows to pq/g - 1 and then fresh draws are made at that size.  The
+verdict never depends on the draw, only the running time does.  A draw
+whose B is nonsingular over Q but singular modulo the prime is a proof
+without a certificate.  Before the reduction modulo the prime each source
+column is scaled by the lcm of its denominators, a change of basis that
+keeps semistability.
 """
 
 from __future__ import annotations
@@ -27,13 +47,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
-from .forms import (Form, binary_gcd, coefficient_matrix, linearly_independent,
-                    monomial_index, parse_form)
-from .linalg import (LinalgError, QMatrix, from_columns, hstack_all, mod_rank,
-                     mod_residues)
+from .forms import Form, coefficient_matrix, linearly_independent, monomial_index, parse_form
+from .linalg import QMatrix, from_columns, hstack_all, mod_rank
 from .presentation import Presentation, derive_seed, random_invertible
 
 
@@ -122,8 +139,8 @@ CERTIFICATE_PRIME = (1 << 61) - 1
 
 @dataclass(frozen=True)
 class SemistabilityCertificate:
-    """Integer matrices T_X, T_Y, T_Z of size (p/g) x (q/g), g = gcd(p, q),
-    for which sum_k K_k ⊗ T_k has full rank modulo `prime`."""
+    """Integer matrices T_X, T_Y, T_Z of size (m p/g) x (m q/g), g = gcd(p, q),
+    m >= 1, for which sum_k K_k ⊗ T_k has full rank modulo `prime`."""
 
     blocks: tuple
     prime: int = CERTIFICATE_PRIME
@@ -134,12 +151,9 @@ class SemistabilityCertificate:
 
 @dataclass
 class KroneckerVerdict:
-    kind: str                      # "semistable" | "unstable" | "probably_semistable"
+    kind: str                      # "semistable" | "unstable"
     witness: Destabilizer | None = None
     certificate: SemistabilityCertificate | None = None
-
-    def is_definite(self) -> bool:
-        return self.kind != "probably_semistable"
 
 
 def verify_destabilizer(K: KroneckerModule, D: Destabilizer) -> bool:
@@ -169,38 +183,62 @@ def verify_destabilizer(K: KroneckerModule, D: Destabilizer) -> bool:
     return True
 
 
+def _integer_slices(K: KroneckerModule):
+    """K_X, K_Y, K_Z as lists of integer rows, each source column j scaled by
+    the lcm d_j of its denominators (a change of source basis, which keeps
+    semistability), and the scales d_j."""
+    slices = [sl.data for sl in K.coefficient_slices()]
+    scales = [lcm(*[sl[i][j].denominator for sl in slices for i in range(K.q)])
+              for j in range(K.p)]
+    return [[[x.numerator * (d // x.denominator) for x, d in zip(row, scales)] for row in sl]
+            for sl in slices], scales
+
+
+def _blow_up(slices, blocks):
+    """Rows of sum_k K_k ⊗ T_k: row (i, a), column (j, b) holds
+    sum_k K_k[i][j] * T_k[a][b], for slices and blocks given as lists of rows."""
+    kx, ky, kz = slices
+    tx, ty, tz = blocks
+    cols = range(len(tx[0]))
+    return [[kx[i][j] * tx[a][b] + ky[i][j] * ty[a][b] + kz[i][j] * tz[a][b]
+             for j in range(len(kx[0])) for b in cols]
+            for i in range(len(kx)) for a in range(len(tx))]
+
+
 def verify_certificate(K: KroneckerModule, cert: SemistabilityCertificate) -> bool:
-    """Exact check: the blocks have the (p/g) x (q/g) integer shape and the
-    blown-up matrix sum_k K_k ⊗ T_k, rows (i, a) and columns (j, b), has full
-    rank modulo CERTIFICATE_PRIME."""
+    """Exact check: the blocks are integer matrices of one (m p/g) x (m q/g)
+    shape, m >= 1, and the blown-up matrix sum_k K_k ⊗ T_k, rows (i, a) and
+    columns (j, b), has full rank modulo CERTIFICATE_PRIME once each source
+    column of K is scaled by the lcm of its denominators."""
     g = gcd(K.p, K.q)
-    rows, cols = K.p // g, K.q // g
     blocks = cert.blocks
     if cert.prime != CERTIFICATE_PRIME or len(blocks) != 3:
+        return False
+    rows = len(blocks[0])
+    m, rest = divmod(rows, K.p // g)
+    cols = m * K.q // g
+    if m < 1 or rest:
         return False
     for T in blocks:
         if len(T) != rows or any(len(r) != cols for r in T) \
                 or any(type(x) is not int for r in T for x in r):
             return False
-    try:
-        kx, ky, kz = [mod_residues(sl.data, cert.prime) for sl in K.coefficient_slices()]
-    except LinalgError:
-        return False         # the module has no reduction modulo the prime
-    tx, ty, tz = blocks
-    blown_up = [[(kx[i][j] * tx[a][b] + ky[i][j] * ty[a][b] + kz[i][j] * tz[a][b]) % cert.prime
-                 for j in range(K.p) for b in range(cols)]
-                for i in range(K.q) for a in range(rows)]
+    blown_up = [[x % cert.prime for x in row] for row in _blow_up(_integer_slices(K)[0], blocks)]
     return mod_rank(blown_up, cert.prime) == K.q * rows
 
 
+def _draw(rng, rows: int, cols: int):
+    return tuple(tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows))
+                 for _ in range(3))
+
+
 def semistability_certificate(K: KroneckerModule, seed: int = 0):
-    """One random draw of T_X, T_Y, T_Z with entries in [-9, 9]: the
-    certificate if it verifies, else None (which proves nothing)."""
+    """One random draw of (p/g) x (q/g) blocks T_X, T_Y, T_Z with entries in
+    [-9, 9]: the certificate if it verifies, else None (which proves
+    nothing).  It is the first draw `is_semistable` makes."""
     g = gcd(K.p, K.q)
     rng = random.Random(derive_seed("kron-certificate", seed))
-    cert = SemistabilityCertificate(tuple(
-        tuple(tuple(rng.randint(-9, 9) for _ in range(K.q // g)) for _ in range(K.p // g))
-        for _ in range(3)))
+    cert = SemistabilityCertificate(_draw(rng, K.p // g, K.q // g))
     return cert if verify_certificate(K, cert) else None
 
 
@@ -226,15 +264,8 @@ def dim_kronecker_moduli(n: int, p: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# destabilizer search
+# destabilizers
 # ---------------------------------------------------------------------------
-
-def _violating_pairs(p: int, q: int):
-    pairs = [(pp, qq) for pp in range(1, p + 1) for qq in range(1, q + 1)
-             if Fraction(pp, p) + Fraction(qq, q) > 1]
-    pairs.sort(key=lambda pq: Fraction(pq[0], p) + Fraction(pq[1], q), reverse=True)
-    return pairs
-
 
 def _column_space_basis(mat: QMatrix) -> QMatrix:
     rref, pivots = mat.transpose().rref()
@@ -262,127 +293,6 @@ def _witness_from_subspace(K: KroneckerModule, S: QMatrix) -> Destabilizer | Non
     return D if verify_destabilizer(K, D) else None
 
 
-def _coordinate_search(K: KroneckerModule):
-    slices = [sl.data for sl in K.coefficient_slices()]
-    for p_prime, q_prime in _violating_pairs(K.p, K.q):
-        for cols in combinations(range(K.p), p_prime):
-            # the image of the coordinate subspace is spanned by the chosen
-            # columns of the three slices
-            image = QMatrix(K.q, 3 * p_prime,
-                            [[sl[i][c] for sl in slices for c in cols] for i in range(K.q)])
-            if K.q - image.rank() >= q_prime:
-                S = QMatrix(K.p, p_prime)
-                for a, c in enumerate(cols):
-                    S.data[c][a] = Fraction(1)
-                D = _witness_from_subspace(K, S)
-                if D is not None:
-                    return D
-    return None
-
-
-def _kernel_seeds(K: KroneckerModule):
-    """Candidate source subspaces from kernel intersections of the slices."""
-    slices = K.coefficient_slices()
-    stacked = slices[0].vstack(slices[1]).vstack(slices[2])
-    seeds = []
-    common = stacked.kernel_basis()
-    if common:
-        seeds.append(from_columns(common, K.p))
-    for a in range(3):
-        ker = slices[a].kernel_basis()
-        if ker:
-            seeds.append(from_columns(ker, K.p))
-    for a in range(3):
-        for b in range(a + 1, 3):
-            ker = slices[a].vstack(slices[b]).kernel_basis()
-            if ker:
-                seeds.append(from_columns(ker, K.p))
-    return seeds
-
-
-def _rational_roots(coeffs):
-    """Rational roots of an integer-coefficient polynomial (ascending coeffs)."""
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    roots = []
-    if not coeffs:
-        return roots
-    k = 0
-    while coeffs[k] == 0:
-        k += 1
-    if k:
-        roots.append(Fraction(0))
-        coeffs = coeffs[k:]
-    if len(coeffs) == 1:
-        return roots
-    a0, an = abs(coeffs[0]), abs(coeffs[-1])
-
-    def divisors(n):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return out
-
-    seen = set()
-    for num in divisors(a0):
-        for den in divisors(an):
-            for sgn in (1, -1):
-                cand = Fraction(sgn * num, den)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if sum(c * cand**i for i, c in enumerate(coeffs)) == 0:
-                    roots.append(cand)
-    return roots
-
-
-def _pencil_line_search(K: KroneckerModule):
-    """For p = 2: rational source lines s where the image span drops rank.
-
-    The columns K_X s, K_Y s, K_Z s form a q x 3 matrix whose 2x2 minors are
-    binary quadrics in s; common rational roots give candidate subspaces."""
-    if K.p != 2:
-        return []
-    slices = K.coefficient_slices()
-
-    def image_cols(s):
-        return [sl.mat_vec(s) for sl in slices]
-
-    minor_polys = []
-    # each 2x2 minor of the q x 3 image matrix, as a binary quadric in s
-    base = [image_cols([Fraction(1), Fraction(0)]),
-            image_cols([Fraction(0), Fraction(1)])]
-    for rows in combinations(range(K.q), 2):
-        for cols in combinations(range(3), 2):
-            # det of [[m(t)]] with m(t) = base0 + t*base1 entrywise
-            a0 = base[0][cols[0]][rows[0]]
-            a1 = base[1][cols[0]][rows[0]]
-            b0 = base[0][cols[1]][rows[0]]
-            b1 = base[1][cols[1]][rows[0]]
-            c0 = base[0][cols[0]][rows[1]]
-            c1 = base[1][cols[0]][rows[1]]
-            d0 = base[0][cols[1]][rows[1]]
-            d1 = base[1][cols[1]][rows[1]]
-            # (a0 + a1 t)(d0 + d1 t) - (b0 + b1 t)(c0 + c1 t)
-            minor_polys.append([a0 * d0 - b0 * c0,
-                                a0 * d1 + a1 * d0 - b0 * c1 - b1 * c0,
-                                a1 * d1 - b1 * c1])
-    g, at_infinity = binary_gcd(minor_polys)
-    if not g:
-        # image rank <= 1 identically
-        return [QMatrix(2, 1, [[1], [0]]), QMatrix(2, 1, [[0], [1]])]
-    # rational common roots, then the point at infinity s = (0, 1)
-    candidates = [QMatrix(2, 1, [[Fraction(1)], [t]]) for t in _rational_roots(g)]
-    if at_infinity:
-        candidates.append(QMatrix(2, 1, [[Fraction(0)], [Fraction(1)]]))
-    return candidates
-
-
 def _exact_small_cases(K: KroneckerModule) -> KroneckerVerdict | None:
     p, q = K.p, K.q
     if p == 1:
@@ -404,65 +314,76 @@ def _exact_small_cases(K: KroneckerModule) -> KroneckerVerdict | None:
         if D is None:
             raise KroneckerError("internal: dependent row entries without witness")
         return KroneckerVerdict("unstable", D)
-    if (p, q) in ((2, 3), (3, 2)):
-        if minors_semistable(K):
-            return KroneckerVerdict("semistable")
-        D = _full_search(K, budget=64, seed=derive_seed("minors-fallback"))
-        if D is None:
-            raise KroneckerError("internal: dependent minors without witness")
-        return KroneckerVerdict("unstable", D)
     return None
 
 
-def _full_search(K: KroneckerModule, budget: int, seed: int) -> Destabilizer | None:
-    for S in _kernel_seeds(K):
-        D = _witness_from_subspace(K, S)
-        if D is not None:
-            return D
-    D = _coordinate_search(K)
-    if D is not None:
-        return D
-    for S in _pencil_line_search(K):
-        D = _witness_from_subspace(K, S)
-        if D is not None:
-            return D
-    # prime-field sampling: draw source vectors over a 30-bit prime field; a
-    # modular image drop is lifted to an exact rational certificate check
-    rng = random.Random(seed)
-    prime = (1 << 30) + 85   # 1073741909
-    try:
-        mod_slices = [mod_residues(sl.data, prime) for sl in K.coefficient_slices()]
-    except LinalgError:
-        return None          # the module has no reduction modulo this prime
-    for _ in range(budget):
-        vec = [rng.randrange(-9, 10) for _ in range(K.p)]
-        if not any(vec):
-            continue
-        image = [[sum(row[j] * vec[j] for j in range(K.p)) % prime for row in ms]
-                 for ms in mod_slices]
-        rank = mod_rank(zip(*image), prime)
-        if rank < min(3, K.q):
-            S = QMatrix(K.p, 1, [[Fraction(v)] for v in vec])
+def _second_wong_sequence(K: KroneckerModule, blocks):
+    """(corank of B = sum_k K_k ⊗ T_k over Q, the destabilizer that the
+    limit of its second Wong sequence proves, or None).
+
+    R is kept as a basis of q-vectors; B^-1(R ⊗ Q^(mp/g)) is the x-part of
+    the kernel of [B | R ⊗ e_a], a kernel basis maps to a basis of it.  B is
+    built from the integer slices, B (D ⊗ I) with D the column scales, so a
+    preimage x' stands for x = (D ⊗ I) x'."""
+    rows, cols = len(blocks[0]), len(blocks[0][0])
+    slices, scales = _integer_slices(K)
+    B = _blow_up(slices, blocks)
+    n = len(B)
+    R = []
+    corank = None
+    while True:
+        # row (i, a) of R ⊗ e_a: the entries r[i] in the columns (r, a)
+        spanned = [[r[i] if b == a else 0 for r in R for b in range(rows)]
+                   for i in range(K.q) for a in range(rows)]
+        preimage = QMatrix(n, n + len(spanned[0]),
+                           [B[k] + spanned[k] for k in range(n)]).kernel_basis()
+        if corank is None:
+            corank = len(preimage)
+            if corank == 0:
+                return 0, None
+        if len(preimage) < corank + len(R) * rows:
+            return corank, None          # W is not inside im B, nor is the limit
+        S = _column_space_basis(from_columns(
+            [[d * x[j * cols + b] for j, d in enumerate(scales)]
+             for x in preimage for b in range(cols)],
+            K.p))
+        image = _image_of(K, S)
+        if image.cols == len(R):
             D = _witness_from_subspace(K, S)
-            if D is not None:
-                return D
-    return None
+            if D is None:
+                raise KroneckerError("internal: Wong limit without witness")
+            return corank, D
+        R = [image.column(c) for c in range(image.cols)]
 
 
-def is_semistable(K: KroneckerModule, budget: int = 200, seed: int = 0) -> KroneckerVerdict:
-    """Exact verdicts for p <= 1, q <= 1, (2,3) and (3,2); otherwise a
-    semistability certificate, then a search whose Unstable answers are
-    exact and whose exhaustion is Probably."""
+def _decide_on_blow_ups(K: KroneckerModule, seed: int) -> KroneckerVerdict:
+    g = gcd(K.p, K.q)
+    cap = K.p * K.q // g - 1          # >= 1, since p, q >= 2
+    rng = random.Random(derive_seed("kron-certificate", seed))
+    m = 1
+    while True:
+        cert = SemistabilityCertificate(_draw(rng, m * K.p // g, m * K.q // g))
+        if verify_certificate(K, cert):
+            return KroneckerVerdict("semistable", certificate=cert)
+        corank, D = _second_wong_sequence(K, cert.blocks)
+        if D is not None:
+            return KroneckerVerdict("unstable", D)
+        if corank == 0:
+            return KroneckerVerdict("semistable")   # the prime divides det B
+        m = min(m + 1, cap)
+
+
+def is_semistable(K: KroneckerModule, seed: int = 0) -> KroneckerVerdict:
+    """Exact verdict: closed forms for p <= 1, q <= 1 and the semistable
+    pencils (2,3), (3,2); otherwise a certificate or a destabilizer from a
+    blow-up (see the module docstring), whose seed changes only the
+    certificate and the running time."""
     verdict = _exact_small_cases(K)
     if verdict is not None:
         return verdict
-    cert = semistability_certificate(K, seed)
-    if cert is not None:
-        return KroneckerVerdict("semistable", certificate=cert)
-    D = _full_search(K, budget=budget, seed=derive_seed("kron-search", seed))
-    if D is not None:
-        return KroneckerVerdict("unstable", D)
-    return KroneckerVerdict("probably_semistable")
+    if (K.p, K.q) in ((2, 3), (3, 2)) and minors_semistable(K):
+        return KroneckerVerdict("semistable")
+    return _decide_on_blow_ups(K, seed)
 
 
 def conjugate(K: KroneckerModule, rng) -> KroneckerModule:

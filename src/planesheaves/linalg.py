@@ -12,10 +12,9 @@ p_0 = 1, p_1, ... the pivots (telescoping), so a row is brought up to date
 only when it is combined or chosen as pivot.  `rank` eliminates along the
 shorter side: a tall matrix is eliminated through its columns, each scaled
 by the lcm of its denominators, since row rank equals column rank.  One
-prime-field rank routine (`mod_rank`) serves the randomized cross-check, the
-Kronecker semistability certificate and the Kronecker sampling search; a
-rank modulo p only bounds the rational rank from below, so it proves
-something only when it is full.
+prime-field rank routine (`mod_rank`) serves the randomized cross-check and
+the Kronecker semistability certificate; a rank modulo p only bounds the
+rational rank from below, so it proves something only when it is full.
 """
 
 from __future__ import annotations

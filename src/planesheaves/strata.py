@@ -5,9 +5,9 @@ shape of the presentations realizing it, the exact side conditions used as
 generator filters, and the expected codimension inside the 37-dimensional
 moduli space.  Classification authority is the cohomology profile; matrix
 side conditions only filter generated instances.  They are decided exactly
-where a closed form exists, and the six Kronecker blocks without one pass
-on a semistability certificate (see `kronecker`); the orbit-form conditions
-stay `unknown`, which the generator accepts like `pass`.
+where a closed form exists; every Kronecker side condition is `pass` or
+`fail`, decided by `kronecker.is_semistable`; only the orbit-form
+conditions stay `unknown`, which the generator accepts like `pass`.
 
 The classifier assumes its input is semistable: a non-semistable injective
 presentation whose profile happens to sit in the registry is classified
@@ -182,19 +182,10 @@ def _check(flag: bool) -> SideResult:
     return _PASS if flag else SideResult("fail")
 
 
-# Sampling budget of the Kronecker search behind a side condition; the search
-# runs at is_semistable's default seed.
-KRON_FILTER_BUDGET = 40
-
-
 def _kron_filter(block) -> SideResult:
-    """Kronecker semistability as a side condition.  `pass` on a closed-form
-    or certified semistable verdict, `fail` on an exact destabilizer, and
-    `unknown` only when neither a certificate nor the search decides."""
-    verdict = is_semistable(KroneckerModule(block), budget=KRON_FILTER_BUDGET)
-    if verdict.kind == "probably_semistable":
-        return SideResult("unknown", "Kronecker semistability only semi-decided for this block")
-    return _check(verdict.kind == "semistable")
+    """Kronecker semistability as a side condition: `pass` on a semistable
+    verdict, `fail` on an exact destabilizer; both are proofs."""
+    return _check(is_semistable(KroneckerModule(block)).kind == "semistable")
 
 
 def _zero_cells_hold(P: Presentation, row: StratumRow) -> bool:

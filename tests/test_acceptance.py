@@ -169,7 +169,7 @@ def test_criterion_7_kronecker_consistency():
     for _ in range(200):
         K = KroneckerModule([[random_form(1, rng) for _ in range(2)] for _ in range(3)])
         verdict = is_semistable(K)
-        assert verdict.is_definite()
+        assert verdict.kind in ("semistable", "unstable")
         assert (verdict.kind == "semistable") == minors_semistable(K)
         agree += 1
     planted = 0

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,10 @@ import planesheaves
 from planesheaves import cli
 from planesheaves.cli import main
 from planesheaves.forms import Form, format_form, space_dim
-from planesheaves.kronecker import (CERTIFICATE_PRIME, KroneckerModule,
-                                    SemistabilityCertificate, verify_certificate)
+from planesheaves.kronecker import (CERTIFICATE_PRIME, Destabilizer, KroneckerModule,
+                                    SemistabilityCertificate, verify_certificate,
+                                    verify_destabilizer)
+from planesheaves.linalg import QMatrix
 from planesheaves.presentation import Presentation
 
 SEXTIC = "X^6 + Y^6 + Z^6 + X*Y*Z^4 + 2*X^2*Y^2*Z^2"
@@ -125,8 +128,24 @@ def test_kron_check_prints_a_certificate_only_when_one_exists(capsys):
     assert verify_certificate(KroneckerModule.from_text(rows), cert)
 
 
+def test_kron_check_unstable_pencil_off_the_coordinates(capsys):
+    P = json.dumps({"source": [-1, -1, -1], "target": [0, 0], "matrix": [
+        ["71*X - 82*Y + 3*Z", "108*X - 48*Y + 20*Z", "40*X - 87*Y - 16*Z"],
+        ["-33*X + 66*Y - 29*Z", "-144*X - 36*Y - 80*Z", "60*X + 81*Y + 28*Z"]]})
+    code, out = run(capsys, "kron-check", "--input", P)
+    data = json.loads(out)
+    assert code == 0 and data["kind"] == "unstable"
+    assert "certificate" not in data
+    w = data["witness"]
+    D = Destabilizer(w["p_prime"], w["q_prime"],
+                     QMatrix.from_rows([[Fraction(x) for x in r] for r in w["source_basis"]]),
+                     QMatrix.from_rows([[Fraction(x) for x in r] for r in w["target_basis"]]))
+    assert verify_destabilizer(KroneckerModule.from_text(json.loads(P)["matrix"]), D)
+
+
 def test_negative_counts_are_usage_errors(capsys):
     # --samples 0 stays valid: test_verify_tables_dim_audit_only
+    # kron-check has no --budget any more: an unknown argument, exit 2 too
     for argv in (["verify-tables", "--chi", "0", "--samples", "-2"],
                  ["kron-check", "--input", "{}", "--budget", "-3"]):
         with pytest.raises(SystemExit) as exc:
@@ -294,12 +313,12 @@ def test_reused_parser_keeps_no_state(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert main(["kron-check", "--input", block, "--budget", "5", "--seed", "7"]) == 0
+    assert main(["kron-check", "--input", block, "--seed", "7"]) == 0
     capsys.readouterr()
     for argv, expected in zip(later, fresh):
         assert run(capsys, *argv) == (0, expected), argv[0]
     args = cli._PARSER.parse_args(["kron-check", "--input", block])
-    assert (args.budget, args.seed) == (200, cli.DEFAULT_SEED)
+    assert args.seed == cli.DEFAULT_SEED
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,8 +7,7 @@ import pytest
 from planesheaves.forms import Form
 from planesheaves.kronecker import (CERTIFICATE_PRIME, Destabilizer,
                                     KroneckerError, KroneckerModule,
-                                    SemistabilityCertificate, _full_search,
-                                    _pencil_line_search, conjugate,
+                                    SemistabilityCertificate, conjugate,
                                     dim_kronecker_moduli, is_semistable,
                                     minors_semistable,
                                     semistability_certificate,
@@ -112,19 +112,6 @@ def test_minors_in_both_orientations(rows, semistable):
     assert minors_semistable(K.transpose()) == semistable
 
 
-# The 2x2 minors of the image matrix [K_X s, K_Y s, K_Z s] are binary
-# quadrics in s = (s0, s1); their common roots are the candidate lines.
-@pytest.mark.parametrize("rows,lines", [
-    ([["X", "Y"], ["Y", "X"]], [(1, -1), (1, 1)]),   # s0^2 - s1^2: rational roots
-    ([["X", "Y"], ["Z", "0"]], [(0, 1)]),            # s0^2 and s0*s1: only s = (0, 1)
-    ([["X", "Y"], ["2*Y", "X"]], []),                # 2*s0^2 - s1^2: irrational roots
-    ([["X", "Y"], ["Y", "Z"]], []),                  # s0^2, s0*s1, s1^2: none
-])
-def test_pencil_line_search_candidates(rows, lines):
-    found = sorted(tuple(S.column(0)) for S in _pencil_line_search(module(rows)))
-    assert found == lines
-
-
 # -- is_semistable ------------------------------------------------------------
 
 def test_row_of_independent_entries():
@@ -143,16 +130,9 @@ def test_planted_block_detected():
 def test_random_4x3_certified_semistable():
     rng = random.Random(13)
     K = random_module(3, 4, rng)
-    verdict = is_semistable(K, budget=500)
+    verdict = is_semistable(K)
     assert verdict.kind == "semistable"
     assert verify_certificate(K, verdict.certificate)
-
-
-def test_search_skips_sampling_without_a_reduction_mod_p():
-    # the sampling prime divides a coefficient's denominator: the module has
-    # no reduction modulo it, so the search ends without sampling
-    K = module([["1/1073741909*X", "Y"], ["Y", "Z"]])
-    assert _full_search(K, budget=200, seed=0) is None
 
 
 def test_minors_agree_with_definite_verdicts():
@@ -160,7 +140,7 @@ def test_minors_agree_with_definite_verdicts():
     for _ in range(40):
         K = random_module(2, 3, rng)
         verdict = is_semistable(K)
-        assert verdict.is_definite()
+        assert verdict.kind in ("semistable", "unstable")
         assert (verdict.kind == "semistable") == minors_semistable(K)
 
 
@@ -233,7 +213,7 @@ def test_generated_blocks_without_closed_form_are_certified(key):
     for seed in range(10):
         P = generate(chi, sid, seed=seed)
         K = KroneckerModule([[P.matrix[i][j] for j in cols] for i in rows])
-        verdict = is_semistable(K, budget=40)
+        verdict = is_semistable(K)
         assert verdict.kind == "semistable", (key, seed)
         assert verify_certificate(K, verdict.certificate)
         assert side_condition(P, get_row(chi, sid)).status == "pass"
@@ -246,7 +226,9 @@ def test_tampered_certificate_is_rejected():
     assert verify_certificate(K, good)
     tampered = [
         SemistabilityCertificate((((0,),), ((1,),), ((0,),))),        # a changed entry
-        SemistabilityCertificate((((1, 0), (0, 1)),) * 3),            # wrong shape
+        SemistabilityCertificate((((1, 0),),) * 3),                   # no blow-up shape
+        SemistabilityCertificate((((1,), (0,)),) * 3),                # no blow-up shape
+        SemistabilityCertificate(((), (), ())),                       # empty blocks
         SemistabilityCertificate((((1,),), ((1,),))),                 # a block missing
         SemistabilityCertificate((((True,),), ((1,),), ((0,),))),     # not an integer
         SemistabilityCertificate(good.blocks, prime=CERTIFICATE_PRIME - 2),
@@ -263,22 +245,71 @@ def test_tampered_certificate_is_rejected():
 
 
 def test_certificate_falls_through_without_a_reduction_mod_p():
+    # the prime divides a denominator; scaling the source column by it
+    # leaves a module whose reduction is certified
     K = module([["1/%d*X" % CERTIFICATE_PRIME, "Y", "Z", "X + Y"],
                 ["Y", "Z", "X", "Y - Z"],
                 ["Z", "X + Z", "Y", "X"]])
-    assert semistability_certificate(K) is None
-    verdict = is_semistable(K, budget=20)
-    assert verdict.kind == "probably_semistable"
-    assert verdict.certificate is None
+    cert = semistability_certificate(K)
+    assert cert is not None and verify_certificate(K, cert)
+    verdict = is_semistable(K)
+    assert verdict.kind == "semistable"
+    assert verdict.certificate == cert
+
+
+def test_semistable_without_a_semistable_reduction_mod_p():
+    # every column has the prime in a denominator: scaled, both columns lose
+    # their second entry modulo the prime, a zero row, so no draw certifies;
+    # the blown-up matrix is nonsingular over Q, which proves semistability
+    P = CERTIFICATE_PRIME
+    K = module([["1/%d*X" % P, "1/%d*Y" % P], ["Y", "X"]])
+    assert all(semistability_certificate(K, seed) is None for seed in range(3))
+    verdict = is_semistable(K)
+    assert verdict.kind == "semistable" and verdict.certificate is None
+    assert is_semistable(module([["X", "Y"], ["Y", "X"]])).certificate is not None
 
 
 def test_skew_symmetric_3x3_has_no_certificate_of_this_size():
     # semistable (no destabilizer), but every t_X K_X + t_Y K_Y + t_Z K_Z is
     # skew-symmetric of odd size, so singular: the 1 x 1 blow-up never
-    # certifies it and the verdict stays one-sided
+    # certifies it, the 2 x 2 blow-up does
     K = module([["0", "X", "Y"], ["-X", "0", "Z"], ["-Y", "-Z", "0"]])
     assert all(semistability_certificate(K, seed) is None for seed in range(5))
-    assert is_semistable(K).kind == "probably_semistable"
+    verdict = is_semistable(K)
+    assert verdict.kind == "semistable"
+    assert all(len(T) == 2 and len(T[0]) == 2 for T in verdict.certificate.blocks)
+    assert verify_certificate(K, verdict.certificate)
+
+
+# an unstable 2 x 3 pencil whose destabilizer is aligned with no coordinate
+OFF_AXIS_PENCIL = [["71*X - 82*Y + 3*Z", "108*X - 48*Y + 20*Z", "40*X - 87*Y - 16*Z"],
+                     ["-33*X + 66*Y - 29*Z", "-144*X - 36*Y - 80*Z", "60*X + 81*Y + 28*Z"]]
+
+
+def test_unstable_pencil_off_the_coordinates_gets_a_witness():
+    K = module(OFF_AXIS_PENCIL)
+    assert not minors_semistable(K)
+    verdict = is_semistable(K)
+    assert verdict.kind == "unstable"
+    assert verify_destabilizer(K, verdict.witness)
+
+
+def test_conjugated_planted_modules_are_unstable():
+    rng = random.Random(2015)
+    for p, q, pp, qq in PLANTED_SHAPES:
+        for draw in range(3):
+            K = conjugate(plant_zero_block(p, q, pp, qq, rng), rng)
+            verdict = is_semistable(K)
+            assert verdict.kind == "unstable", (p, q, pp, qq, draw)
+            assert verify_destabilizer(K, verdict.witness)
+
+
+def test_witness_does_not_depend_on_the_seed():
+    rng = random.Random(8)
+    K = conjugate(plant_zero_block(4, 4, 3, 2, rng), rng)
+    witnesses = {json.dumps(is_semistable(K, seed=seed).witness.to_json())
+                 for seed in range(5)}
+    assert len(witnesses) == 1
 
 
 def test_moduli_dimensions():
