@@ -10,9 +10,11 @@ small term grammar (``parse_form``); ``format_form`` prints text that
 
 Questions about factors are linear algebra on multiplication matrices
 (``mult_map``), run by the one exact core in ``linalg``: ``form_gcd`` takes
-one rank, one kernel and one solve, ``divides`` one solve.  Only binary forms
-(``uni_gcd``, ``binary_gcd``) keep a univariate pseudo-remainder gcd, because
-their callers need the gcd's rational roots.
+one rank, one kernel and one solve, ``divides`` one solve.
+
+Coefficients are ints, and Fractions only where a coefficient has a
+denominator; any other number given to ``Form`` becomes a Fraction
+(``linalg.SCALAR_TYPES``).
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd
 
-from .linalg import QMatrix, integer_rows
+from .linalg import SCALAR_TYPES, QMatrix
 
 VARIABLES = ("X", "Y", "Z")
 
@@ -74,7 +75,7 @@ class Form:
     def __init__(self, degree: int, coeffs):
         if degree < 0:
             raise FormError("negative degree")
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        coeffs = tuple([c if type(c) in SCALAR_TYPES else Fraction(c) for c in coeffs])
         if len(coeffs) != space_dim(degree):
             raise FormError("coefficient vector has wrong length for degree %d" % degree)
         self.degree = degree
@@ -82,14 +83,14 @@ class Form:
 
     @classmethod
     def zero(cls, degree: int = 0) -> "Form":
-        return cls(degree, (Fraction(0),) * space_dim(degree))
+        return cls(degree, (0,) * space_dim(degree))
 
     @classmethod
     def from_dict(cls, degree: int, terms) -> "Form":
         idx = monomial_index(degree)
-        coeffs = [Fraction(0)] * space_dim(degree)
+        coeffs = [0] * space_dim(degree)
         for mono, c in terms.items():
-            coeffs[idx[mono]] += Fraction(c)
+            coeffs[idx[mono]] = c
         return cls(degree, coeffs)
 
     @classmethod
@@ -98,7 +99,7 @@ class Form:
 
     @classmethod
     def constant(cls, value) -> "Form":
-        return cls(0, (Fraction(value),))
+        return cls(0, (value,))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -130,15 +131,18 @@ class Form:
         return Form(self.degree, tuple(-c for c in self.coeffs))
 
     def scale(self, s) -> "Form":
-        s = Fraction(s)
+        if type(s) not in SCALAR_TYPES:
+            s = Fraction(s)
         return Form(self.degree, tuple(s * c for c in self.coeffs))
 
     def __mul__(self, other: "Form") -> "Form":
         return form_mul(self, other)
 
-    def evaluate(self, point) -> Fraction:
-        x, y, z = (Fraction(v) for v in point)
-        total = Fraction(0)
+    def evaluate(self, point):
+        """Value at the point: an int when the point and the coefficients
+        are integers, else a Fraction."""
+        x, y, z = [v if type(v) in SCALAR_TYPES else Fraction(v) for v in point]
+        total = 0
         for (a, b, c), coeff in zip(monomials(self.degree), self.coeffs):
             if coeff:
                 total += coeff * x**a * y**b * z**c
@@ -155,7 +159,7 @@ class Form:
         lead = self.leading()
         if lead is None:
             raise FormError("zero form has no monic normalization")
-        return self.scale(1 / lead[1])
+        return self.scale(Fraction(1) / lead[1])
 
     def __str__(self):
         return format_form(self)
@@ -169,7 +173,7 @@ def form_mul(f: Form, g: Form) -> Form:
     if f.is_zero() or g.is_zero():
         return Form.zero(deg)
     idx = monomial_index(deg)
-    coeffs = [Fraction(0)] * space_dim(deg)
+    coeffs = [0] * space_dim(deg)
     gterms = g.terms()
     for (a1, b1, c1), x in f.terms():
         for (a2, b2, c2), y in gterms:
@@ -180,7 +184,7 @@ def form_mul(f: Form, g: Form) -> Form:
 def random_form(degree: int, rng, bound: int) -> Form:
     """Form of the given degree with coefficients drawn uniformly from
     [-bound, bound] by rng.randint, in monomial order."""
-    return Form(degree, [Fraction(rng.randint(-bound, bound)) for _ in range(space_dim(degree))])
+    return Form(degree, [rng.randint(-bound, bound) for _ in range(space_dim(degree))])
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +301,7 @@ def parse_form(text: str, degree: int | None = None) -> Form:
                              % (sum(expo), MAX_DEGREE))
         if num:
             key = tuple(expo)
-            acc[key] = acc.get(key, 0) + Fraction(num, den)
+            acc[key] = acc.get(key, 0) + (num if den == 1 else Fraction(num, den))
 
     acc = {k: v for k, v in acc.items() if v}
     # k terms whose numerals have D digits in all sum to a coefficient of at
@@ -317,13 +321,13 @@ def parse_form(text: str, degree: int | None = None) -> Form:
     if degree is not None and d != degree:
         raise ParseError("polynomial has degree %d, expected %d" % (d, degree))
     index = monomial_index(d)
-    coeffs = [Fraction(0)] * space_dim(d)
+    coeffs = [0] * space_dim(d)
     for key, c in acc.items():
         coeffs[index[key]] = c
     return Form(d, coeffs)
 
 
-def _format_coeff(c: Fraction) -> str:
+def _format_coeff(c) -> str:
     return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
 
 
@@ -351,86 +355,6 @@ def format_form(f: Form) -> str:
     for sign, body in parts[1:]:
         out += " %s %s" % (sign, body)
     return out
-
-
-# ---------------------------------------------------------------------------
-# binary forms: univariate primitive PRS on integer coefficients
-# ---------------------------------------------------------------------------
-
-def _trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _int_content(p):
-    g = 0
-    for c in p:
-        g = int_gcd(g, abs(c))
-    return g or 1
-
-
-def _uni_primitive(p):
-    p = _trim(list(p))
-    if not p:
-        return p
-    g = _int_content(p)
-    if p[-1] < 0:
-        g = -g
-    return [c // g for c in p]
-
-
-def _uni_sub(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
-
-
-def _uni_scale(a, s):
-    return _trim([s * x for x in a])
-
-
-def _uni_prem(a, b):
-    """Pseudo-remainder of integer polynomials a, b (b nonzero)."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while a and len(a) - 1 >= db:
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = _uni_sub(_uni_scale(a, lb), _uni_scale([0] * shift + b, la))
-    return a
-
-
-def uni_gcd(a, b):
-    """gcd of integer polynomials given as coefficient lists, constant term
-    first: primitive, with positive leading coefficient ([] if both are zero)."""
-    a = _uni_primitive(a)
-    b = _uni_primitive(b)
-    while b:
-        a, b = b, _uni_primitive(_uni_prem(a, b))
-    return a
-
-
-def binary_gcd(forms):
-    """Common factor of binary forms c_0 u^n + c_1 u^(n-1) v + ... + c_n v^n,
-    each given by its rational coefficients [c_0, ..., c_n].
-
-    Returns (g, at_infinity): g is the uni_gcd of the forms restricted to
-    u = 1, as integer polynomials in v, and at_infinity tells whether every
-    form vanishes at (u, v) = (0, 1).  The forms have a common root over the
-    closure iff len(g) > 1 or at_infinity.  Zero forms are skipped; if no
-    form is left, g is []."""
-    ints, _ = integer_rows([f for f in forms if any(f)])
-    g = []
-    for f in ints:
-        g = uni_gcd(g, f)
-        if g == [1]:
-            break
-    return g, all(f[-1] == 0 for f in ints)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +433,7 @@ def coefficient_matrix(forms) -> QMatrix:
     rows = []
     for f in forms:
         if f.is_zero():
-            rows.append([Fraction(0)] * space_dim(deg))
+            rows.append([0] * space_dim(deg))
         else:
             rows.append(list(f.coeffs))
     return QMatrix(len(rows), space_dim(deg), rows)

@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .forms import Form, coefficient_matrix, linearly_independent, monomial_index, parse_form
-from .linalg import QMatrix, from_columns, hstack_all, mod_rank
+from .linalg import QMatrix, from_columns, hstack_all, mod_nonsingular
 from .presentation import Presentation, derive_seed, random_invertible
 
 
@@ -96,7 +96,7 @@ class KroneckerModule:
             slices = []
             for mono in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
                 k = index[mono]
-                data = [[Fraction(0) if f.is_zero() else f.coeffs[k] for f in row]
+                data = [[0 if f.is_zero() else f.coeffs[k] for f in row]
                         for row in self.entries]
                 slices.append(QMatrix(self.q, self.p, data))
             self._slices = tuple(slices)
@@ -209,7 +209,8 @@ def verify_certificate(K: KroneckerModule, cert: SemistabilityCertificate) -> bo
     """Exact check: the blocks are integer matrices of one (m p/g) x (m q/g)
     shape, m >= 1, and the blown-up matrix sum_k K_k ⊗ T_k, rows (i, a) and
     columns (j, b), has full rank modulo CERTIFICATE_PRIME once each source
-    column of K is scaled by the lcm of its denominators."""
+    column of K is scaled by the lcm of its denominators.  That matrix is
+    square, so the first column without a pivot ends the check."""
     g = gcd(K.p, K.q)
     blocks = cert.blocks
     if cert.prime != CERTIFICATE_PRIME or len(blocks) != 3:
@@ -224,7 +225,7 @@ def verify_certificate(K: KroneckerModule, cert: SemistabilityCertificate) -> bo
                 or any(type(x) is not int for r in T for x in r):
             return False
     blown_up = [[x % cert.prime for x in row] for row in _blow_up(_integer_slices(K)[0], blocks)]
-    return mod_rank(blown_up, cert.prime) == K.q * rows
+    return mod_nonsingular(blown_up, cert.prime)
 
 
 def _draw(rng, rows: int, cols: int):

@@ -1,20 +1,25 @@
 """Dense exact linear algebra over the rationals.
 
-Every elimination (`rank`, `det`, `rref`, `kernel_basis`, `solve`) runs one
-fraction-free routine, `_bareiss`: each row is scaled to integers once, by
-the lcm of its denominators, and rows are combined as (piv*a - f*b) // p_j,
-a division that is always exact (Bareiss, Math. Comp. 22, 1968).  The
-entries stay minors of the scaled input, so no gcd is taken inside the
-loop; Fractions appear only in the returned rows and vectors.  Rows that a
-step leaves alone are not rescaled: each row keeps the level j it was last
-brought to, and its Bareiss value at a later level k is row_j * p_k / p_j,
-p_0 = 1, p_1, ... the pivots (telescoping), so a row is brought up to date
-only when it is combined or chosen as pivot.  `rank` eliminates along the
-shorter side: a tall matrix is eliminated through its columns, each scaled
-by the lcm of its denominators, since row rank equals column rank.  One
-prime-field rank routine (`mod_rank`) serves the randomized cross-check and
-the Kronecker semistability certificate; a rank modulo p only bounds the
-rational rank from below, so it proves something only when it is full.
+A cell is an int, or a Fraction where it has a denominator.  Every
+elimination (`rank`, `det`, `rref`, `kernel_basis`, `solve`) runs one
+fraction-free routine, `_bareiss`: a row of ints is taken as it is, any
+other row is scaled to integers once, by the lcm of its denominators, and
+rows are combined as (piv*a - f*b) // p_j, a division that is always exact
+(Bareiss, Math. Comp. 22, 1968).  The entries stay minors of the scaled
+input, so no gcd is taken inside the loop.  Fractions are built only for
+the returned entries that the elimination divides, so the values and types
+of the results do not depend on whether the input held ints or Fractions.
+Rows that a step leaves alone are not rescaled: each row keeps the level j
+it was last brought to, and its Bareiss value at a later level k is
+row_j * p_k / p_j, p_0 = 1, p_1, ... the pivots (telescoping), so a row is
+brought up to date only when it is combined or chosen as pivot.  `rank`
+eliminates along the shorter side: a tall matrix is eliminated through its
+columns, each scaled by the lcm of its denominators, since row rank equals
+column rank.  One prime-field elimination serves the randomized
+cross-check (`mod_rank`) and the Kronecker semistability certificate
+(`mod_nonsingular`, which stops at the first column without a pivot); a
+rank modulo p only bounds the rational rank from below, so it proves
+something only when it is full.
 """
 
 from __future__ import annotations
@@ -27,12 +32,14 @@ class LinalgError(ValueError):
     pass
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+# The exact scalars, kept as they are in a matrix cell or a form coefficient;
+# a bool, a float or any other number given there becomes a Fraction.
+SCALAR_TYPES = (int, Fraction)
 
 
 class QMatrix:
-    """Row-major dense matrix of Fractions."""
+    """Row-major dense matrix of exact scalars: ints, and Fractions where a
+    cell has a denominator.  Any other number is converted to a Fraction."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -40,11 +47,12 @@ class QMatrix:
         self.rows = rows
         self.cols = cols
         if data is None:
-            self.data = [[Fraction(0)] * cols for _ in range(rows)]
+            self.data = [[0] * cols for _ in range(rows)]
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise LinalgError("data shape does not match (%d, %d)" % (rows, cols))
-            self.data = [[_frac(x) for x in row] for row in data]
+            self.data = [[x if type(x) in SCALAR_TYPES else Fraction(x) for x in row]
+                         for row in data]
 
     @classmethod
     def from_rows(cls, rows) -> "QMatrix":
@@ -57,7 +65,7 @@ class QMatrix:
     def identity(cls, n: int) -> "QMatrix":
         m = cls(n, n)
         for i in range(n):
-            m.data[i][i] = Fraction(1)
+            m.data[i][i] = 1
         return m
 
     def transpose(self) -> "QMatrix":
@@ -87,7 +95,7 @@ class QMatrix:
     def mat_vec(self, v):
         if len(v) != self.cols:
             raise LinalgError("vector length mismatch")
-        return [sum((self.data[i][j] * v[j] for j in range(self.cols)), Fraction(0))
+        return [sum(self.data[i][j] * v[j] for j in range(self.cols))
                 for i in range(self.rows)]
 
     def hstack(self, other: "QMatrix") -> "QMatrix":
@@ -124,29 +132,31 @@ class QMatrix:
         return len(_bareiss(m, self.cols, reduced=False)[0])
 
     def kernel_basis(self):
-        """Basis of the right null space, as a list of column vectors."""
+        """Basis of the right null space, as a list of column vectors: the
+        free coordinates are the ints 0 and 1, the pivot ones Fractions."""
         m, pivots, d = self._rref()
         pivset = set(pivots)
         free = [c for c in range(self.cols) if c not in pivset]
         basis = []
         for fc in free:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
+            v = [0] * self.cols
+            v[fc] = 1
             for r, pc in enumerate(pivots):
                 v[pc] = Fraction(-m[r][fc], d)
             basis.append(v)
         return basis
 
     def solve(self, rhs):
-        """One solution of self @ x = rhs, or None if the system is inconsistent."""
+        """One solution of self @ x = rhs, or None if the system is
+        inconsistent: Fractions at the pivot columns, 0 elsewhere."""
         if len(rhs) != self.rows:
             raise LinalgError("rhs length mismatch")
         aug = QMatrix(self.rows, self.cols + 1,
-                      [self.data[i] + [_frac(rhs[i])] for i in range(self.rows)])
+                      [self.data[i] + [rhs[i]] for i in range(self.rows)])
         m, pivots, d = aug._rref()
         if self.cols in pivots:
             return None
-        x = [Fraction(0)] * self.cols
+        x = [0] * self.cols
         for r, pc in enumerate(pivots):
             x[pc] = Fraction(m[r][self.cols], d)
         return x
@@ -156,9 +166,7 @@ class QMatrix:
             raise LinalgError("det of non-square matrix")
         m, scale = integer_rows(self.data)
         pivots, sign, last = _bareiss(m, self.cols, reduced=False)
-        if len(pivots) < self.rows:
-            return Fraction(0)
-        return Fraction(sign * last, scale)
+        return Fraction(sign * last if len(pivots) == self.rows else 0, scale)
 
     def rank_mod_p(self, p: int) -> int:
         """Rank of the reduction modulo p.  Raises if p divides a denominator."""
@@ -170,10 +178,13 @@ class QMatrix:
 
 def integer_rows(data):
     """Each row times the lcm of its denominators, which keeps the row space,
-    and the product of those scales."""
+    and the product of those scales.  A row of ints is only copied."""
     rows = []
     scales = []
     for row in data:
+        if all(type(x) is int for x in row):
+            rows.append(list(row))
+            continue
         scale = lcm(*[x.denominator for x in row])
         if scale == 1:
             rows.append([x.numerator for x in row])
@@ -265,11 +276,11 @@ def mod_residues(rows, p: int):
     return out
 
 
-def mod_rank(rows, p: int) -> int:
-    """Rank over Z/p of a matrix of residues, given as a list of rows.
-
-    A rank found modulo p is a lower bound for the rank over Q, so full rank
-    modulo p proves full rank over Q."""
+def _mod_pivot_flags(rows, p: int):
+    """For each column in turn, whether it holds a pivot of the elimination
+    modulo the prime p of a matrix of residues given as a list of rows.  The
+    flags stop once every row holds a pivot; a column without a pivot is
+    reported before any later column is eliminated."""
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
     rank = 0
@@ -280,6 +291,7 @@ def mod_rank(rows, p: int) -> int:
                 piv = i
                 break
         if piv is None:
+            yield False
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         # entries left of column c are zero mod p in the pivot row and below it
@@ -291,9 +303,26 @@ def mod_rank(rows, p: int) -> int:
             if f:
                 row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
         rank += 1
+        yield True
         if rank == len(rows):
-            break
-    return rank
+            return
+
+
+def mod_rank(rows, p: int) -> int:
+    """Rank over Z/p of a matrix of residues, given as a list of rows.
+
+    A rank found modulo p is a lower bound for the rank over Q, so full rank
+    modulo p proves full rank over Q."""
+    return sum(_mod_pivot_flags(rows, p))
+
+
+def mod_nonsingular(rows, p: int) -> bool:
+    """Whether a square matrix of residues, given as a list of rows, is
+    invertible modulo p: mod_rank(rows, p) == len(rows), decided at the
+    first column without a pivot."""
+    if any(len(r) != len(rows) for r in rows):
+        raise LinalgError("mod_nonsingular needs a square matrix")
+    return all(_mod_pivot_flags(rows, p))
 
 
 def hstack_all(mats) -> QMatrix:

@@ -29,6 +29,8 @@ class GenericityError(PointError):
 
 
 def _normalize(coords):
+    """The coordinates divided by the last nonzero one, each an int where the
+    quotient has denominator 1 and a Fraction otherwise."""
     coords = tuple(Fraction(c) for c in coords)
     if len(coords) != 3:
         raise PointError("points need three coordinates")
@@ -39,7 +41,7 @@ def _normalize(coords):
             break
     if last is None:
         raise PointError("the zero vector is not a projective point")
-    return tuple(c / last for c in coords)
+    return tuple(q.numerator if q.denominator == 1 else q for q in (c / last for c in coords))
 
 
 class PointConfig:

@@ -15,7 +15,6 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from numbers import Real
 from operator import mul
@@ -339,7 +338,7 @@ def twist(P: Presentation, k: int) -> Presentation:
 def random_invertible(n: int, rng) -> QMatrix:
     """Random invertible n x n matrix with integer entries in [-4, 4]."""
     while True:
-        m = QMatrix(n, n, [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)])
+        m = QMatrix(n, n, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
         if m.det() != 0:
             return m
 

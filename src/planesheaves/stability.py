@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import Form, binary_gcd, divides, form_gcd, space_dim
+from .forms import Form, divides, form_gcd, space_dim
 from .linalg import QMatrix
 from .presentation import (Presentation, PresentationError,
                            euler_char_line_bundle)
@@ -122,19 +122,22 @@ def _pair_special_form(P: Presentation) -> bool:
     # d1 == d2 (hence e1 == e2): both sides act by full 2x2 scalars; the slot
     # can be cleared iff a*phi*c = 0 for some nonzero scalar vectors a, c,
     # i.e. the entrywise wedge quadrics, binary in (u, v), have a common root
+    # over the closure: a common factor, as forms in X = u and Y = v, or all
+    # of them zero
     dim = space_dim(P.target[0] - d1)
 
     def wedge(f, g):
-        fa = f.coeffs if not f.is_zero() else (Fraction(0),) * dim
-        ga = g.coeffs if not g.is_zero() else (Fraction(0),) * dim
+        fa = f.coeffs if not f.is_zero() else (0,) * dim
+        ga = g.coeffs if not g.is_zero() else (0,) * dim
         return [fa[a] * ga[b] - fa[b] * ga[a]
                 for a in range(dim) for b in range(a + 1, dim)]
 
     w_11 = wedge(f11, f21)
     w_cross = [x + y for x, y in zip(wedge(f11, f22), wedge(f12, f21))]
     w_22 = wedge(f12, f22)
-    g, at_infinity = binary_gcd(zip(w_11, w_cross, w_22))
-    return len(g) > 1 or at_infinity
+    g = _gcd_of_all([Form.from_dict(2, {(2, 0, 0): a, (1, 1, 0): b, (0, 2, 0): c})
+                     for a, b, c in zip(w_11, w_cross, w_22)])
+    return g is None or g.degree > 0
 
 
 def two_by_two_criterion(P: Presentation) -> StabilityVerdict:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planesheaves.forms import (MAX_DIGITS, Form, FormError, ParseError,
-                                binary_gcd, block_mult_map,
+                                block_mult_map,
                                 conic_is_irreducible, divides, form_gcd,
                                 form_mul, format_form, linearly_independent,
                                 monomials, mult_map, parse_form, space_dim)
@@ -246,23 +246,14 @@ def test_block_mult_map_places_mult_map_blocks():
         block_mult_map([[X * Y]], [1], [0])
 
 
-# Binary quadrics c0*u^2 + c1*u*v + c2*v^2 as [c0, c1, c2]; the gcd is of the
-# restrictions to u = 1, constant term first.
-@pytest.mark.parametrize("quadrics,gcd,at_infinity", [
-    # (v - 1)(v - 2) and (v - 1)(v + 1)/2: the common rational root v = 1
-    ([[2, -3, 1], [Fraction(-1, 2), 0, Fraction(1, 2)]], [-1, 1], False),
-    # u(u + v) and u(2u - 3v): a common root only at (u, v) = (0, 1)
-    ([[1, 1, 0], [2, -3, 0]], [1], True),
-    # u^2 - 2v^2 twice: a common root, but not a rational one
-    ([[1, 0, -2], [1, 0, -2]], [-1, 0, 2], False),
-    # (v - 1)(v - 2) and u^2 + v^2: no common root
-    ([[2, -3, 1], [1, 0, 1]], [1], False),
-    # zero quadrics are skipped; with none left every point is a root
-    ([[0, 0, 0], [Fraction(1, 3), 0, Fraction(-2, 3)]], [-1, 0, 2], False),
-    ([[0, 0, 0]], [], True),
-])
-def test_binary_gcd_common_roots(quadrics, gcd, at_infinity):
-    assert binary_gcd(quadrics) == (gcd, at_infinity)
+def test_int_and_fraction_coefficients_make_the_same_form():
+    rng = random.Random(79)
+    for _ in range(50):
+        deg = rng.randint(0, 4)
+        ints = [rng.randint(-9, 9) for _ in range(space_dim(deg))]
+        f, g = Form(deg, ints), Form(deg, [Fraction(c) for c in ints])
+        assert f == g and hash(f) == hash(g) and {f: 1}[g] == 1
+        assert format_form(f) == format_form(g)
 
 
 def test_parse_examples():

@@ -296,3 +296,50 @@ def test_rank_along_the_shorter_side():
         tall += r > c
         assert m.rank() == fraction_rank(rows) == m.transpose().rank(), (r, c)
     assert tall > 50
+
+
+# -- ints and Fractions ---------------------------------------------------------------
+
+def _narrowed(rows):
+    """The same rows with every entry of denominator 1 as an int."""
+    return [[x.numerator if x.denominator == 1 else x for x in row] for row in rows]
+
+
+def test_int_cells_eliminate_like_fraction_cells():
+    """rank, rref, kernel_basis, solve and det take the same values and
+    return the same types whether an integral cell is an int or a Fraction."""
+    rng = random.Random(47)
+    cases = []
+    for m, rhs in random_oracle_matrices(53, count=200):
+        cases.append((m.data, m.cols, rhs))                             # mixed rows
+        cases.append((linalg.integer_rows(m.data)[0], m.cols, rhs))    # integer rows
+    for rows, ncols in stabilizer_like_systems(59, count=6):
+        cases.append((rows, ncols, [rng.randint(-3, 3) for _ in rows]))
+    for rows, ncols, rhs in cases:
+        as_fractions = QMatrix(len(rows), ncols, [[Fraction(x) for x in row] for row in rows])
+        as_ints = QMatrix(len(rows), ncols, _narrowed(as_fractions.data))
+        rhs_fractions = [Fraction(x) for x in rhs]
+        assert as_ints == as_fractions
+        assert as_ints.rank() == as_fractions.rank()
+        results = []
+        for m, b in ((as_ints, _narrowed([rhs_fractions])[0]), (as_fractions, rhs_fractions)):
+            rref, pivots = m.rref()
+            results.append((rref.data, pivots, m.kernel_basis(), m.solve(b),
+                            m.det() if m.rows == m.cols else None))
+        assert results[0] == results[1]
+        assert repr(results[0]) == repr(results[1])
+
+
+def test_mod_nonsingular_is_full_mod_rank():
+    rng = random.Random(61)
+    p = 101
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        rows = [[rng.choice((0, 0, rng.randrange(p))) for _ in range(n)] for _ in range(n)]
+        if n >= 2 and rng.random() < 0.4:
+            i, j = rng.sample(range(n), 2)
+            a = rng.randrange(p)
+            rows[i] = [a * x % p for x in rows[j]]
+        assert linalg.mod_nonsingular(rows, p) == (linalg.mod_rank(rows, p) == n)
+    with pytest.raises(LinalgError):
+        linalg.mod_nonsingular([[1, 2]], p)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from planesheaves.forms import parse_form
 from planesheaves.presentation import Presentation, PresentationError, hilbert
-from planesheaves.stability import (BoundsQuery, bounds_check,
+from planesheaves.stability import (BoundsQuery, _pair_special_form, bounds_check,
                                     minor_gcd_criterion,
                                     pencil_block_criterion,
                                     pencil_block_failure, slope,
@@ -137,6 +138,32 @@ def test_pair_agrees_with_minor_gcd_on_shared_domain():
 def test_pair_special_form_wedge_quadrics(rows, kind):
     P = Presentation.from_text([0, 0], [1, 1], rows)
     assert two_by_two_criterion(P).kind == kind
+
+
+# The slot of [[f11, f12], [f21, f22]] (equal twist gaps) can be cleared iff
+# the wedge quadrics of u*(f11, f21) + v*(f12, f22), one per pair of
+# monomials, have a common root (u, v) over the closure.
+@pytest.mark.parametrize("rows,special", [
+    # X∧Y, X∧Z, Y∧Z: 2u^2 - 2uv, uv - u^2, (u - v)^2, the common rational root u = v
+    ([["X - Y", "Y"], ["2*X - Z", "Z"]], True),
+    # 3uv, u^2, uv: a common root only at (u, v) = (0, 1)
+    ([["X", "Y"], ["Z", "3*Y"]], True),
+    # u^2 - 2v^2 twice and 0: a common root, but not a rational one
+    ([["X", "Y + Z"], ["Y + Z", "2*X"]], True),
+    # u^2, uv, v^2: no common root
+    ([["X", "Y"], ["Y", "Z"]], False),
+    # 0, 0 and (2u^2 - v^2)/9: zero quadrics are skipped
+    ([["1/3*X", "1/3*Y"], ["2/3*Y", "1/3*X"]], True),
+    # all three quadrics vanish, so every (u, v) is a root
+    ([["X", "Y"], ["2*X", "2*Y"]], True),
+    # quadric entries, fifteen wedge quadrics: the common root u = v, and none
+    ([["X^2 - Y^2", "Y^2"], ["2*X^2 - Z^2", "Z^2"]], True),
+    ([["X^2", "Y^2"], ["Y^2", "Z^2"]], False),
+])
+def test_pair_special_form_common_roots(rows, special):
+    gap = max(parse_form(f).degree for row in rows for f in row)
+    P = Presentation.from_text([-gap, -gap], [0, 0], rows)
+    assert _pair_special_form(P) is special
 
 
 # -- pencil block criterion -----------------------------------------------------
