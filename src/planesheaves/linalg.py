@@ -1,14 +1,16 @@
 """Dense exact linear algebra over the rationals.
 
 A cell is an int, or a Fraction where it has a denominator.  Every
-elimination (`rank`, `det`, `rref`, `kernel_basis`, `solve`) runs one
-fraction-free routine, `_bareiss`: a row of ints is taken as it is, any
-other row is scaled to integers once, by the lcm of its denominators, and
-rows are combined as (piv*a - f*b) // p_j, a division that is always exact
-(Bareiss, Math. Comp. 22, 1968).  The entries stay minors of the scaled
-input, so no gcd is taken inside the loop.  Fractions are built only for
-the returned entries that the elimination divides, so the values and types
-of the results do not depend on whether the input held ints or Fractions.
+elimination (`rank`, `det`, `rref`, `kernel_basis`, `integer_kernel_basis`,
+`solve`) runs one fraction-free routine, `_bareiss`: a row of ints is taken
+as it is, any other row is scaled to integers once, by the lcm of its
+denominators, and rows are combined as (piv*a - f*b) // p_j, a division
+that is always exact (Bareiss, Math. Comp. 22, 1968).  The entries stay
+minors of the scaled input, so no gcd is taken inside the loop.  Fractions
+are built only for the returned entries that the elimination divides, so
+the values and types of the results do not depend on whether the input
+held ints or Fractions; `integer_kernel_basis` builds none, since integer
+vectors span the null space.
 Rows that a step leaves alone are not rescaled: each row keeps the level j
 it was last brought to, and its Bareiss value at a later level k is
 row_j * p_k / p_j, p_0 = 1, p_1, ... the pivots (telescoping), so a row is
@@ -25,7 +27,7 @@ something only when it is full.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 
 class LinalgError(ValueError):
@@ -144,6 +146,23 @@ class QMatrix:
             for r, pc in enumerate(pivots):
                 v[pc] = Fraction(-m[r][fc], d)
             basis.append(v)
+        return basis
+
+    def integer_kernel_basis(self):
+        """Basis of the right null space as primitive integer vectors: each
+        is the matching `kernel_basis` vector times the positive integer
+        that clears its denominators and leaves its entries coprime."""
+        m, pivots, d = self._rref()
+        pivset = set(pivots)
+        free = [c for c in range(self.cols) if c not in pivset]
+        basis = []
+        for fc in free:
+            v = [0] * self.cols
+            v[fc] = d
+            for r, pc in enumerate(pivots):
+                v[pc] = -m[r][fc]
+            g = gcd(*v) if d > 0 else -gcd(*v)
+            basis.append([a // g for a in v])
         return basis
 
     def solve(self, rhs):

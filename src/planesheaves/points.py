@@ -1,21 +1,30 @@
 """Reduced point configurations in the plane.
 
-Genericity predicates are determinant/rank computations; ideal slices are
-kernels of evaluation matrices.  Minimal free resolutions are counted, not
-eliminated: the Hilbert function and the generator degrees, read off the
-slices up to degree r_Z + 1, fix the syzygy degrees (Hilbert-Burch).  A
-configuration is resolved exactly when it has at most 15 points and
-r_Z <= 5; see `minimal_resolution`.
+Point ideals stay in integers: an ideal slice is the kernel of an
+evaluation matrix taken as primitive integer vectors
+(`QMatrix.integer_kernel_basis`), and multiplying a slice by X, Y and Z
+only moves its coefficients, through one index table per variable and
+degree.  Colinearity is decided by counting the points on the line
+p x q through each pair; the curve predicates are ranks of evaluation
+matrices.  Minimal free resolutions are counted, not eliminated: the
+Hilbert function and the generator degrees, read off the slices up to
+degree r_Z + 1, fix the syzygy degrees (Hilbert-Burch).  A configuration is
+resolved exactly when it has at most 15 points and r_Z <= 5; see
+`minimal_resolution`.  Coordinates read from JSON have at most MAX_DIGITS
+digits in numerator and denominator.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, count
 
-from .forms import Form, ParseError, block_mult_map, divides, monomials, space_dim
+from .forms import (MAX_DIGITS, Form, ParseError, block_mult_map, divides,
+                    monomial_index, monomials, space_dim)
 from .linalg import QMatrix
 from .presentation import Presentation
 
@@ -42,6 +51,37 @@ def _normalize(coords):
     if last is None:
         raise PointError("the zero vector is not a projective point")
     return tuple(q.numerator if q.denominator == 1 else q for q in (c / last for c in coords))
+
+
+# A point coordinate as text: a signed integer with an optional
+# "/denominator", or a decimal with an optional exponent.
+_COORDINATE = re.compile(
+    r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([-+]?\d+))?)\s*")
+
+
+def _coordinate(c) -> Fraction:
+    """The rational a JSON coordinate (text or number) spells.  Its numerator
+    and denominator as written, with the exponent applied, may have at most
+    MAX_DIGITS digits.  This is checked on the text, before any integer is
+    built, so "1e99999" is refused at once instead of building 10^99999."""
+    m = _COORDINATE.fullmatch(str(c))
+    if m is None:
+        raise ParseError("bad point coordinate %r" % (c,))
+    sign, num, den, frac, exp = m.groups()
+    if den is None:
+        frac, exp = frac or "", exp or "0"
+        # an exponent with more digits than 2 * MAX_DIGITS exceeds it and
+        # breaks the cap below whatever the numeral, so int() reads only
+        # short exponents
+        if len(exp.lstrip("+-0")) > len(str(2 * MAX_DIGITS)):
+            raise ParseError("point coordinate of more than %d digits" % MAX_DIGITS)
+        shift = int(exp) - len(frac)
+        num, den = num + frac + "0" * shift, "1" + "0" * -shift
+    if len(num) > MAX_DIGITS or len(den) > MAX_DIGITS:
+        raise ParseError("point coordinate of more than %d digits" % MAX_DIGITS)
+    if not int(den):
+        raise ParseError("zero denominator in point coordinate %r" % (c,))
+    return Fraction(int(sign + num), int(den))
 
 
 class PointConfig:
@@ -71,11 +111,7 @@ class PointConfig:
             raise ParseError("point JSON needs a 'points' list") from exc
         if not isinstance(pts, list) or not all(isinstance(p, list) for p in pts):
             raise ParseError("'points' must be a list of coordinate lists")
-        try:
-            coords = [[Fraction(str(c)) for c in p] for p in pts]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError("bad point coordinate: %s" % exc) from exc
-        return cls(coords)
+        return cls([[_coordinate(c) for c in p] for p in pts])
 
     def to_json(self) -> dict:
         return {"points": [[str(c) for c in p] for p in self.points]}
@@ -85,23 +121,30 @@ class PointConfig:
 
 
 def colinear_triple_exists(cfg: PointConfig) -> bool:
-    if len(cfg) < 3:
-        return False
-    for tri in combinations(range(len(cfg)), 3):
-        m = QMatrix.from_rows([list(cfg.points[i]) for i in tri])
-        if m.det() == 0:
-            return True
-    return False
+    return colinear_subset_exists(cfg, 3)
 
 
 def colinear_subset_exists(cfg: PointConfig, k: int) -> bool:
-    """True iff some k points lie on a line (coordinate rank at most 2)."""
-    if len(cfg) < k:
+    """True iff some k points lie on a line.  Two distinct points p, q span
+    the line l = p x q (cross product), and a point r lies on it iff
+    l . r = 0, so counting the points on the line of each pair decides it
+    exactly in O(n^3) products.  Any k <= 2 of the points are colinear."""
+    if k < 0:
+        raise PointError("subset size must be non-negative")
+    pts = cfg.points
+    n = len(pts)
+    if n < k:
         return False
-    for sub in combinations(range(len(cfg)), k):
-        m = QMatrix.from_rows([list(cfg.points[i]) for i in sub])
-        if m.rank() <= 2:
-            return True
+    if k <= 2:
+        return True
+    # the first two of k colinear points, i < j, have k - 2 more after them
+    for i in range(n - k + 1):
+        x1, y1, z1 = pts[i]
+        for j in range(i + 1, n - k + 2):
+            x2, y2, z2 = pts[j]
+            a, b, c = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+            if 2 + sum(a * x + b * y + c * z == 0 for x, y, z in pts[j + 1:]) >= k:
+                return True
     return False
 
 
@@ -120,10 +163,11 @@ def contained_in_curve_of_degree(cfg: PointConfig, k: int) -> bool:
 
 
 def ideal_slice(cfg: PointConfig, t: int):
-    """Basis of the degree-t forms vanishing at every point."""
+    """Basis of the degree-t forms vanishing at every point, each a form with
+    coprime integer coefficients."""
     if t < 0:
         return []
-    return [Form(t, v) for v in evaluation_matrix(cfg, t).kernel_basis()]
+    return [Form(t, v) for v in evaluation_matrix(cfg, t).integer_kernel_basis()]
 
 
 def subset_on_curve_exists(cfg: PointConfig, size: int, degree: int) -> bool:
@@ -150,7 +194,28 @@ class BettiShape:
 # whose syzygies would reach this degree (r_Z > DEGREE_CAP - 3) are refused.
 DEGREE_CAP = 8
 
-_VARIABLES = (Form.monomial(1, 0, 0), Form.monomial(0, 1, 0), Form.monomial(0, 0, 1))
+
+@lru_cache(maxsize=None)
+def _shift_tables(s: int):
+    """For X, Y and Z in turn, the index in degree s + 1 of each degree-s
+    monomial times that variable."""
+    idx = monomial_index(s + 1)
+    return tuple(tuple(idx[(a + da, b + db, c + dc)] for (a, b, c) in monomials(s))
+                 for (da, db, dc) in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def _times_variables(forms, s: int):
+    """Coefficient rows of X*f, Y*f and Z*f for each degree-s form f: a
+    product by a variable only moves the coefficients."""
+    size = space_dim(s + 1)
+    rows = []
+    for f in forms:
+        for table in _shift_tables(s):
+            row = [0] * size
+            for j, c in zip(table, f.coeffs):
+                row[j] = c
+            rows.append(row)
+    return rows
 
 
 def minimal_resolution(cfg: PointConfig) -> BettiShape:
@@ -181,7 +246,7 @@ def minimal_resolution(cfg: PointConfig) -> BettiShape:
     for t in count():
         cur = ideal_slice(cfg, t)
         hilb.append(space_dim(t) - len(cur))
-        shifted = QMatrix.from_rows([(f * x).coeffs for f in prev_slice for x in _VARIABLES])
+        shifted = QMatrix.from_rows(_times_variables(prev_slice, t - 1))
         gens.extend([t] * (len(cur) - shifted.rank()))
         if t > 0 and hilb[t - 1] == n:
             break        # t = r_Z + 1

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import planesheaves
 from planesheaves import cli
 from planesheaves.cli import main
-from planesheaves.forms import Form, format_form, space_dim
+from planesheaves.forms import MAX_DIGITS, Form, format_form, space_dim
 from planesheaves.kronecker import (CERTIFICATE_PRIME, Destabilizer, KroneckerModule,
                                     SemistabilityCertificate, verify_certificate,
                                     verify_destabilizer)
@@ -188,7 +188,12 @@ def test_points_claim_colinear_precondition(capsys):
 def test_points_parse_error(capsys):
     code, _ = run(capsys, "points", "resolve", "--input", json.dumps({"pts": []}))
     assert code == 2
-    for points in (1, [1, 2], ["abc"], [["1/0", "1", "1"]]):
+    # a coordinate whose numerator or denominator would pass MAX_DIGITS digits
+    # is refused before it is built, exponent notation included
+    huge = [["1e99999", "2", "1"], ["3", "1e99999", "1"], ["5", "7", "1"]]
+    tiny = [["1e-99999", "2", "1"], ["3", "1", "1"]]
+    wide = [["1/" + "7" * (MAX_DIGITS + 1), "1", "1"], ["7" * (MAX_DIGITS + 1), "0", "1"]]
+    for points in (1, [1, 2], ["abc"], [["1/0", "1", "1"]], huge, tiny, wide):
         code, _ = run(capsys, "points", "resolve", "--input", json.dumps({"points": points}))
         assert code == 2, points
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -66,6 +67,23 @@ def test_kernel_members_annihilate():
     for v in m.kernel_basis():
         assert m.mat_vec(v) == [0] * 5
     assert m.rank() + len(m.kernel_basis()) == 9
+
+
+def test_integer_kernel_is_the_kernel_basis_scaled_to_primitive_integers():
+    rng = random.Random(4)
+    for _ in range(60):
+        rows, cols = rng.randint(0, 5), rng.randint(1, 8)
+        m = QMatrix(rows, cols, [[rng.choice([0, rng.randint(-9, 9),
+                                              Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+                                  for _ in range(cols)] for _ in range(rows)])
+        kernel = m.kernel_basis()
+        integer = m.integer_kernel_basis()
+        assert len(integer) == len(kernel)
+        for v, w in zip(kernel, integer):
+            assert all(type(a) is int for a in w) and gcd(*w) == 1
+            # v has a 1 at its free column, so w is v times w's entry there
+            scale = next(a for a, b in zip(w, v) if b == 1)
+            assert scale > 0 and w == [scale * b for b in v]
 
 
 # -- the fraction-free core against sympy -------------------------------------------

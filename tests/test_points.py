@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from planesheaves import points
 from planesheaves.forms import Form, space_dim
+from planesheaves.linalg import QMatrix
 from planesheaves.points import (CLAIMS, BettiShape, GenericityError,
                                  PointConfig, PointError,
-                                 colinear_triple_exists,
+                                 colinear_subset_exists, colinear_triple_exists,
                                  contained_in_curve_of_degree,
                                  evaluation_matrix, flag_pair_presentation,
                                  ideal_slice, line_through,
@@ -50,7 +54,19 @@ def test_json_round_trip():
     assert PointConfig.from_json(cfg.to_json()) == cfg
 
 
+def test_json_decimal_and_exponent_coordinates():
+    cfg = PointConfig.from_json({"points": [["0.5", "2e1", "1"], ["-1.5E-2", 3, "1."]]})
+    assert cfg.points == ((Fraction(1, 2), 20, 1), (Fraction(-3, 200), 3, 1))
+
+
 # -- predicates -------------------------------------------------------------------
+
+def colinear_by_ranks(cfg, k):
+    """Reference: some k-subset of the coordinate vectors has rank <= 2."""
+    return len(cfg) >= k and any(
+        QMatrix.from_rows([cfg.points[i] for i in sub]).rank() <= 2
+        for sub in combinations(range(len(cfg)), k))
+
 
 def test_colinear_triple():
     assert not colinear_triple_exists(TRIANGLE)
@@ -58,11 +74,38 @@ def test_colinear_triple():
     rng = random.Random(1)
     for _ in range(5):
         cfg = random_affine_config(8, rng)
-        # per-sample certainty: determinant evaluations decide exactly
-        expected = any(
-            evaluation_matrix(cfg.subset(t), 1).rank() <= 2
-            for t in __import__("itertools").combinations(range(8), 3))
-        assert colinear_triple_exists(cfg) == expected
+        assert colinear_triple_exists(cfg) == colinear_by_ranks(cfg, 3)
+
+
+_SMALL = st.integers(-3, 3)
+_COORD = _SMALL | st.builds(Fraction, _SMALL, st.integers(1, 3))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD, st.sampled_from([0, 1, Fraction(1, 2)])),
+                max_size=9),
+       st.integers(1, 6))
+def test_colinear_subset_matches_rank_enumeration(pts, k):
+    try:
+        cfg = PointConfig(pts)
+    except PointError:
+        assume(False)
+    assert colinear_subset_exists(cfg, k) == colinear_by_ranks(cfg, k)
+    if k == 3:
+        assert colinear_triple_exists(cfg) == colinear_by_ranks(cfg, 3)
+
+
+def test_colinear_subset_on_planted_lines():
+    rng = random.Random(21)
+    for n in range(1, 8):
+        cfg = colinear_points(n, rng)
+        assert all(colinear_subset_exists(cfg, k) for k in range(n + 1))
+        assert not colinear_subset_exists(cfg, n + 1)
+        # a point off the line leaves at most n on one line when n >= 2
+        off = PointConfig(cfg.points + ((7, 100, 1),))
+        assert colinear_subset_exists(off, n) and colinear_subset_exists(off, n + 1) == (n < 2)
+    with pytest.raises(PointError):
+        colinear_subset_exists(TRIANGLE, -1)
 
 
 def test_contained_in_curve():
@@ -81,7 +124,6 @@ def test_ideal_slice_examples():
     assert len(basis) == 3
     span = {tuple(f.coeffs) for f in basis}
     # the span is the monomial ideal slice {XY, XZ, YZ}
-    from planesheaves.linalg import QMatrix
     target = [Form.monomial(1, 1, 0), Form.monomial(1, 0, 1), Form.monomial(0, 1, 1)]
     m1 = QMatrix.from_rows([list(f.coeffs) for f in basis])
     m2 = QMatrix.from_rows([list(f.coeffs) for f in target])
@@ -92,6 +134,23 @@ def test_ideal_slice_examples():
     assert len(ideal_slice(five, 2)) == 1
     eight = config_satisfying(CLAIMS["len8_general"].predicates, 8, rng)
     assert len(ideal_slice(eight, 3)) == 2
+
+
+def test_ideal_slice_is_primitive_and_spans_the_kernel():
+    rng = random.Random(22)
+    configs = [TRIANGLE, colinear_points(4, rng),
+               PointConfig([(Fraction(1, 2), 3, 1), (1, 0, 0), (2, -1, 0), (1, 1, 1)])]
+    configs += [random_affine_config(n, rng) for n in (2, 5, 9)]
+    for cfg in configs:
+        for t in range(5):
+            forms = ideal_slice(cfg, t)
+            kernel = evaluation_matrix(cfg, t).kernel_basis()
+            assert len(forms) == len(kernel)
+            for f in forms:
+                assert all(type(c) is int for c in f.coeffs) and gcd(*f.coeffs) == 1
+            if forms:
+                m = QMatrix.from_rows([f.coeffs for f in forms])
+                assert m.rank() == len(forms) == m.vstack(QMatrix.from_rows(kernel)).rank()
 
 
 def test_independent_conditions_dimension():
