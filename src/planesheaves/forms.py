@@ -4,9 +4,17 @@ A Form is a dense coefficient vector indexed by the graded-lex monomial
 basis (X > Y > Z) of its degree.  The zero form is representable in every
 degree.  Everything is immutable and exact.
 
-Polynomial text is read by one regular-expression pass (``_tokenize``) and a
-small term grammar (``parse_form``); ``format_form`` prints text that
-``parse_form`` reads back to the same form.
+Polynomial text has one grammar:
+
+    [+-]? term ([+-] term)*     term = factor ('*' factor)*
+    factor = n | n/m | (X|Y|Z) ('^' n)?
+
+Whitespace (what ``str.split`` splits on) may separate any two tokens; n/m
+is one token, and n and m are numerals of 1 to MAX_DIGITS Unicode decimal
+digits, read as ``int`` reads them.  ``parse_form`` checks the whole text
+with one compiled regular expression, then reads the terms by string
+splits; ``format_form`` prints text that ``parse_form`` reads back to the
+same form.
 
 Questions about factors are linear algebra on multiplication matrices
 (``mult_map``), run by the one exact core in ``linalg``: ``form_gcd`` takes
@@ -191,37 +199,28 @@ def random_form(degree: int, rng, bound: int) -> Form:
 # parsing / printing
 # ---------------------------------------------------------------------------
 
-# One match per token: a numeral (decimal digits, optionally "/" and more
-# digits), an operator or variable, or any other non-space character, which is
-# an error.  Every non-space character starts a match, so re.findall skips
-# whitespace and nothing else.
-_TOKEN = re.compile(r"(\d+)(/\d*)?|([-+*^XYZ])|(\S)")
+# The grammar of the module docstring.  Each whitespace run sits between two
+# tokens and each repetition starts with its own operator, so a failed match
+# backtracks in time linear in the text.
+_NUMERAL = r"\d{1,%d}" % MAX_DIGITS
+_FACTOR = r"(?:{n}(?:/{n})?|[XYZ](?:\s*\^\s*{n})?)".format(n=_NUMERAL)
+_TERM = r"{f}(?:\s*\*\s*{f})*".format(f=_FACTOR)
+_POLYNOMIAL = re.compile(r"\s*(?:[+-]\s*)?{t}(?:\s*[+-]\s*{t})*\s*".format(t=_TERM))
+_OUTSIDE_ALPHABET = re.compile(r"[^\s\d+\-*^/XYZ]")
+_LONG_NUMERAL = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
+_VARIABLE_INDEX = {name: v for v, name in enumerate(VARIABLES)}
 
 
-def _tokenize(text: str):
-    """Tokens of polynomial text: "+", "-", "*", "^", "X", "Y", "Z", and
-    numerals.  A plain numeral is an int; one written with a slash is an
-    integer (numerator, denominator) pair, so an exponent can insist on a
-    plain numeral.  Numerals longer than MAX_DIGITS digits and zero
-    denominators are parse errors."""
-    tokens = []
-    for num, slash, op, other in _TOKEN.findall(text):
-        if op:
-            tokens.append(op)
-        elif other:
-            raise ParseError("unexpected character %r" % other)
-        elif len(num) > MAX_DIGITS or len(slash) > MAX_DIGITS + 1:
-            raise ParseError("numeral of more than %d digits" % MAX_DIGITS)
-        elif not slash:
-            tokens.append(int(num))
-        elif slash == "/":
-            raise ParseError("malformed rational near %r" % (num + slash))
-        else:
-            den = int(slash[1:])
-            if not den:
-                raise ParseError("zero denominator in %r" % (num + slash))
-            tokens.append((int(num), den))
-    return tokens
+def _syntax_error(text: str) -> ParseError:
+    """Why text the grammar rejects is not a polynomial."""
+    bad = _OUTSIDE_ALPHABET.search(text)
+    if bad:
+        return ParseError("unexpected character %r" % bad.group())
+    if _LONG_NUMERAL.search(text):
+        return ParseError("numeral of more than %d digits" % MAX_DIGITS)
+    if not text.split():
+        return ParseError("empty polynomial text")
+    return ParseError("malformed polynomial %r" % text)
 
 
 def parse_form(text: str, degree: int | None = None) -> Form:
@@ -232,70 +231,30 @@ def parse_form(text: str, degree: int | None = None) -> Form:
     digits.  If ``degree`` is given, the result is coerced to it (only
     possible for the zero form or an exact match).
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial text")
-    # split into signed terms
-    terms = []
-    sign = 1
-    cur = []
-    start = True
-    for tok in tokens:
-        if tok in ("+", "-") and (start or cur):
-            if start and not cur:
-                if tok == "-":
-                    sign = -sign
-                start = False
-                continue
-            if cur:
-                terms.append((sign, cur))
-                cur = []
-                sign = 1 if tok == "+" else -1
-                continue
-        start = False
-        cur.append(tok)
-    if not cur:
-        raise ParseError("dangling operator in %r" % text)
-    terms.append((sign, cur))
-
+    if not _POLYNOMIAL.fullmatch(text):
+        raise _syntax_error(text)
+    # the match fixes every token boundary, so plain string splits read the terms
     acc: dict = {}
-    for sgn, toks in terms:
-        num, den = sgn, 1
+    for term in "".join(text.split()).replace("-", "+-").split("+"):
+        if not term:
+            continue      # before a leading sign
+        num, den = 1, 1
+        if term[0] == "-":
+            num, term = -1, term[1:]
         expo = [0, 0, 0]
-        i = 0
-        expect_factor = True
-        while i < len(toks):
-            tok = toks[i]
-            if tok == "*":
-                if expect_factor:
-                    raise ParseError("misplaced '*' in %r" % text)
-                expect_factor = True
-                i += 1
-                continue
-            if not expect_factor:
-                raise ParseError("missing operator in %r" % text)
-            if isinstance(tok, int):
-                num *= tok
-                i += 1
-            elif isinstance(tok, tuple):
-                num *= tok[0]
-                den *= tok[1]
-                i += 1
-            elif tok in VARIABLES:
-                v = VARIABLES.index(tok)
-                power = 1
-                if i + 1 < len(toks) and toks[i + 1] == "^":
-                    if i + 2 >= len(toks) or not isinstance(toks[i + 2], int):
-                        raise ParseError("malformed exponent in %r" % text)
-                    power = toks[i + 2]
-                    i += 2
-                expo[v] += power
-                i += 1
+        for factor in term.split("*"):
+            v = _VARIABLE_INDEX.get(factor[0])
+            if v is not None:
+                expo[v] += int(factor[2:]) if len(factor) > 1 else 1
+            elif "/" in factor:
+                top, bottom = factor.split("/")
+                bottom = int(bottom)
+                if not bottom:
+                    raise ParseError("zero denominator in %r" % factor)
+                num *= int(top)
+                den *= bottom
             else:
-                raise ParseError("unexpected token %r in %r" % (tok, text))
-            expect_factor = False
-        if expect_factor:
-            raise ParseError("dangling '*' in %r" % text)
+                num *= int(factor)
         if sum(expo) > MAX_DEGREE:
             raise ParseError("term of degree %d exceeds the degree cap %d"
                              % (sum(expo), MAX_DEGREE))
@@ -327,34 +286,32 @@ def parse_form(text: str, degree: int | None = None) -> Form:
     return Form(d, coeffs)
 
 
-def _format_coeff(c) -> str:
-    return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
+@lru_cache(maxsize=None)
+def _monomial_spellings(degree: int):
+    """Text of each monomial of the degree in basis order, "" for 1."""
+    return tuple("*".join(name if e == 1 else "%s^%d" % (name, e)
+                          for name, e in zip(VARIABLES, expo) if e)
+                 for expo in monomials(degree))
 
 
 def format_form(f: Form) -> str:
-    if f.is_zero():
-        return "0"
     parts = []
-    for (a, b, c), coeff in f.terms():
-        mono = []
-        for name, e in zip(VARIABLES, (a, b, c)):
-            if e == 1:
-                mono.append(name)
-            elif e > 1:
-                mono.append("%s^%d" % (name, e))
-        mag = abs(coeff)
-        if mono and mag == 1:
-            body = "*".join(mono)
-        elif mono:
-            body = "*".join([_format_coeff(mag)] + mono)
-        else:
-            body = _format_coeff(mag)
-        parts.append(("-" if coeff < 0 else "+", body))
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += " %s %s" % (sign, body)
-    return out
+    for mono, coeff in zip(_monomial_spellings(f.degree), f.coeffs):
+        if coeff:
+            # str of a Fraction with denominator 1 is its numerator alone
+            mag = abs(coeff)
+            if not mono:
+                body = str(mag)
+            elif mag == 1:
+                body = mono
+            else:
+                body = "%s*%s" % (mag, mono)
+            parts.append((" - " if coeff < 0 else " + ") + body)
+    if not parts:
+        return "0"
+    out = "".join(parts)
+    # the first term drops the spaces around its sign, and a "+"
+    return "-" + out[3:] if out[1] == "-" else out[3:]
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ class StratumRow:
     target: tuple
     conditions: dict
     side_condition: str
-    zero_cells: tuple
     quotient_kind: str
     dual_id: str | None
     stability_asserted: bool
@@ -62,6 +61,14 @@ class StratumRow:
         values = {"h0_Fm1": prof.h0_Fm1, "h1_F": prof.h1_F,
                   "h0_omega": prof.h0_omega, "h1_F1": prof.h1_F1}
         return all(values[k] == v for k, v in self.conditions.items())
+
+    @property
+    def zero_cells(self) -> tuple:
+        """Cells (i, j) of degree 0, target[i] == source[j]: a nonzero
+        constant there would split off a summand O(e) -> O(e), so a minimal
+        presentation has a zero there."""
+        return tuple((i, j) for i, e in enumerate(self.target)
+                     for j, d in enumerate(self.source) if e == d)
 
 
 @dataclass(frozen=True)
@@ -84,7 +91,6 @@ def _load_registry():
             source=tuple(row["source"]), target=tuple(row["target"]),
             conditions=dict(row["conditions"]),
             side_condition=row["side_condition"],
-            zero_cells=tuple(tuple(c) for c in row["zero_cells"]),
             quotient_kind=row["quotient_kind"],
             dual_id=row["dual_id"],
             stability_asserted=row["stability_asserted"],

@@ -1,4 +1,6 @@
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -277,6 +279,27 @@ def test_parse_rejects_garbage():
                 "7" * (MAX_DIGITS + 1), "2\u00b2*X^6"):
         with pytest.raises(ParseError):
             parse_form(bad)
+    # near misses of about 100k characters are rejected in linear time: a
+    # grammar match that backtracked over every split would not finish
+    for bad in ("X+" * 50000, "X*" * 50000 + "+", "1/" * 50000):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_form(bad)
+        assert time.perf_counter() - start < 2.0
+
+
+def test_parse_errors_name_the_cause():
+    for text, message in (("{'a': 1}", "unexpected character '{'"),
+                          ("X + 2\u00b2*Y", "unexpected character '\u00b2'"),
+                          ("X*Y + 7" + "7" * MAX_DIGITS + "*Z^2",
+                           "numeral of more than %d digits" % MAX_DIGITS),
+                          ("X^2 - 1/" + "3" * (MAX_DIGITS + 1) + "*Y^2",
+                           "numeral of more than %d digits" % MAX_DIGITS),
+                          (" \t\n", "empty polynomial text"),
+                          ("1/0*X", "zero denominator in '1/0'"),
+                          ("X^41", "degree cap")):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_form(text)
 
 
 def test_format_roundtrip_bit_exact():
@@ -316,10 +339,40 @@ def _forms(draw):
                                       max_size=space_dim(degree))))
 
 
+def _respell(text, draw):
+    """Printed polynomial text spelt another way: whitespace between any two
+    tokens, factors in any order, a coefficient split into a product of
+    numerals, and a "+" before a leading positive term."""
+    tokens = []
+    terms = text.replace(" - ", " + -").split(" + ")
+    for k, term in enumerate(terms):
+        negative = term.startswith("-")
+        if negative:
+            tokens.append("-")
+        elif k or draw(st.booleans()):
+            tokens.append("+")
+        factors = term.lstrip("-").split("*")
+        if factors[0][0].isdigit():
+            top, slash, bottom = factors.pop(0).partition("/")
+            p = draw(st.sampled_from([p for p in range(1, 10) if int(top) % p == 0]))
+            factors += [str(p), str(int(top) // p) + slash + bottom]
+        for i, factor in enumerate(draw(st.permutations(factors))):
+            if i:
+                tokens.append("*")
+            tokens += factor.partition("^") if "^" in factor else [factor]
+    space = st.sampled_from(["", " ", "  ", "\t", "\n", " \t\n "])
+    return "".join(draw(space) + token for token in tokens) + draw(space)
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(_forms())
-def test_format_parse_round_trip_property(f):
+@given(_forms(), st.data())
+def test_format_parse_round_trip_property(f, data):
     text = format_form(f)
-    g = parse_form(text, None if f.is_zero() else f.degree)
+    degree = None if f.is_zero() else f.degree
+    g = parse_form(text, degree)
     assert format_form(g) == text
     assert f.is_zero() or g == f
+    # the same polynomial spelt otherwise reads back to the same form, with
+    # the same coefficient types
+    h = parse_form(_respell(text, data.draw), degree)
+    assert h == g and list(map(type, h.coeffs)) == list(map(type, g.coeffs))

@@ -75,6 +75,15 @@ def test_registry_matches_hardcoded_expectations():
             assert row.conditions == conditions
 
 
+def test_zero_cells_are_the_degree_zero_cells():
+    # the forced zeros the registry listed before they were derived from the twists
+    listed = {(1, "X_2"): ((0, 3), (1, 3)), (2, "X_1"): ((0, 4), (1, 4), (2, 4)),
+              (2, "X_3"): ((0, 2), (0, 3)), (3, "X_1"): ((0, 3),),
+              (3, "X_2"): ((0, 3), (0, 4), (1, 3), (1, 4)), (3, "X_5"): ((0, 2),)}
+    for row in REGISTRY:
+        assert row.zero_cells == listed.get((row.chi, row.id), ())
+
+
 def test_registry_condition_vectors_pairwise_distinct():
     for chi in (0, 1, 2, 3):
         seen = set()
