@@ -211,6 +211,18 @@ _LONG_NUMERAL = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
 _VARIABLE_INDEX = {name: v for v, name in enumerate(VARIABLES)}
 
 
+# Longest stretch of rejected text that a ParseError message quotes.
+_QUOTED_CHARS = 80
+
+
+def _quoted(text: str) -> str:
+    """repr of the text; a longer text is cut to its first _QUOTED_CHARS
+    characters and its length is given."""
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:_QUOTED_CHARS], len(text))
+
+
 def _syntax_error(text: str) -> ParseError:
     """Why text the grammar rejects is not a polynomial."""
     bad = _OUTSIDE_ALPHABET.search(text)
@@ -220,7 +232,7 @@ def _syntax_error(text: str) -> ParseError:
         return ParseError("numeral of more than %d digits" % MAX_DIGITS)
     if not text.split():
         return ParseError("empty polynomial text")
-    return ParseError("malformed polynomial %r" % text)
+    return ParseError("malformed polynomial %s" % _quoted(text))
 
 
 def parse_form(text: str, degree: int | None = None) -> Form:
@@ -250,7 +262,7 @@ def parse_form(text: str, degree: int | None = None) -> Form:
                 top, bottom = factor.split("/")
                 bottom = int(bottom)
                 if not bottom:
-                    raise ParseError("zero denominator in %r" % factor)
+                    raise ParseError("zero denominator in %s" % _quoted(factor))
                 num *= int(top)
                 den *= bottom
             else:

@@ -18,10 +18,11 @@ brought up to date only when it is combined or chosen as pivot.  `rank`
 eliminates along the shorter side: a tall matrix is eliminated through its
 columns, each scaled by the lcm of its denominators, since row rank equals
 column rank.  One prime-field elimination serves the randomized
-cross-check (`mod_rank`) and the Kronecker semistability certificate
-(`mod_nonsingular`, which stops at the first column without a pivot); a
-rank modulo p only bounds the rational rank from below, so it proves
-something only when it is full.
+cross-check (`mod_rank`), the stabilizer certificate of `strata`
+(`rank_mod_p`, along the shorter side) and the Kronecker semistability
+certificate (`mod_nonsingular`, which stops at the first column without a
+pivot); a rank modulo p only bounds the rational rank from below, so it
+proves something only when it meets an upper bound known in advance.
 """
 
 from __future__ import annotations
@@ -188,8 +189,12 @@ class QMatrix:
         return Fraction(sign * last if len(pivots) == self.rows else 0, scale)
 
     def rank_mod_p(self, p: int) -> int:
-        """Rank of the reduction modulo p.  Raises if p divides a denominator."""
-        return mod_rank(mod_residues(self.data, p), p)
+        """Rank of the reduction modulo p, eliminated along the shorter side as
+        `rank` is.  Raises if p divides a denominator."""
+        rows = mod_residues(self.data, p)
+        if self.rows > self.cols:
+            rows = zip(*rows)
+        return mod_rank(rows, p)
 
     def __repr__(self):
         return "QMatrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
@@ -279,9 +284,13 @@ def _bareiss(m, ncols: int, reduced: bool):
 
 
 def mod_residues(rows, p: int):
-    """Rows of rationals reduced to residues modulo the prime p."""
+    """Rows of rationals reduced to residues modulo the prime p.  A row of
+    ints is reduced in one pass."""
     out = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            out.append([x % p for x in row])
+            continue
         r = []
         for x in row:
             if x.denominator == 1:
@@ -313,14 +322,16 @@ def _mod_pivot_flags(rows, p: int):
             yield False
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        # entries left of column c are zero mod p in the pivot row and below it
+        # entries left of column c are zero mod p in the pivot row and below
+        # it, and only the nonzero entries of the pivot row change a row below
         inv = pow(rows[rank][c], p - 2, p)
-        tail = [v * inv % p for v in rows[rank][c:]]
+        tail = [(j, v * inv % p) for j, v in enumerate(rows[rank][c:], c) if v % p]
         for i in range(rank + 1, len(rows)):
             row = rows[i]
             f = row[c] % p
             if f:
-                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+                for j, b in tail:
+                    row[j] = (row[j] - f * b) % p
         rank += 1
         yield True
         if rank == len(rows):

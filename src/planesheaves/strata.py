@@ -24,6 +24,7 @@ from importlib import resources
 from .forms import (Form, block_mult_map, coefficient_matrix, divides, form_gcd,
                     linearly_independent, random_form, space_dim)
 from .kronecker import KroneckerModule, is_semistable, minors_semistable
+from .linalg import LinalgError
 from .presentation import (CohomologyProfile, Presentation, PresentationError,
                            derive_seed, dual, hilbert, h0_twist, h1_twist,
                            is_injective, profile, twist)
@@ -353,6 +354,12 @@ def generate(chi: int, stratum_id: str, seed: int) -> Presentation:
     """Rejection sampling: random integer matrices of the row's shape with its
     forced zero pattern, accepted when validation, injectivity, the exact side
     conditions and the classifier all agree with the row."""
+    return _generate(chi, stratum_id, seed)[0]
+
+
+def _generate(chi: int, stratum_id: str, seed: int):
+    """`generate`, returning (P, profile(P)); the profile is the one the
+    classifier computed, which is P's own when chi is canonical."""
     row = get_row(chi, stratum_id)
     zero = set(row.zero_cells)
     rng = random.Random(derive_seed("generate", chi, stratum_id, seed))
@@ -377,11 +384,11 @@ def generate(chi: int, stratum_id: str, seed: int) -> Presentation:
         if side.status == "fail":
             continue
         try:
-            label = classify(P)
+            label, prof, recipe = classify(P, with_profile=True)
         except (ClassifyError, PresentationError):
             continue
         if (label.chi, label.id) == (chi, stratum_id):
-            return P
+            return P, (profile(P) if recipe else prof)
     raise GenerationError(
         "no instance of (chi=%d, %s) in %d attempts (seed %d)"
         % (chi, stratum_id, MAX_ATTEMPTS, seed))
@@ -417,13 +424,34 @@ class DimAudit:
         }
 
 
+# The prime of the stabilizer certificate: the largest below 2^15, so the
+# product of two residues is a one-digit CPython int.
+_STABILIZER_PRIME = 32749
+
+
 def generic_stabilizer_dim(P: Presentation) -> int:
     """Dimension of the stabilizer of P in the symmetry group, computed exactly
     as the solution space of gB . phi = phi . gA minus the global scalar.
 
     The unknowns are the blocks gA[a][b]: O(d_b) -> O(d_a) and
     gB[a][b]: O(e_b) -> O(e_a) of nonnegative degree.  Cell (i, j) of the
-    equation puts +phi[k][j] on gB[i][k] and -phi[i][k] on gA[k][j]."""
+    equation puts +phi[k][j] on gB[i][k] and -phi[i][k] on gA[k][j].
+
+    Theorem: if phi is injective with cokernel F, the solution space K has
+    dimension dim End(F) + hom, hom = dim Hom(B, A) = sum of
+    space_dim(d_j - e_i).  Every endomorphism of F lifts to a pair (gA, gB),
+    since Ext^1(B, A) = 0 on P^2 (H^1(O(t)) = 0 for every t); the pairs that
+    induce zero on F are exactly (h phi, phi h) for h in Hom(B, A), and
+    h -> (h phi, phi h) is injective because phi is.  So the stabilizer has
+    dimension hom + dim End(F) - 1 >= hom, with equality iff F is simple.
+
+    Certificate: the rank of the system modulo a prime is at most its rank
+    over Q (a nonzero minor mod p is nonzero over Q), which by the theorem is
+    at most nvars - 1 - hom.  So when `is_injective` proves phi injective and
+    the rank modulo _STABILIZER_PRIME reaches nvars - 1 - hom, the stabilizer
+    is exactly hom.  Otherwise (phi not proved injective, the prime divides a
+    denominator, or the modular rank falls short because F is not simple or
+    the prime is unlucky) the exact rank decides."""
     d, e = P.source, P.target
     column, col_deg = {}, []     # unknown (side, a, b) -> block column; degrees
     for side, t in (("A", d), ("B", e)):
@@ -452,6 +480,13 @@ def generic_stabilizer_dim(P: Presentation) -> int:
     if not entries:
         return (nvars - 1) if nvars else 0
     system = block_mult_map(entries, row_deg, col_deg)
+    hom = sum(space_dim(dj - ei) for ei in e for dj in d if dj >= ei)
+    if len(d) <= len(e) and is_injective(P):
+        try:
+            if system.rank_mod_p(_STABILIZER_PRIME) == nvars - 1 - hom:
+                return hom
+        except LinalgError:
+            pass
     return nvars - system.rank() - 1
 
 
@@ -532,7 +567,7 @@ def verify_row(chi: int, stratum_id: str, samples: int, seed: int) -> RowReport:
     for k in range(samples):
         sample_seed = derive_seed("verify", chi, stratum_id, seed, k)
         try:
-            P = generate(chi, stratum_id, seed=sample_seed)
+            P, prof = _generate(chi, stratum_id, seed=sample_seed)
         except GenerationError as exc:
             report.failures.append({"sample": k, "seed": sample_seed,
                                     "check": "generate", "detail": str(exc)})
@@ -544,7 +579,6 @@ def verify_row(chi: int, stratum_id: str, samples: int, seed: int) -> RowReport:
         else:
             report.failures.append({"sample": k, "seed": sample_seed,
                                     "check": "hilbert", "detail": str((hd.r, hd.chi))})
-        prof = profile(P)
         if row.matches(prof):
             report.profile_matches += 1
         else:

@@ -46,6 +46,15 @@ def test_classify_parse_error(capsys):
     assert code == 2
 
 
+def test_a_long_malformed_entry_is_quoted_in_part(capsys):
+    blob = json.dumps({"source": [-4], "target": [2], "matrix": [["X+" * 50000]]})
+    assert main(["classify", "--input", blob]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.encode()) < 1024
+    assert "(100000 characters)" in captured.err
+
+
 def test_oversize_degree_and_twist_are_parse_errors(capsys):
     # caught before any dense coefficient vector or graded piece is built
     oversize = [

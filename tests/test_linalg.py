@@ -361,3 +361,34 @@ def test_mod_nonsingular_is_full_mod_rank():
         assert linalg.mod_nonsingular(rows, p) == (linalg.mod_rank(rows, p) == n)
     with pytest.raises(LinalgError):
         linalg.mod_nonsingular([[1, 2]], p)
+
+
+def test_rank_mod_p_along_the_shorter_side_agrees_with_rank():
+    """Tall and wide products of planted rank, with int rows, Fraction rows
+    and mixed rows, modulo a word-size prime: the same rank as the exact
+    elimination, whichever side is shorter."""
+    rng = random.Random(29)
+    p = 32749
+    for _ in range(200):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        if rng.random() < 0.5:
+            rows, cols = max(rows, cols), min(rows, cols)
+        r = rng.randint(0, min(rows, cols))
+        left = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(rows)]
+        right = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(cols)] for _ in range(r)]
+        data = [[sum(a * b for a, b in zip(lrow, col)) for col in zip(*right)] if r else [0] * cols
+                for lrow in left]
+        for row in data:
+            if rng.random() < 0.3:
+                row[:] = [Fraction(x, rng.randint(1, 9)) for x in row]
+        m = QMatrix(rows, cols, data)
+        assert m.rank_mod_p(p) == m.rank() == m.transpose().rank_mod_p(p)
+
+
+def test_mod_residues_of_int_rows_and_fraction_rows_agree():
+    p = 32749
+    ints = [[-5, 0, 7 * p + 3, -(p + 1)]]
+    fracs = [[Fraction(x) for x in ints[0]]]
+    assert linalg.mod_residues(ints, p) == linalg.mod_residues(fracs, p) == [[p - 5, 0, 3, p - 1]]
+    with pytest.raises(LinalgError):
+        linalg.mod_residues([[1, Fraction(1, p)]], p)

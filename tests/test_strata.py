@@ -1,11 +1,14 @@
 import json
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
 from planesheaves.cli import main
+from planesheaves.forms import Form, monomials, space_dim
+from planesheaves.linalg import QMatrix
 from planesheaves.presentation import (Presentation, derive_seed, dual, hilbert,
-                                       profile, twist)
+                                       is_injective, profile, twist)
 from planesheaves.strata import (REGISTRY, ClassifyError, MODULI_DIM,
                                  StrataError, apply_recipe,
                                  classify, dim_audit, generate,
@@ -277,6 +280,107 @@ def test_generic_stabilizer_dims_match_the_dims_column(capsys):
               for row in REGISTRY}
     assert len(direct) == 28
     assert direct == column
+
+
+def _exact_stabilizer_dim(P):
+    """nvars - rank - 1 for the map (gA, gB) -> gB . phi - phi . gA, built
+    here one unknown monomial at a time and ranked by the exact elimination."""
+    d, e = P.source, P.target
+    cells = [(i, j) for i in range(len(e)) for j in range(len(d)) if e[i] >= d[j]]
+    offset, n = {}, 0
+    for i, j in cells:
+        offset[i, j] = n
+        n += space_dim(e[i] - d[j])
+
+    def image(products):
+        v = [0] * n
+        for (i, j), f in products:
+            if (i, j) in offset and not f.is_zero():
+                for k, c in enumerate(f.coeffs):
+                    v[offset[i, j] + k] += c
+        return v
+
+    columns = []
+    for side, t in (("A", d), ("B", e)):
+        for a in range(len(t)):
+            for b in range(len(t)):
+                if t[a] < t[b]:
+                    continue
+                for mono in monomials(t[a] - t[b]):
+                    m = Form.monomial(*mono)
+                    if side == "B":     # gB[a][b] = m: row a of gB . phi
+                        columns.append(image(((a, j), m * P.matrix[b][j])
+                                             for j in range(len(d))))
+                    else:               # gA[a][b] = m: column b of -phi . gA
+                        columns.append(image(((i, b), -(P.matrix[i][a] * m))
+                                             for i in range(len(e))))
+    if not columns:
+        return 0
+    return len(columns) - QMatrix.from_rows(columns).rank() - 1
+
+
+def _hom(P):
+    return sum(space_dim(dj - ei) for ei in P.target for dj in P.source)
+
+
+def _system_ranks(monkeypatch):
+    """Shapes of the exact ranks taken from here on (the spy of QMatrix.rank)."""
+    shapes = []
+    rank = QMatrix.rank
+
+    def spy(self):
+        shapes.append((self.rows, self.cols))
+        return rank(self)
+
+    monkeypatch.setattr(QMatrix, "rank", spy)
+    return shapes
+
+
+def test_certified_stabilizer_equals_the_exact_one_on_every_row(monkeypatch):
+    """The modular certificate against an exact rank built independently, on
+    all 28 rows at 20 seeds: the generic stabilizer is hom on every row, and
+    no stabilizer system goes to the exact elimination."""
+    for seed in range(20):
+        for row in REGISTRY:
+            P = generate(row.chi, row.id, seed=seed)
+            exact = _exact_stabilizer_dim(P)
+            shapes = _system_ranks(monkeypatch)
+            assert generic_stabilizer_dim(P) == exact == _hom(P), (row.chi, row.id, seed)
+            # only is_injective's evaluation matrix, len(target) x len(source)
+            assert all(shape == (len(P.target), len(P.source)) for shape in shapes)
+            monkeypatch.undo()
+
+
+def _fallback_cases():
+    cubic1, cubic2 = "X^3 + Y^3 + Z^3", "X^3 + 2*Y^3 - Z^3 + X*Y*Z"
+    two_curves = Presentation.from_text([-3, -3], [0, 0], [[cubic1, "0"], ["0", cubic2]])
+    one_curve_twice = Presentation.from_text([-3, -3], [0, 0], [[cubic1, "0"], ["0", cubic1]])
+    not_injective = Presentation.from_text([-3, -3], [0, 0], [["X^3", "X^3"], ["Y^3", "Y^3"]])
+    too_wide = Presentation.from_text([-1, -1], [0], [["X", "Y"]])
+    P = generate(3, "X_5", seed=4)
+    p = 32749
+    scaled = Presentation(P.source, P.target,
+                          [[Form(f.degree, [Fraction(c, p) for c in f.coeffs]) if (i, j) == (0, 0)
+                            else f for j, f in enumerate(row)]
+                           for i, row in enumerate(P.matrix)])
+    # O_C1 + O_C2 has End = k^2, O_C + O_C has End = M_2(k)
+    return [("O_C1 + O_C2", two_curves, 1), ("O_C + O_C", one_curve_twice, 3),
+            ("not injective", not_injective, None), ("more source summands", too_wide, None),
+            ("denominator 32749", scaled, _hom(P))]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_stabilizer_falls_back_to_the_exact_rank(case, monkeypatch):
+    name, P, expected = _fallback_cases()[case]
+    exact = _exact_stabilizer_dim(P)
+    if expected is not None:
+        assert exact == expected, name
+    elif len(P.source) <= len(P.target):
+        assert not is_injective(P)
+    shapes = _system_ranks(monkeypatch)
+    assert generic_stabilizer_dim(P) == exact, name
+    # the stabilizer system itself went to the exact elimination
+    assert any(shape != (len(P.target), len(P.source)) for shape in shapes), name
 
 
 # -- verify_row -----------------------------------------------------------------------
