@@ -13,9 +13,9 @@ from .forms import (Form, FormError, ParseError, conic_is_irreducible, divides,
                     monomials, mult_map, parse_form, space_dim)
 from .linalg import QMatrix
 from .presentation import (CohomologyProfile, HilbertData, Presentation,
-                           PresentationError, dual, graded_piece, h0_omega,
-                           h0_twist, h1_omega, h1_twist, hilbert, is_injective,
-                           profile, twist)
+                           PresentationError, dual, h0_omega, h0_twist,
+                           h1_omega, h1_twist, hilbert, is_injective, profile,
+                           twist)
 from .kronecker import (Destabilizer, KroneckerModule, KroneckerVerdict,
                         SemistabilityCertificate, dim_kronecker_moduli,
                         is_semistable, minors_semistable,

@@ -13,9 +13,8 @@ from pathlib import Path
 
 from .forms import FormError, ParseError, parse_form
 from .kronecker import KroneckerModule, is_semistable
-from .points import (CLAIMS, GenericityError, PointConfig, PointError,
-                     flag_pair_presentation, minimal_resolution,
-                     verify_point_claim)
+from .points import (CLAIMS, PointConfig, PointError, flag_pair_presentation,
+                     minimal_resolution, verify_point_claim)
 from .presentation import Presentation, PresentationError, dual, hilbert
 from .stability import CRITERIA, BoundsQuery, bounds_check
 from .strata import (ClassifyError, GenerationError, MODULI_DIM, REGISTRY,
@@ -209,8 +208,6 @@ def cmd_points(args):
                        % (args.claim, ", ".join(sorted(CLAIMS))))
     try:
         result = verify_point_claim(args.claim, cfg)
-    except GenericityError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc))
     except PointError as exc:
         raise CliError(EXIT_PRECONDITION, str(exc))
     _emit(result.to_json(), args.out_dir, "claim.json")

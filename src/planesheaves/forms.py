@@ -211,16 +211,18 @@ _LONG_NUMERAL = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
 _VARIABLE_INDEX = {name: v for v, name in enumerate(VARIABLES)}
 
 
-# Longest stretch of rejected text that a ParseError message quotes.
-_QUOTED_CHARS = 80
+# Longest stretch of a rejected input that an error message quotes.
+QUOTED_CHARS = 80
 
 
-def _quoted(text: str) -> str:
-    """repr of the text; a longer text is cut to its first _QUOTED_CHARS
-    characters and its length is given."""
-    if len(text) <= _QUOTED_CHARS:
-        return repr(text)
-    return "%r... (%d characters)" % (text[:_QUOTED_CHARS], len(text))
+def quoted(value) -> str:
+    """repr of a rejected input, for an error message.  A string (any other
+    value: its repr) longer than QUOTED_CHARS characters is cut to its first
+    QUOTED_CHARS characters and its length is given."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= QUOTED_CHARS:
+        return repr(value)
+    return "%r... (%d characters)" % (text[:QUOTED_CHARS], len(text))
 
 
 def _syntax_error(text: str) -> ParseError:
@@ -232,7 +234,7 @@ def _syntax_error(text: str) -> ParseError:
         return ParseError("numeral of more than %d digits" % MAX_DIGITS)
     if not text.split():
         return ParseError("empty polynomial text")
-    return ParseError("malformed polynomial %s" % _quoted(text))
+    return ParseError("malformed polynomial %s" % quoted(text))
 
 
 def parse_form(text: str, degree: int | None = None) -> Form:
@@ -262,7 +264,7 @@ def parse_form(text: str, degree: int | None = None) -> Form:
                 top, bottom = factor.split("/")
                 bottom = int(bottom)
                 if not bottom:
-                    raise ParseError("zero denominator in %s" % _quoted(factor))
+                    raise ParseError("zero denominator in %s" % quoted(factor))
                 num *= int(top)
                 den *= bottom
             else:

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations, count
 
 from .forms import (MAX_DIGITS, Form, ParseError, block_mult_map, divides,
-                    monomial_index, monomials, space_dim)
+                    monomial_index, monomials, quoted, space_dim)
 from .linalg import QMatrix
 from .presentation import Presentation
 
@@ -66,7 +66,7 @@ def _coordinate(c) -> Fraction:
     built, so "1e99999" is refused at once instead of building 10^99999."""
     m = _COORDINATE.fullmatch(str(c))
     if m is None:
-        raise ParseError("bad point coordinate %r" % (c,))
+        raise ParseError("bad point coordinate %s" % quoted(c))
     sign, num, den, frac, exp = m.groups()
     if den is None:
         frac, exp = frac or "", exp or "0"
@@ -80,7 +80,7 @@ def _coordinate(c) -> Fraction:
     if len(num) > MAX_DIGITS or len(den) > MAX_DIGITS:
         raise ParseError("point coordinate of more than %d digits" % MAX_DIGITS)
     if not int(den):
-        raise ParseError("zero denominator in point coordinate %r" % (c,))
+        raise ParseError("zero denominator in point coordinate %s" % quoted(c))
     return Fraction(int(sign + num), int(den))
 
 

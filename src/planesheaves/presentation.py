@@ -13,20 +13,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 from dataclasses import dataclass
-from math import lcm
 from numbers import Real
 from operator import mul
 
-from .forms import (Form, ParseError, block_mult_map, format_form, monomials,
-                    parse_form, random_form, space_dim)
+from .forms import (Form, ParseError, format_form, monomials, parse_form, quoted,
+                    random_form, space_dim)
 from .linalg import QMatrix
 
 
 # Largest |twist| Presentation.from_text accepts.  Twists set the degrees of
-# the graded pieces whose dense matrices the cohomology computations build;
-# every registry, test and benchmark twist has |twist| <= 10.
+# the dense multiplication matrices built from a presentation and the side
+# of the injectivity grid; every registry, test and benchmark twist has
+# |twist| <= 10.
 MAX_TWIST = 40
 
 
@@ -35,7 +34,8 @@ class PresentationError(ValueError):
 
 
 class InconsistentPresentationError(PresentationError):
-    """Raised when cohomology arithmetic certifies the map was not injective."""
+    """Raised when the presentation map is proved not injective: by
+    `is_injective`, or by a cohomology count that goes negative."""
 
 
 def derive_seed(*parts) -> int:
@@ -145,10 +145,10 @@ def _twist(d) -> int:
     """int(d) for a number d of integral value.  A bool or a string is
     refused instead of converted, a fraction instead of truncated."""
     if isinstance(d, bool) or not isinstance(d, Real):
-        raise TypeError("%r is not a number" % (d,))
+        raise TypeError("%s is not a number" % quoted(d))
     t = int(d)
     if t != d:
-        raise ValueError("%r is not an integer" % (d,))
+        raise ValueError("%s is not an integer" % quoted(d))
     return t
 
 
@@ -210,91 +210,52 @@ def h1_twist(P: Presentation, t: int) -> int:
     return h1
 
 
-# Random points is_injective tries before it reports a likely degenerate map.
-INJECTIVITY_TRIALS = 8
+def is_injective(P: Presentation) -> bool:
+    """Exact decision for a square presentation: the sheaf map is injective
+    iff det P is not the zero form.
 
-
-def is_injective(P: Presentation, seed: int = 0) -> bool:
-    """Generic-rank certificate: full column rank at one random point proves
-    injectivity of the sheaf map; failure at INJECTIVITY_TRIALS points
-    reports likely degeneracy, which is not a proof.
-
-    The points are integers and each matrix row is put over one integer
-    denominator, which keeps the rank, so every value is an integer: a dot
-    product with one table of monomial values per point and degree."""
+    det P is zero or a form of degree r = sum(target) - sum(source), and a
+    form vanishes iff it vanishes on the chart Z = 1.  There det P is a
+    polynomial in x, y of degree at most r in each variable, so it is zero
+    iff it vanishes on the grid {0..r}^2 (combinatorial Nullstellensatz,
+    Alon 1999, Lemma 2.1).  The grid is walked x-major; the first point
+    where the evaluated matrix has full rank proves injectivity, and False
+    is returned only after every point failed."""
     p = len(P.source)
-    q = len(P.target)
-    if p > q:
-        raise PresentationError("injectivity test needs at most as many source summands")
-    rows = []
-    for row in P.matrix:
-        scale = lcm(*[c.denominator for f in row for c in f.coeffs])
-        rows.append([(f.degree, [c.numerator * (scale // c.denominator) for c in f.coeffs])
-                     for f in row])
-    degrees = {d for row in rows for d, _ in row}
-    top = max(degrees, default=0)
-    rng = random.Random(derive_seed("inject", seed, P.source, P.target))
-    for _ in range(INJECTIVITY_TRIALS):
-        x, y, z = (rng.randint(-100, 100) for _ in range(3))
-        if x == y == z == 0:
-            continue
-        xs, ys, zs = ([v ** k for k in range(top + 1)] for v in (x, y, z))
-        table = {d: [xs[a] * ys[b] * zs[c] for a, b, c in monomials(d)] for d in degrees}
-        values = [[sum(map(mul, coeffs, table[d])) for d, coeffs in row] for row in rows]
-        if QMatrix(q, p, values).rank() == p:
-            return True
+    if p != len(P.target):
+        raise PresentationError("injectivity is decided for square presentations only")
+    r = sum(P.target) - sum(P.source)
+    cells = [[(f.degree, f.coeffs) for f in row] for row in P.matrix]
+    degrees = {d for row in cells for d, _ in row}
+    for x in range(r + 1):
+        for y in range(r + 1):
+            table = {d: [x ** a * y ** b for a, b, _ in monomials(d)] for d in degrees}
+            values = [[sum(map(mul, coeffs, table[d])) for d, coeffs in row] for row in cells]
+            if QMatrix(p, p, values).rank() == p:
+                return True
     return False
 
 
 # ---------------------------------------------------------------------------
-# graded pieces and the contraction invariant
+# the cotangent twist
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GradedPiece:
-    """Model of H^0(F(t)) as ambient global sections of the target modulo the
-    column space of the global-sections matrix of the presentation."""
-
-    t: int
-    ambient_dim: int
-    image: QMatrix
-    image_rank: int
-    dim: int
-
-
-def graded_piece(P: Presentation, t: int) -> GradedPiece:
-    image = block_mult_map(P.matrix, [e + t for e in P.target], [d + t for d in P.source])
-    ambient = sum(space_dim(e + t) for e in P.target)
-    rank = image.rank()
-    dim = ambient - rank
-    expected = h0_twist(P, t)
-    if dim != expected:
-        raise InconsistentPresentationError(
-            "graded piece at t=%d has dimension %d, twist arithmetic expects %d"
-            % (t, dim, expected))
-    return GradedPiece(t, ambient, image, rank, dim)
-
-
 def h0_omega(P: Presentation) -> int:
-    """h^0(F ⊗ Ω¹(1)) via the Euler sequence: the kernel of the contraction
-    V ⊗ H^0(F) -> H^0(F(1)), (a,b,c)⊗s -> aXs+bYs+cZs, counted.
+    """h^0(F ⊗ Ω¹(1)) of an injective presentation, via the Euler sequence:
+    the kernel of the contraction V ⊗ H^0(F) -> H^0(F(1)),
+    (a,b,c)⊗s -> aXs+bYs+cZs, counted.
 
-    On the graded-piece models V ⊗ S_e -> S_{e+1} is onto for e >= 0, so the
-    contraction and the degree-1 sections matrix together span every target
-    block with e_i >= 0, plus rank C in the one-row blocks of the O(-1)
-    target summands.  C is the first #{e_i = -1} rows of the degree-1
-    sections matrix (twists ascend): the constant entries from O(-1) source
-    to O(-1) target summands.  Hence
-    h0(F ⊗ Ω¹(1)) = 3 h0(F) - h0(F(1)) + #{e_i = -1} - rank C.
-    The count is the dimension of that kernel for any matrix (x·B_0 lies in
-    B_1, B_t the image in degree t), so it is never negative.  Both graded
-    pieces are still built: their dimension checks reject some non-injective
-    maps."""
-    g0 = graded_piece(P, 0)
-    g1 = graded_piece(P, 1)
-    n = P.target.count(-1)
-    rank_c = QMatrix(n, g1.image.cols, g1.image.data[:n]).rank()
-    return 3 * g0.dim - g1.dim + n - rank_c
+    H^0(F(t)) is the target's degree-t sections modulo the image of the
+    source's.  V ⊗ S_e -> S_{e+1} is onto for e >= 0, so the contraction and
+    the degree-1 image together span every target block with e_i >= 0, plus
+    rank C in the one-row blocks of the O(-1) target summands, where C is
+    the constant block from the O(-1) source summands to the O(-1) target
+    summands.  Hence
+    h0(F ⊗ Ω¹(1)) = 3 h0(F) - h0(F(1)) + #{e_i = -1} - rank C."""
+    rows = [i for i, e in enumerate(P.target) if e == -1]
+    cols = [j for j, d in enumerate(P.source) if d == -1]
+    C = QMatrix(len(rows), len(cols), [[P.matrix[i][j].coeffs[0] for j in cols] for i in rows])
+    return 3 * h0_twist(P, 0) - h0_twist(P, 1) + len(rows) - C.rank()
 
 
 def h1_omega(P: Presentation) -> int:

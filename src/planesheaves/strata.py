@@ -9,9 +9,10 @@ where a closed form exists; every Kronecker side condition is `pass` or
 `fail`, decided by `kronecker.is_semistable`; only the orbit-form
 conditions stay `unknown`, which the generator accepts like `pass`.
 
-The classifier assumes its input is semistable: a non-semistable injective
-presentation whose profile happens to sit in the registry is classified
-silently.
+The classifier decides exactly that its input map is injective and raises
+otherwise.  It assumes that the sheaf is semistable: a non-semistable
+injective presentation whose profile happens to sit in the registry is
+classified silently.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .forms import (Form, block_mult_map, coefficient_matrix, divides, form_gcd,
                     linearly_independent, random_form, space_dim)
 from .kronecker import KroneckerModule, is_semistable, minors_semistable
 from .linalg import LinalgError
-from .presentation import (CohomologyProfile, Presentation, PresentationError,
-                           derive_seed, dual, hilbert, h0_twist, h1_twist,
-                           is_injective, profile, twist)
+from .presentation import (CohomologyProfile, InconsistentPresentationError,
+                           Presentation, PresentationError, derive_seed, dual,
+                           hilbert, h0_twist, h1_twist, is_injective, profile,
+                           twist)
 from .stability import CRITERIA, BoundsQuery, bounds_check, pencil_block_failure
 
 MODULI_DIM = 37   # r^2 + 1 for multiplicity 6
@@ -149,11 +151,17 @@ def apply_recipe(P: Presentation, recipe) -> Presentation:
 # ---------------------------------------------------------------------------
 
 def classify(P: Presentation, with_profile: bool = False):
-    """Label a validated injective presentation by its cohomology profile.
+    """Label a validated presentation by its cohomology profile.
 
-    The input is assumed semistable; profiles outside the registry raise."""
+    Injectivity is decided exactly (`is_injective`): a map that is not
+    injective raises InconsistentPresentationError.  Semistability is
+    assumed, not checked; profiles outside the registry raise
+    ClassifyError."""
     hd = hilbert(P)
     chi_bar, recipe = normalize_chi(hd.r, hd.chi)
+    if not is_injective(P):
+        raise InconsistentPresentationError(
+            "the presentation map is not injective: its determinant is the zero form")
     Q = apply_recipe(P, recipe)
     prof = profile(Q)
     matches = [row for row in rows_for_chi(chi_bar) if row.matches(prof)]
@@ -352,18 +360,18 @@ MAX_ATTEMPTS = 1000
 
 def generate(chi: int, stratum_id: str, seed: int) -> Presentation:
     """Rejection sampling: random integer matrices of the row's shape with its
-    forced zero pattern, accepted when validation, injectivity, the exact side
-    conditions and the classifier all agree with the row."""
+    forced zero pattern, accepted when validation, the exact side conditions
+    and the classifier (which proves injectivity) all agree with the row."""
     return _generate(chi, stratum_id, seed)[0]
 
 
 def _generate(chi: int, stratum_id: str, seed: int):
     """`generate`, returning (P, profile(P)); the profile is the one the
-    classifier computed, which is P's own when chi is canonical."""
+    classifier computed, P's own since every registry chi is canonical."""
     row = get_row(chi, stratum_id)
     zero = set(row.zero_cells)
     rng = random.Random(derive_seed("generate", chi, stratum_id, seed))
-    for attempt in range(MAX_ATTEMPTS):
+    for _ in range(MAX_ATTEMPTS):
         matrix = []
         for i, e in enumerate(row.target):
             out = []
@@ -378,17 +386,15 @@ def _generate(chi: int, stratum_id: str, seed: int):
             P = Presentation(row.source, row.target, matrix)
         except PresentationError:
             continue
-        if not is_injective(P, seed=derive_seed(seed, attempt)):
-            continue
         side = _SIDE_CATALOGUE[row.side_condition](P)
         if side.status == "fail":
             continue
         try:
-            label, prof, recipe = classify(P, with_profile=True)
+            label, prof, _ = classify(P, with_profile=True)
         except (ClassifyError, PresentationError):
             continue
         if (label.chi, label.id) == (chi, stratum_id):
-            return P, (profile(P) if recipe else prof)
+            return P, prof
     raise GenerationError(
         "no instance of (chi=%d, %s) in %d attempts (seed %d)"
         % (chi, stratum_id, MAX_ATTEMPTS, seed))
@@ -449,7 +455,7 @@ def generic_stabilizer_dim(P: Presentation) -> int:
     over Q (a nonzero minor mod p is nonzero over Q), which by the theorem is
     at most nvars - 1 - hom.  So when `is_injective` proves phi injective and
     the rank modulo _STABILIZER_PRIME reaches nvars - 1 - hom, the stabilizer
-    is exactly hom.  Otherwise (phi not proved injective, the prime divides a
+    is exactly hom.  Otherwise (phi not injective, the prime divides a
     denominator, or the modular rank falls short because F is not simple or
     the prime is unlucky) the exact rank decides."""
     d, e = P.source, P.target
@@ -481,7 +487,7 @@ def generic_stabilizer_dim(P: Presentation) -> int:
         return (nvars - 1) if nvars else 0
     system = block_mult_map(entries, row_deg, col_deg)
     hom = sum(space_dim(dj - ei) for ei in e for dj in d if dj >= ei)
-    if len(d) <= len(e) and is_injective(P):
+    if len(d) == len(e) and is_injective(P):
         try:
             if system.rank_mod_p(_STABILIZER_PRIME) == nvars - 1 - hom:
                 return hom

@@ -55,8 +55,24 @@ def test_a_long_malformed_entry_is_quoted_in_part(capsys):
     assert "(100000 characters)" in captured.err
 
 
+_LONG_TWIST = json.dumps({"source": ["7" * 50000], "target": [2], "matrix": [[SEXTIC]]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--input", _LONG_TWIST],
+    ["kron-check", "--input", _LONG_TWIST],
+    ["points", "resolve", "--input", json.dumps({"points": [["1" * 50000 + "x", "0", "1"]]})],
+])
+def test_a_long_rejected_twist_or_coordinate_is_quoted_in_part(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.encode()) < 300
+    assert "characters)" in captured.err
+
+
 def test_oversize_degree_and_twist_are_parse_errors(capsys):
-    # caught before any dense coefficient vector or graded piece is built
+    # caught before any dense coefficient vector or matrix is built
     oversize = [
         {"source": [-4], "target": [2], "matrix": [["X^100000000"]]},
         {"source": [-4], "target": [2], "matrix": [["X^6 + Y^35*Z^6"]]},
@@ -74,6 +90,20 @@ def test_classify_wrong_multiplicity(capsys):
     blob = json.dumps({"source": [-1], "target": [4], "matrix": [["X^5"]]})
     code, _ = run(capsys, "classify", "--input", blob)
     assert code == 4
+
+
+# two equal columns, and the zero map: each determinant is the zero form
+NOT_INJECTIVE = [
+    {"source": [-3, -3], "target": [0, 0], "matrix": [["X^3", "X^3"], ["Y^3", "Y^3"]]},
+    {"source": [-4], "target": [2], "matrix": [["0"]]},
+]
+
+
+@pytest.mark.parametrize("blob", NOT_INJECTIVE)
+def test_classify_refuses_a_map_that_is_not_injective(blob, capsys):
+    assert main(["classify", "--input", json.dumps(blob)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not injective" in captured.err
 
 
 def test_classify_not_in_table(capsys):
@@ -369,6 +399,13 @@ def _presentation_blobs(draw):
             else:
                 row.append("0")
         rows.append(row)
+    singular = draw(st.sampled_from(["as drawn", "zero row", "repeated column"]))
+    if singular == "zero row" and rows:
+        rows[0] = ["0"] * len(source)
+    elif singular == "repeated column" and len(source) > 1:
+        source[1] = source[0]
+        for row in rows:
+            row[1] = row[0]
     return {"source": source, "target": target, "matrix": rows}
 
 

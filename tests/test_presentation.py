@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from planesheaves.forms import Form
+from planesheaves.forms import Form, block_mult_map, form_mul, space_dim
 from planesheaves.linalg import QMatrix
-from planesheaves.presentation import (INJECTIVITY_TRIALS,
-                                       InconsistentPresentationError,
+from planesheaves.presentation import (InconsistentPresentationError,
                                        Presentation, PresentationError,
-                                       derive_seed, dual, graded_piece,
-                                       h0_omega, h0_twist, h1_omega, h1_twist,
-                                       hilbert, is_injective, profile,
+                                       derive_seed, dual, h0_omega, h0_twist,
+                                       h1_omega, h1_twist, hilbert,
+                                       is_injective, profile,
                                        random_equivalence, twist)
 from planesheaves.strata import REGISTRY, generate
 from helpers import random_form
@@ -89,12 +88,38 @@ def test_injective_conic_matrix():
     assert is_injective(P)
 
 
+def test_injectivity_walks_the_whole_grid():
+    # det = prod (X - iZ), i = 0..5, is zero at (x, y, 1) for x in 0..5: the
+    # first 42 points of the x-major grid {0..6}^2; {0..5}^2 would miss x = 6
+    det = Form(1, [1, 0, 0])
+    for i in range(1, 6):
+        det = form_mul(det, Form(1, [1, 0, -i]))
+    P = Presentation([-6], [0], [[det]])
+    assert all(det.evaluate((x, y, 1)) == 0 for x in range(6) for y in range(7))
+    assert is_injective(P)
+    # a seventh factor (X - 6Z) vanishes on all of {0..6}^2, but the grid of
+    # a degree-7 determinant is {0..7}^2
+    D = Presentation([-7], [0], [[form_mul(det, Form(1, [1, 0, -6]))]])
+    assert is_injective(D)
+    zero = Presentation([-6], [0], [[Form.zero(6)]])
+    assert not is_injective(zero)
+
+
+def test_injectivity_is_decided_for_square_maps_only():
+    with pytest.raises(PresentationError):
+        is_injective(Presentation.from_text([-1], [0, 0], [["X"], ["Y"]]))
+
+
+# Random points the Fraction reference tries.
+_REFERENCE_TRIALS = 8
+
+
 def fraction_is_injective(P, seed=0):
-    """is_injective as it was before it moved to integer arithmetic:
-    Fraction points, Form.evaluate and a rational rank."""
+    """A random-point injectivity test in Fraction arithmetic: Fraction
+    points, Form.evaluate and a rational rank.  True proves injectivity."""
     p, q = len(P.source), len(P.target)
     rng = random.Random(derive_seed("inject", seed, P.source, P.target))
-    for _ in range(INJECTIVITY_TRIALS):
+    for _ in range(_REFERENCE_TRIALS):
         point = tuple(Fraction(rng.randint(-100, 100)) for _ in range(3))
         if point == (0, 0, 0):
             continue
@@ -134,14 +159,13 @@ def test_integer_injectivity_matches_the_fraction_evaluation():
             P = generate(row.chi, row.id, seed=seed)
             corpus = [P, dual(P), random_equivalence(P, rng), _rescaled(P, rng)]
             for Q in corpus:
-                for s in range(2):
-                    verdict = is_injective(Q, seed=s)
-                    assert verdict == fraction_is_injective(Q, seed=s)
-                    injective += verdict
+                verdict = is_injective(Q)
+                assert verdict == fraction_is_injective(Q)
+                injective += verdict
             for Q in _singular(P, rng):
                 assert not is_injective(Q) and not fraction_is_injective(Q)
                 singular += 1
-    assert injective == 28 * 2 * 4 * 2
+    assert injective == 28 * 2 * 4
     assert singular == 2 * (3 * 28 - sum(len(row.source) == 1 for row in REGISTRY))
 
 
@@ -173,16 +197,36 @@ def test_h1_twist_flags_inconsistent_input():
         h1_twist(P, -4)
 
 
+def _sections(P, t):
+    """The degree-t sections matrix: the target's degree-t sections are its
+    rows, the image of the source's its column space."""
+    return block_mult_map(P.matrix, [e + t for e in P.target], [d + t for d in P.source])
+
+
+def _graded_dim(P, t):
+    """dim H^0(F(t)) as the target's sections modulo the image."""
+    return sum(space_dim(e + t) for e in P.target) - _sections(P, t).rank()
+
+
+def _graded_h0_omega(P):
+    """3 h0(F) - h0(F(1)) + #{e_i = -1} - rank C on the graded pieces, C the
+    first #{e_i = -1} rows of the degree-1 sections matrix."""
+    n = P.target.count(-1)
+    image = _sections(P, 1)
+    rank_c = QMatrix(n, image.cols, image.data[:n]).rank()
+    return 3 * _graded_dim(P, 0) - _graded_dim(P, 1) + n - rank_c
+
+
 def test_graded_piece_dims():
     P = oc2()
-    g0 = graded_piece(P, 0)
-    assert (g0.ambient_dim, g0.image_rank, g0.dim) == (6, 0, 6)
-    g2 = graded_piece(P, 2)
-    assert (g2.ambient_dim, g2.image_rank, g2.dim) == (15, 0, 15)
-    assert g2.dim == h0_twist(P, 2)
-    g4 = graded_piece(P, 4)
-    assert (g4.ambient_dim, g4.image_rank, g4.dim) == (28, 1, 27)
-    assert graded_piece(generate(1, "X_0", seed=3), 0).dim == 1
+    assert [_graded_dim(P, t) for t in (0, 2, 4)] == [6, 15, 27]
+    assert _sections(P, 4).rank() == 1
+    for row in REGISTRY:
+        for seed in (0, 1):
+            P = generate(row.chi, row.id, seed=seed)
+            for Q in (P, dual(P)):
+                assert all(_graded_dim(Q, t) == h0_twist(Q, t) for t in range(-1, 3))
+                assert _graded_h0_omega(Q) == h0_omega(Q), (row.chi, row.id, seed)
 
 
 def test_h0_omega_examples():

@@ -96,6 +96,17 @@ def test_registry_condition_vectors_pairwise_distinct():
             seen.add(key)
 
 
+def test_every_row_needs_no_normalization():
+    # generation returns the profile classify computed: P's own, since the
+    # recipe that normalize_chi gives a registry row's Hilbert data is empty
+    for row in REGISTRY:
+        zero = Presentation(row.source, row.target,
+                            [[Form.zero(0)] * len(row.source) for _ in row.target])
+        hd = hilbert(zero)
+        assert (hd.r, hd.chi) == (6, row.chi) and row.chi in (0, 1, 2, 3)
+        assert normalize_chi(hd.r, hd.chi) == (row.chi, [])
+
+
 def test_registry_file_is_what_we_loaded():
     with resources.files("planesheaves.data").joinpath("strata_registry.json").open() as fh:
         raw = json.load(fh)
