@@ -12,12 +12,13 @@ on blow-ups: with g = gcd(p, q) and m = 1, 2, ..., integer matrices T_X,
 T_Y, T_Z of size (m p/g) x (m q/g) give the square matrix
 B = K_X ⊗ T_X + K_Y ⊗ T_Y + K_Z ⊗ T_Z.
 
-* Semistable: B has nonzero determinant modulo 2^61 - 1.  A destabilizer
-  (S, T) would map S ⊗ Q^(mq/g) into the smaller space T ⊗ Q^(mp/g), so
-  that determinant vanishes over Q for every unstable module; nonzero
-  modulo the prime, it is nonzero over Q (King 1994: semistable iff some
-  semi-invariant does not vanish; Derksen-Weyman 2000: the determinantal
-  semi-invariants span).  The draw is the certificate.
+* Semistable: B has nonzero determinant modulo the word-size prime
+  `linalg.CERTIFICATE_PRIME` = 32749.  A destabilizer (S, T) would map
+  S ⊗ Q^(mq/g) into the smaller space T ⊗ Q^(mp/g), so that determinant
+  vanishes over Q for every unstable module; nonzero modulo the prime, it
+  is nonzero over Q (King 1994: semistable iff some semi-invariant does
+  not vanish; Derksen-Weyman 2000: the determinantal semi-invariants
+  span).  The draw is the certificate.
 * Unstable: the second Wong sequence of B in the blow-up space
   A ⊗ M, A = span(K_X, K_Y, K_Z), ends inside im B while B is singular
   (Ivanyos-Karpinski-Qiao-Santha 2015).  It is W_0 = 0,
@@ -50,7 +51,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .forms import Form, coefficient_matrix, linearly_independent, monomial_index, parse_form
-from .linalg import QMatrix, from_columns, hstack_all, mod_nonsingular
+from .linalg import CERTIFICATE_PRIME, QMatrix, from_columns, hstack_all, mod_nonsingular
 from .presentation import Presentation, derive_seed, random_invertible
 
 
@@ -131,10 +132,6 @@ class Destabilizer:
             "source_basis": [[str(x) for x in row] for row in self.source_basis.data],
             "target_basis": [[str(x) for x in row] for row in self.target_basis.data],
         }
-
-
-# The prime modulo which a semistability certificate's determinant is taken.
-CERTIFICATE_PRIME = (1 << 61) - 1
 
 
 @dataclass(frozen=True)
@@ -224,8 +221,7 @@ def verify_certificate(K: KroneckerModule, cert: SemistabilityCertificate) -> bo
         if len(T) != rows or any(len(r) != cols for r in T) \
                 or any(type(x) is not int for r in T for x in r):
             return False
-    blown_up = [[x % cert.prime for x in row] for row in _blow_up(_integer_slices(K)[0], blocks)]
-    return mod_nonsingular(blown_up, cert.prime)
+    return mod_nonsingular(_blow_up(_integer_slices(K)[0], blocks), cert.prime)
 
 
 def _draw(rng, rows: int, cols: int):

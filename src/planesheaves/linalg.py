@@ -17,12 +17,15 @@ row_j * p_k / p_j, p_0 = 1, p_1, ... the pivots (telescoping), so a row is
 brought up to date only when it is combined or chosen as pivot.  `rank`
 eliminates along the shorter side: a tall matrix is eliminated through its
 columns, each scaled by the lcm of its denominators, since row rank equals
-column rank.  One prime-field elimination serves the randomized
-cross-check (`mod_rank`), the stabilizer certificate of `strata`
-(`rank_mod_p`, along the shorter side) and the Kronecker semistability
-certificate (`mod_nonsingular`, which stops at the first column without a
-pivot); a rank modulo p only bounds the rational rank from below, so it
-proves something only when it meets an upper bound known in advance.
+column rank.  One prime-field elimination, modulo the word-size
+`CERTIFICATE_PRIME`, serves the stabilizer certificate of `strata`
+(`mod_rank` on one integer row per unknown) and the Kronecker
+semistability certificate (`mod_nonsingular` on the blown-up matrix, which
+stops at the first column without a pivot).  Both take int rows as they
+are, unreduced, since the elimination reduces every entry it reads;
+Fraction rows go through `mod_residues` first.  A rank modulo p only bounds
+the rational rank from below, so it proves something only when it meets an
+upper bound known in advance.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ from math import gcd, lcm, prod
 class LinalgError(ValueError):
     pass
 
+
+# The prime of both modular certificates: the largest below 2^15, so the
+# product of two residues is a one-digit CPython int.
+CERTIFICATE_PRIME = 32749
 
 # The exact scalars, kept as they are in a matrix cell or a form coefficient;
 # a bool, a float or any other number given there becomes a Fraction.
@@ -188,14 +195,6 @@ class QMatrix:
         pivots, sign, last = _bareiss(m, self.cols, reduced=False)
         return Fraction(sign * last if len(pivots) == self.rows else 0, scale)
 
-    def rank_mod_p(self, p: int) -> int:
-        """Rank of the reduction modulo p, eliminated along the shorter side as
-        `rank` is.  Raises if p divides a denominator."""
-        rows = mod_residues(self.data, p)
-        if self.rows > self.cols:
-            rows = zip(*rows)
-        return mod_rank(rows, p)
-
     def __repr__(self):
         return "QMatrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
 
@@ -306,7 +305,8 @@ def mod_residues(rows, p: int):
 
 def _mod_pivot_flags(rows, p: int):
     """For each column in turn, whether it holds a pivot of the elimination
-    modulo the prime p of a matrix of residues given as a list of rows.  The
+    modulo the prime p of a matrix of ints given as a list of rows; every
+    entry is reduced as it is read, so the rows need not be residues.  The
     flags stop once every row holds a pivot; a column without a pivot is
     reported before any later column is eliminated."""
     rows = [list(r) for r in rows]
@@ -339,7 +339,7 @@ def _mod_pivot_flags(rows, p: int):
 
 
 def mod_rank(rows, p: int) -> int:
-    """Rank over Z/p of a matrix of residues, given as a list of rows.
+    """Rank over Z/p of a matrix of ints, given as a list of rows.
 
     A rank found modulo p is a lower bound for the rank over Q, so full rank
     modulo p proves full rank over Q."""
@@ -347,7 +347,7 @@ def mod_rank(rows, p: int) -> int:
 
 
 def mod_nonsingular(rows, p: int) -> bool:
-    """Whether a square matrix of residues, given as a list of rows, is
+    """Whether a square matrix of ints, given as a list of rows, is
     invertible modulo p: mod_rank(rows, p) == len(rows), decided at the
     first column without a pivot."""
     if any(len(r) != len(rows) for r in rows):

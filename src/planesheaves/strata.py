@@ -22,10 +22,10 @@ import random
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .forms import (Form, block_mult_map, coefficient_matrix, divides, form_gcd,
-                    linearly_independent, random_form, space_dim)
+from .forms import (Form, coefficient_matrix, divides, form_gcd, linearly_independent,
+                    monomial_index, monomials, random_form, space_dim)
 from .kronecker import KroneckerModule, is_semistable, minors_semistable
-from .linalg import LinalgError
+from .linalg import CERTIFICATE_PRIME, LinalgError, QMatrix, mod_rank, mod_residues
 from .presentation import (CohomologyProfile, InconsistentPresentationError,
                            Presentation, PresentationError, derive_seed, dual,
                            hilbert, h0_twist, h1_twist, is_injective, profile,
@@ -430,9 +430,42 @@ class DimAudit:
         }
 
 
-# The prime of the stabilizer certificate: the largest below 2^15, so the
-# product of two residues is a one-digit CPython int.
-_STABILIZER_PRIME = 32749
+def _stabilizer_rows(P: Presentation):
+    """The map (gA, gB) -> gB . phi - phi . gA as one row per unknown.
+
+    The unknowns are the monomials m of the blocks gA[a][b]: O(d_b) -> O(d_a)
+    and gB[a][b]: O(e_b) -> O(e_a) of nonnegative degree; the columns are the
+    monomials of the cells (i, j) of the equation that some unknown reaches.
+    gB[a][b] = m puts m * phi[b][j] into cell (a, j) and gA[a][b] = m puts
+    -phi[i][a] * m into cell (i, b).  The products of the terms of one entry
+    by one monomial are distinct, so each entry is written at most once; it
+    is an int, or a Fraction where phi has one."""
+    d, e = P.source, P.target
+    terms = [[f.terms() for f in row] for row in P.matrix]
+    offset, ncols = {}, 0
+    for i in range(len(e)):
+        for j in range(len(d)):
+            if (any(terms[k][j] for k in range(len(e)) if e[k] <= e[i])
+                    or any(terms[i][k] for k in range(len(d)) if d[k] >= d[j])):
+                offset[i, j] = ncols
+                ncols += space_dim(e[i] - d[j])
+    rows = []
+    for sign, t in ((-1, d), (1, e)):
+        for b in range(len(t)):
+            for a in range(len(t)):
+                if t[a] < t[b]:
+                    continue
+                cells = ([(a, j, terms[b][j]) for j in range(len(d))] if sign > 0
+                         else [(i, b, terms[i][a]) for i in range(len(e))])
+                reached = [(offset[i, j], monomial_index(e[i] - d[j]), ts)
+                           for i, j, ts in cells if ts]
+                for x, y, z in monomials(t[a] - t[b]):
+                    row = [0] * ncols
+                    for o, idx, ts in reached:
+                        for (u, v, w), c in ts:
+                            row[o + idx[u + x, v + y, w + z]] = sign * c
+                    rows.append(row)
+    return rows
 
 
 def generic_stabilizer_dim(P: Presentation) -> int:
@@ -440,8 +473,8 @@ def generic_stabilizer_dim(P: Presentation) -> int:
     as the solution space of gB . phi = phi . gA minus the global scalar.
 
     The unknowns are the blocks gA[a][b]: O(d_b) -> O(d_a) and
-    gB[a][b]: O(e_b) -> O(e_a) of nonnegative degree.  Cell (i, j) of the
-    equation puts +phi[k][j] on gB[i][k] and -phi[i][k] on gA[k][j].
+    gB[a][b]: O(e_b) -> O(e_a) of nonnegative degree; the certificate and the
+    exact rank take the same rows, one per unknown (`_stabilizer_rows`).
 
     Theorem: if phi is injective with cokernel F, the solution space K has
     dimension dim End(F) + hom, hom = dim Hom(B, A) = sum of
@@ -454,46 +487,25 @@ def generic_stabilizer_dim(P: Presentation) -> int:
     Certificate: the rank of the system modulo a prime is at most its rank
     over Q (a nonzero minor mod p is nonzero over Q), which by the theorem is
     at most nvars - 1 - hom.  So when `is_injective` proves phi injective and
-    the rank modulo _STABILIZER_PRIME reaches nvars - 1 - hom, the stabilizer
+    the rank modulo CERTIFICATE_PRIME reaches nvars - 1 - hom, the stabilizer
     is exactly hom.  Otherwise (phi not injective, the prime divides a
     denominator, or the modular rank falls short because F is not simple or
     the prime is unlucky) the exact rank decides."""
     d, e = P.source, P.target
-    column, col_deg = {}, []     # unknown (side, a, b) -> block column; degrees
-    for side, t in (("A", d), ("B", e)):
-        for b in range(len(t)):
-            for a in range(len(t)):
-                if t[a] >= t[b]:
-                    column[side, a, b] = len(col_deg)
-                    col_deg.append(t[a] - t[b])
-    zero = Form.zero(0)
-    entries, row_deg = [], []
-    for i in range(len(e)):
-        for j in range(len(d)):
-            if e[i] < d[j]:
-                continue
-            placed = {}
-            for k in range(len(e)):
-                if ("B", i, k) in column and not P.matrix[k][j].is_zero():
-                    placed[column["B", i, k]] = P.matrix[k][j]
-            for k in range(len(d)):
-                if ("A", k, j) in column and not P.matrix[i][k].is_zero():
-                    placed[column["A", k, j]] = -P.matrix[i][k]
-            if placed:
-                entries.append([placed.get(n, zero) for n in range(len(col_deg))])
-                row_deg.append(e[i] - d[j])
-    nvars = sum(space_dim(deg) for deg in col_deg)
-    if not entries:
-        return (nvars - 1) if nvars else 0
-    system = block_mult_map(entries, row_deg, col_deg)
+    rows = _stabilizer_rows(P)
+    nvars = len(rows)
+    if not nvars:
+        return 0
     hom = sum(space_dim(dj - ei) for ei in e for dj in d if dj >= ei)
     if len(d) == len(e) and is_injective(P):
         try:
-            if system.rank_mod_p(_STABILIZER_PRIME) == nvars - 1 - hom:
+            integral = all(type(c) is int for row in P.matrix for f in row for c in f.coeffs)
+            residues = rows if integral else mod_residues(rows, CERTIFICATE_PRIME)
+            if mod_rank(residues, CERTIFICATE_PRIME) == nvars - 1 - hom:
                 return hom
         except LinalgError:
             pass
-    return nvars - system.rank() - 1
+    return nvars - QMatrix(nvars, len(rows[0]), rows).rank() - 1
 
 
 def dim_audit(row: StratumRow, seed: int = 0) -> DimAudit:

@@ -6,19 +6,20 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import planesheaves
-from planesheaves import cli
+from planesheaves import cli, strata
 from planesheaves.cli import main
-from planesheaves.forms import MAX_DIGITS, Form, format_form, space_dim
+from planesheaves.forms import MAX_DIGITS, Form, format_form, monomials, space_dim
 from planesheaves.kronecker import (CERTIFICATE_PRIME, Destabilizer, KroneckerModule,
                                     SemistabilityCertificate, verify_certificate,
                                     verify_destabilizer)
 from planesheaves.linalg import QMatrix
-from planesheaves.presentation import Presentation
+from planesheaves.presentation import Presentation, is_injective
 
 SEXTIC = "X^6 + Y^6 + Z^6 + X*Y*Z^4 + 2*X^2*Y^2*Z^2"
 OC2 = json.dumps({"source": [-4], "target": [2], "matrix": [[SEXTIC]]})
@@ -432,3 +433,49 @@ def test_generated_input_exits_0_to_4_without_traceback(command, blob):
     code, err = _call([*command, "--input", json.dumps(blob)])
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in err
+
+
+@st.composite
+def _square_sextic_blobs(draw):
+    """(variant, blob): a square presentation with sum(target) - sum(source)
+    = 6 and sparse entries of the required degrees, as drawn or made
+    singular by a zero row or by a repeated column."""
+    variant = draw(st.sampled_from(["as drawn", "zero row", "repeated column"]))
+    n = draw(st.integers(2 if variant == "repeated column" else 1, 3))
+    source = draw(st.lists(st.integers(-3, 0), min_size=n, max_size=n))
+    if variant == "repeated column":
+        source[1] = source[0]
+    cuts = sorted(draw(st.lists(st.integers(0, 6), min_size=n - 1, max_size=n - 1)))
+    target = [d + b - a for d, a, b in zip(source, [0] + cuts, cuts + [6])]
+    rows = []
+    for e in target:
+        row = []
+        for d in source:
+            terms = {}
+            if e >= d:
+                terms = draw(st.dictionaries(st.sampled_from(monomials(e - d)),
+                                             st.integers(-3, 3), max_size=4))
+            row.append(format_form(Form.from_dict(max(e - d, 0), terms)))
+        rows.append(row)
+    if variant == "zero row":
+        rows[0] = ["0"] * n
+    elif variant == "repeated column":
+        for row in rows:
+            row[1] = row[0]
+    return variant, {"source": source, "target": target, "matrix": rows}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_square_sextic_blobs())
+def test_square_sextic_input_reaches_the_injectivity_decision(case):
+    variant, blob = case
+    injective = is_injective(Presentation.from_json(blob))
+    if variant != "as drawn":
+        assert not injective
+    # every example gets past parsing and the Hilbert data to the decision
+    with mock.patch.object(strata, "is_injective", wraps=strata.is_injective) as spy:
+        code, err = _call(["classify", "--input", json.dumps(blob)])
+    assert spy.call_count == 1
+    assert code in (0, 3, 4) and "Traceback" not in err
+    if not injective:
+        assert code == 4

@@ -5,8 +5,11 @@ semistability certificate and the integer injectivity test landed, so they
 show that both changes leave that output byte-identical.  The
 `verify-tables`, `points resolve` and `points claim` hashes were recorded
 before the lazy Bareiss scaling and the shorter-side rank landed; they reach
-`rref`, `kernel_basis` and `solve`, which the first set does not.  A
-deliberate change of output must update the table below and say why.
+`rref`, `kernel_basis` and `solve`, which the first set does not.  The
+`kron-check certified` hash was recorded when the certificate prime became
+32749; the output before differs only in its `"prime"` line
+(2305843009213693951, that is 2^61 - 1).  A deliberate change of output
+must update the table below and say why.
 """
 
 import hashlib
@@ -28,6 +31,10 @@ _POINTS = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"],
            ["1", "2", "3"], ["2", "-1", "5"], ["3", "1", "-2"], ["1/2", "4", "1"],
            ["-1", "3", "2"]]
 POINTS = {n: json.dumps({"points": _POINTS[:n]}) for n in (5, 8, 9)}
+# a semistable 3 x 4 module that the first 4 x 3 blow-up certifies
+CERTIFIED = json.dumps({"source": [-1] * 4, "target": [0] * 3,
+                        "matrix": [["X", "Y", "Z", "X + Y"], ["Y", "Z", "X", "Y - Z"],
+                                   ["Z", "X + Z", "Y", "X"]]})
 
 GOLDEN = {
     "gen chi1 X_0": "6b686f189dea2b463612b429176cf49a53560e864e5c5bf08107cf44b6c5d95d",
@@ -61,6 +68,7 @@ GOLDEN = {
     "dims": "c108de9799532b0f43e6d2396520d8343079bdaa4431d74d36d9c4c62b3bac24",
     "kron-check pencil": "330f4049fd789fcc6943dbf755d336ba9af7270dddbad69d25346d043ef41303",
     "kron-check planted": "40202d9587a42d68642ed9c914e48f552965592e3b3d50a2303b90ce14e05a6a",
+    "kron-check certified": "8ae1352712748b8758f4ce9347019a859b815eee518466a9fcf82a746aec389c",
     # the JSON holds counts and failures only, so a passing run reads the
     # same at every seed
     "verify-tables seed 1": "e1c6f600de4562cef3b1048d98a11cba913aca8ffb7f6594202071ebc29939c8",
@@ -91,7 +99,8 @@ def test_dims_json(capsys):
     assert digest == GOLDEN["dims"]
 
 
-@pytest.mark.parametrize("name,blob", [("pencil", PENCIL), ("planted", PLANTED)])
+@pytest.mark.parametrize("name,blob", [("pencil", PENCIL), ("planted", PLANTED),
+                                       ("certified", CERTIFIED)])
 def test_kron_check(capsys, name, blob):
     code, digest = _sha(capsys, "kron-check", "--input", blob)
     assert code == 0

@@ -46,7 +46,12 @@ def test_det():
         QMatrix(2, 3).det()
 
 
-def test_rank_mod_p_cross_check():
+def _rank_mod(m, p):
+    """mod_rank of the reduction of a QMatrix modulo p."""
+    return linalg.mod_rank(linalg.mod_residues(m.data, p), p)
+
+
+def test_mod_rank_cross_check():
     rng = random.Random(17)
     p = (1 << 30) + 85
     agree = 0
@@ -56,7 +61,7 @@ def test_rank_mod_p_cross_check():
         cols = rng.randint(2, 8)
         m = QMatrix(rows, cols, [[Fraction(rng.randint(-50, 50), rng.randint(1, 9))
                                   for _ in range(cols)] for _ in range(rows)])
-        if m.rank() == m.rank_mod_p(p):
+        if m.rank() == _rank_mod(m, p) == _rank_mod(m.transpose(), p):
             agree += 1
     assert agree >= trials * 99 // 100
 
@@ -363,10 +368,27 @@ def test_mod_nonsingular_is_full_mod_rank():
         linalg.mod_nonsingular([[1, 2]], p)
 
 
-def test_rank_mod_p_along_the_shorter_side_agrees_with_rank():
+def test_mod_rank_and_mod_nonsingular_take_ints_unreduced():
+    """Ints of either sign and beyond the prime give the verdicts of their
+    residues, so a caller with int rows passes them as they are."""
+    rng = random.Random(7)
+    p = linalg.CERTIFICATE_PRIME
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        rows = [[rng.choice((0, rng.randint(-3 * p, 3 * p), rng.randint(-9, 9)))
+                 for _ in range(n)] for _ in range(n)]
+        if n >= 2 and rng.random() < 0.4:
+            rows[1] = [x + p * rng.randint(-2, 2) for x in rows[0]]
+        residues = [[x % p for x in row] for row in rows]
+        assert linalg.mod_rank(rows, p) == linalg.mod_rank(residues, p)
+        assert linalg.mod_nonsingular(rows, p) == linalg.mod_nonsingular(residues, p)
+
+
+def test_mod_rank_of_either_orientation_agrees_with_rank():
     """Tall and wide products of planted rank, with int rows, Fraction rows
     and mixed rows, modulo a word-size prime: the same rank as the exact
-    elimination, whichever side is shorter."""
+    elimination, on the matrix and on its transpose, and an all-int matrix
+    needs no reduction first."""
     rng = random.Random(29)
     p = 32749
     for _ in range(200):
@@ -382,7 +404,9 @@ def test_rank_mod_p_along_the_shorter_side_agrees_with_rank():
             if rng.random() < 0.3:
                 row[:] = [Fraction(x, rng.randint(1, 9)) for x in row]
         m = QMatrix(rows, cols, data)
-        assert m.rank_mod_p(p) == m.rank() == m.transpose().rank_mod_p(p)
+        assert _rank_mod(m, p) == m.rank() == _rank_mod(m.transpose(), p)
+        if all(type(x) is int for row in m.data for x in row):
+            assert linalg.mod_rank(m.data, p) == m.rank()
 
 
 def test_mod_residues_of_int_rows_and_fraction_rows_agree():

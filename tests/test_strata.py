@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 
@@ -8,7 +9,7 @@ from planesheaves.cli import main
 from planesheaves.forms import Form, monomials, space_dim
 from planesheaves.linalg import QMatrix
 from planesheaves.presentation import (Presentation, derive_seed, dual, hilbert,
-                                       is_injective, profile, twist)
+                                       is_injective, profile, random_equivalence, twist)
 from planesheaves.strata import (REGISTRY, ClassifyError, MODULI_DIM,
                                  StrataError, apply_recipe,
                                  classify, dim_audit, generate,
@@ -347,19 +348,40 @@ def _system_ranks(monkeypatch):
     return shapes
 
 
+def _rational_copy(P, rng):
+    """diag(r) . phi . diag(c) with r_i = a/11 and c_j = b/13, a, b in 1..9:
+    an equivalent presentation whose coefficients are all Fractions."""
+    r = [Fraction(rng.randint(1, 9), 11) for _ in P.target]
+    c = [Fraction(rng.randint(1, 9), 13) for _ in P.source]
+    return Presentation(P.source, P.target,
+                        [[Form(f.degree, [Fraction(x) * ri * cj for x in f.coeffs])
+                          for f, cj in zip(row, c)] for row, ri in zip(P.matrix, r)])
+
+
 def test_certified_stabilizer_equals_the_exact_one_on_every_row(monkeypatch):
     """The modular certificate against an exact rank built independently, on
-    all 28 rows at 20 seeds: the generic stabilizer is hom on every row, and
-    no stabilizer system goes to the exact elimination."""
+    all 28 rows at 20 seeds, and at three of them also on the dual, a random
+    equivalence and a rational rescaling (whose Fraction coefficients are
+    reduced modulo the prime one by one): the generic stabilizer is hom on
+    every one, and no stabilizer system goes to the exact elimination."""
     for seed in range(20):
+        rng = random.Random(seed)
         for row in REGISTRY:
             P = generate(row.chi, row.id, seed=seed)
-            exact = _exact_stabilizer_dim(P)
-            shapes = _system_ranks(monkeypatch)
-            assert generic_stabilizer_dim(P) == exact == _hom(P), (row.chi, row.id, seed)
-            # only is_injective's evaluation matrix, len(target) x len(source)
-            assert all(shape == (len(P.target), len(P.source)) for shape in shapes)
-            monkeypatch.undo()
+            copies = {"generated": P}
+            if seed < 3:
+                copies.update(dual=dual(P), equivalent=random_equivalence(P, rng),
+                              rational=_rational_copy(P, rng))
+                assert all(type(x) is Fraction for r in copies["rational"].matrix
+                           for f in r for x in f.coeffs)
+            for name, Q in copies.items():
+                exact = _exact_stabilizer_dim(Q)
+                shapes = _system_ranks(monkeypatch)
+                assert generic_stabilizer_dim(Q) == exact == _hom(Q), \
+                    (row.chi, row.id, seed, name)
+                # only is_injective's evaluation matrix, len(target) x len(source)
+                assert all(shape == (len(Q.target), len(Q.source)) for shape in shapes)
+                monkeypatch.undo()
 
 
 def _fallback_cases():
