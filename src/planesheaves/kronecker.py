@@ -28,7 +28,11 @@ B = K_X ⊗ T_X + K_Y ⊗ T_Y + K_Z ⊗ T_Z.
   U = B^-1(W) and S its reshape span: (A ⊗ M)(U) = W = K(S) ⊗ Q^(mp/g) and
   dim U - dim W = corank B > 0, while U lies in S ⊗ Q^(mq/g), so
   (mp/g) dim K(S) < (mq/g) dim S, that is p dim K(S) < q dim S, and S with
-  T = K(S) is a destabilizer, checked again exactly.
+  T = K(S) is a destabilizer, checked again exactly.  The sequence runs on
+  one fraction-free elimination of [B | I]: its right block E tests
+  membership in im B and gives each preimage as an integer vector, each
+  S_i and R_i is a primitive integer basis, and Fractions appear only in
+  the witness, the canonical RREF bases of S and K(S).
 
 The lemma the loop relies on: if rank B equals the non-commutative rank of
 the blow-up space, the limit lies in im B (IKQS 2015).  A blow-up with
@@ -49,9 +53,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .forms import Form, coefficient_matrix, linearly_independent, monomial_index, parse_form
-from .linalg import CERTIFICATE_PRIME, QMatrix, from_columns, hstack_all, mod_nonsingular
+from .linalg import CERTIFICATE_PRIME, QMatrix, from_columns, integer_echelon, mod_nonsingular
 from .presentation import Presentation, derive_seed, random_invertible
 
 
@@ -264,29 +269,26 @@ def dim_kronecker_moduli(n: int, p: int, q: int) -> int:
 # destabilizers
 # ---------------------------------------------------------------------------
 
-def _column_space_basis(mat: QMatrix) -> QMatrix:
-    rref, pivots = mat.transpose().rref()
-    cols = [rref.data[r] for r in range(len(pivots))]
-    return from_columns(cols, mat.rows)
+def _rref_basis(vectors, length: int):
+    """The RREF rows of the span of the given integer vectors (eliminated in
+    place), its canonical basis: an int where an entry has no denominator."""
+    pivots, d = integer_echelon(vectors, length, reduced=True)
+    return [[a // d if a % d == 0 else Fraction(a, d) for a in row]
+            for row in vectors[:len(pivots)]]
 
 
-def _image_of(K: KroneckerModule, S: QMatrix) -> QMatrix:
-    stacked = hstack_all([slice_ @ S for slice_ in K.coefficient_slices()])
-    return _column_space_basis(stacked)
-
-
-def _witness_from_subspace(K: KroneckerModule, S: QMatrix) -> Destabilizer | None:
-    """Best destabilizer with the given source subspace, if any."""
-    p_prime = S.rank()
-    if p_prime == 0:
+def _witness(K: KroneckerModule, basis) -> Destabilizer | None:
+    """The destabilizer with S the span of the given integer p-vectors,
+    taken in the scaled source coordinates of `_integer_slices`, and
+    T = K(S), both as canonical RREF bases, if it violates the slope
+    inequality and verifies; else None."""
+    slices, scales = _integer_slices(K)
+    S = _rref_basis([[a * d for a, d in zip(s, scales)] for s in basis], K.p)
+    T = _rref_basis([[sum(map(mul, row, s)) for row in sl] for sl in slices for s in basis], K.q)
+    p_prime, q_prime = len(S), K.q - len(T)
+    if p_prime == 0 or q_prime < 1 or Fraction(p_prime, K.p) + Fraction(q_prime, K.q) <= 1:
         return None
-    image = _image_of(K, S)
-    q_prime = K.q - image.cols
-    if q_prime < 1:
-        return None
-    if Fraction(p_prime, K.p) + Fraction(q_prime, K.q) <= 1:
-        return None
-    D = Destabilizer(p_prime, q_prime, _column_space_basis(S), image)
+    D = Destabilizer(p_prime, q_prime, from_columns(S, K.p), from_columns(T, K.q))
     return D if verify_destabilizer(K, D) else None
 
 
@@ -296,61 +298,81 @@ def _exact_small_cases(K: KroneckerModule) -> KroneckerVerdict | None:
         span = coefficient_matrix(row[0] for row in K.entries)
         if span.rank() == q and q <= 3:
             return KroneckerVerdict("semistable")
-        S = QMatrix.identity(1)
-        D = _witness_from_subspace(K, S)
+        D = _witness(K, [[1]])
         if D is None:
             raise KroneckerError("internal: dependent column without witness")
         return KroneckerVerdict("unstable", D)
     if q == 1:
-        coeff = coefficient_matrix(K.entries[0])
-        if coeff.rank() == p and p <= 3:
+        rows = QMatrix.from_rows(sl[0] for sl in _integer_slices(K)[0])
+        if rows.rank() == p and p <= 3:
             return KroneckerVerdict("semistable")
-        kern = coeff.transpose().kernel_basis()
-        S = from_columns(kern, p)
-        D = _witness_from_subspace(K, S)
+        D = _witness(K, rows.integer_kernel_basis())
         if D is None:
             raise KroneckerError("internal: dependent row entries without witness")
         return KroneckerVerdict("unstable", D)
     return None
 
 
+def _primitive_basis(vectors, length: int):
+    """An echelon basis of the span of the given integer vectors, each
+    divided by the gcd of its entries."""
+    rows = [v for v in vectors if any(v)]
+    pivots, _ = integer_echelon(rows, length)
+    return [[a // g for a in row] for row in rows[:len(pivots)] for g in (gcd(*row),)]
+
+
 def _second_wong_sequence(K: KroneckerModule, blocks):
     """(corank of B = sum_k K_k ⊗ T_k over Q, the destabilizer that the
     limit of its second Wong sequence proves, or None).
 
-    R is kept as a basis of q-vectors; B^-1(R ⊗ Q^(mp/g)) is the x-part of
-    the kernel of [B | R ⊗ e_a], a kernel basis maps to a basis of it.  B is
-    built from the integer slices, B (D ⊗ I) with D the column scales, so a
-    preimage x' stands for x = (D ⊗ I) x'."""
+    One Bareiss elimination of [B | I] gives d, the pivots, the integer
+    kernel of B and E with E B = d RREF(B).  The rows of E from rank B on
+    span the left kernel, so w = r ⊗ e_a lies in im B iff those entries of
+    E w vanish, and then the first rank entries, put at the pivot columns,
+    are d times a preimage.  With ker B these preimages span B^-1(W).  B is
+    built from the integer slices, B (D ⊗ I) with D the column scales, so
+    S and K(S) are kept in the scaled source coordinates as primitive
+    integer bases, and only the witness is scaled back by D."""
     rows, cols = len(blocks[0]), len(blocks[0][0])
-    slices, scales = _integer_slices(K)
+    slices = _integer_slices(K)[0]
     B = _blow_up(slices, blocks)
     n = len(B)
+    m = [row + [int(k == i) for k in range(n)] for i, row in enumerate(B)]
+    pivots, d = integer_echelon(m, n, reduced=True)
+    rank = len(pivots)
+    if rank == n:
+        return 0, None
+    E = [row[n:] for row in m]
+    kernel = []
+    for fc in sorted(set(range(n)) - set(pivots)):
+        x = [0] * n
+        x[fc] = d
+        for k, pc in enumerate(pivots):
+            x[pc] = -m[k][fc]
+        kernel.append(x)
     R = []
-    corank = None
     while True:
-        # row (i, a) of R ⊗ e_a: the entries r[i] in the columns (r, a)
-        spanned = [[r[i] if b == a else 0 for r in R for b in range(rows)]
-                   for i in range(K.q) for a in range(rows)]
-        preimage = QMatrix(n, n + len(spanned[0]),
-                           [B[k] + spanned[k] for k in range(n)]).kernel_basis()
-        if corank is None:
-            corank = len(preimage)
-            if corank == 0:
-                return 0, None
-        if len(preimage) < corank + len(R) * rows:
-            return corank, None          # W is not inside im B, nor is the limit
-        S = _column_space_basis(from_columns(
-            [[d * x[j * cols + b] for j, d in enumerate(scales)]
-             for x in preimage for b in range(cols)],
-            K.p))
-        image = _image_of(K, S)
-        if image.cols == len(R):
-            D = _witness_from_subspace(K, S)
+        preimages = kernel[:]
+        for r in R:
+            terms = [(i * rows, c) for i, c in enumerate(r) if c]
+            for a in range(rows):
+                w = [sum(c * e[o + a] for o, c in terms) for e in E]
+                if any(w[rank:]):
+                    return n - rank, None   # W is not inside im B, nor is the limit
+                x = [0] * n
+                for k, pc in enumerate(pivots):
+                    x[pc] = w[k]
+                preimages.append(x)
+        S = _primitive_basis([[x[j * cols + b] for j in range(K.p)]
+                              for x in preimages for b in range(cols)], K.p)
+        image = _primitive_basis([[sum(map(mul, row, s)) for row in sl]
+                                  for sl in slices for s in S], K.q)
+        if len(image) == len(R):
+            D = _witness(K, S)
             if D is None:
                 raise KroneckerError("internal: Wong limit without witness")
-            return corank, D
-        R = [image.column(c) for c in range(image.cols)]
+            return n - rank, D
+        R = image
 
 
 def _decide_on_blow_ups(K: KroneckerModule, seed: int) -> KroneckerVerdict:

@@ -2,15 +2,15 @@
 
 A cell is an int, or a Fraction where it has a denominator.  Every
 elimination (`rank`, `det`, `rref`, `kernel_basis`, `integer_kernel_basis`,
-`solve`) runs one fraction-free routine, `_bareiss`: a row of ints is taken
-as it is, any other row is scaled to integers once, by the lcm of its
-denominators, and rows are combined as (piv*a - f*b) // p_j, a division
-that is always exact (Bareiss, Math. Comp. 22, 1968).  The entries stay
-minors of the scaled input, so no gcd is taken inside the loop.  Fractions
-are built only for the returned entries that the elimination divides, so
-the values and types of the results do not depend on whether the input
-held ints or Fractions; `integer_kernel_basis` builds none, since integer
-vectors span the null space.
+`solve`, `integer_echelon`) runs one fraction-free routine, `_bareiss`: a
+row of ints is taken as it is, any other row is scaled to integers once,
+by the lcm of its denominators, and rows are combined as
+(piv*a - f*b) // p_j, a division that is always exact (Bareiss, Math.
+Comp. 22, 1968).  The entries stay minors of the scaled input, so no gcd
+is taken inside the loop.  Fractions are built only for the returned
+entries that the elimination divides, so the values and types of the
+results do not depend on whether the input held ints or Fractions;
+`integer_kernel_basis` and `integer_echelon` build none.
 Rows that a step leaves alone are not rescaled: each row keeps the level j
 it was last brought to, and its Bareiss value at a later level k is
 row_j * p_k / p_j, p_0 = 1, p_1, ... the pivots (telescoping), so a row is
@@ -282,6 +282,16 @@ def _bareiss(m, ncols: int, reduced: bool):
     return pivots, sign, past[r]
 
 
+def integer_echelon(rows, ncols: int, reduced: bool = False):
+    """`_bareiss` on a list of int rows, in place, pivots taken in the first
+    ncols columns: (pivot columns, last pivot d).  The first len(pivots)
+    rows are then an echelon basis of the row space there, and with
+    `reduced` they are d times its RREF.  Columns from ncols on go through
+    the same row operations, so rows [B | I] end as [E B | E]."""
+    pivots, _, d = _bareiss(rows, ncols, reduced)
+    return pivots, d
+
+
 def mod_residues(rows, p: int):
     """Rows of rationals reduced to residues modulo the prime p.  A row of
     ints is reduced in one pass."""
@@ -353,16 +363,6 @@ def mod_nonsingular(rows, p: int) -> bool:
     if any(len(r) != len(rows) for r in rows):
         raise LinalgError("mod_nonsingular needs a square matrix")
     return all(_mod_pivot_flags(rows, p))
-
-
-def hstack_all(mats) -> QMatrix:
-    mats = list(mats)
-    if not mats:
-        raise LinalgError("hstack of nothing")
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.hstack(m)
-    return out
 
 
 def from_columns(cols, nrows: int) -> QMatrix:

@@ -8,7 +8,8 @@ degree.  Colinearity is decided by counting the points on the line
 p x q through each pair; the curve predicates are ranks of evaluation
 matrices.  Minimal free resolutions are counted, not eliminated: the
 Hilbert function and the generator degrees, read off the slices up to
-degree r_Z + 1, fix the syzygy degrees (Hilbert-Burch).  A configuration is
+degree r_Z and their products by X, Y and Z, fix the syzygy degrees
+(Hilbert-Burch).  A configuration is
 resolved exactly when it has at most 15 points and r_Z <= 5; see
 `minimal_resolution`.  Coordinates read from JSON have at most MAX_DIGITS
 digits in numerator and denominator.
@@ -226,7 +227,8 @@ def minimal_resolution(cfg: PointConfig) -> BettiShape:
     the Hilbert function H_Z(t) = dim S_t - dim I_t, and the generators new in
     degree t number dim I_t - rank(S_1 * I_{t-1}).  The walk stops at
     t = r_Z + 1, where r_Z = min{t : H_Z(t) = n} is the regularity index: no
-    generator lies above r_Z + 1.  By Hilbert-Burch the Hilbert-series
+    generator lies above r_Z + 1, and there H_Z(t) = n already gives
+    dim I_t = dim S_t - n, so the last slice taken is I_(r_Z).  By Hilbert-Burch the Hilbert-series
     numerator 1 - sum s^a + sum s^b is the third difference
     c_t = H(t) - 3H(t-1) + 3H(t-2) - H(t-3) (H = 0 below 0, H = n from r_Z
     on), so the syzygies in degree t number c_t - [t = 0] + (generators in
@@ -244,12 +246,13 @@ def minimal_resolution(cfg: PointConfig) -> BettiShape:
     gens = []            # generator degrees, ascending
     prev_slice = []
     for t in count():
-        cur = ideal_slice(cfg, t)
-        hilb.append(space_dim(t) - len(cur))
+        last = t > 0 and hilb[t - 1] == n      # t = r_Z + 1, where H_Z(t) = n
+        cur = None if last else ideal_slice(cfg, t)
+        hilb.append(n if last else space_dim(t) - len(cur))
         shifted = QMatrix.from_rows(_times_variables(prev_slice, t - 1))
-        gens.extend([t] * (len(cur) - shifted.rank()))
-        if t > 0 and hilb[t - 1] == n:
-            break        # t = r_Z + 1
+        gens.extend([t] * (space_dim(t) - hilb[t] - shifted.rank()))
+        if last:
+            break
         if hilb[t] < n and t + 3 >= DEGREE_CAP:
             raise PointError("regularity index above %d: the last syzygy reaches "
                              "the degree cap %d" % (DEGREE_CAP - 3, DEGREE_CAP))

@@ -1,9 +1,12 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+import planesheaves.kronecker as kronecker
 from planesheaves.forms import Form
 from planesheaves.kronecker import (CERTIFICATE_PRIME, Destabilizer,
                                     KroneckerError, KroneckerModule,
@@ -12,7 +15,7 @@ from planesheaves.kronecker import (CERTIFICATE_PRIME, Destabilizer,
                                     minors_semistable,
                                     semistability_certificate,
                                     verify_certificate, verify_destabilizer)
-from planesheaves.linalg import QMatrix
+from planesheaves.linalg import QMatrix, from_columns
 from planesheaves.strata import generate, get_row, side_condition
 from helpers import random_form
 
@@ -310,6 +313,111 @@ def test_witness_does_not_depend_on_the_seed():
     witnesses = {json.dumps(is_semistable(K, seed=seed).witness.to_json())
                  for seed in range(5)}
     assert len(witnesses) == 1
+
+
+# -- the second Wong sequence against a Fraction reference ---------------------
+
+def _span_rref(vectors, length):
+    rref, pivots = QMatrix(len(vectors), length, vectors).rref()
+    return rref.data[:len(pivots)]
+
+
+def _fraction_wong_sequence(K, blocks):
+    """The second Wong sequence as first written, kept as a reference: B over
+    the Fraction slices, each B^-1(W) the x-part of the kernel of
+    [B | R ⊗ e_a], eliminated from scratch, every subspace a Fraction RREF."""
+    rows, cols = len(blocks[0]), len(blocks[0][0])
+    slices = [sl.data for sl in K.coefficient_slices()]
+    B = [[sum(sl[i][j] * T[a][b] for sl, T in zip(slices, blocks))
+          for j in range(K.p) for b in range(cols)]
+         for i in range(K.q) for a in range(rows)]
+    n = len(B)
+    R = []
+    corank = None
+    while True:
+        spanned = [[r[i] if b == a else 0 for r in R for b in range(rows)]
+                   for i in range(K.q) for a in range(rows)]
+        preimage = QMatrix(n, n + len(R) * rows,
+                           [B[k] + spanned[k] for k in range(n)]).kernel_basis()
+        if corank is None:
+            corank = len(preimage)
+            if corank == 0:
+                return 0, None
+        if len(preimage) < corank + len(R) * rows:
+            return corank, None
+        S = _span_rref([[x[j * cols + b] for j in range(K.p)]
+                        for x in preimage for b in range(cols)], K.p)
+        image = _span_rref([sl.mat_vec(s) for sl in K.coefficient_slices() for s in S], K.q)
+        if len(image) == len(R):
+            p_prime, q_prime = len(S), K.q - len(image)
+            assert Fraction(p_prime, K.p) + Fraction(q_prime, K.q) > 1
+            D = Destabilizer(p_prime, q_prime, from_columns(S, K.p), from_columns(image, K.q))
+            assert verify_destabilizer(K, D)
+            return corank, D
+        R = image
+
+
+def rational_copy(K, rng):
+    """diag(r) K diag(c), r_i = a/11 and c_j = b/13 with a, b in 1..9: an
+    equivalent module whose coefficients are all Fractions."""
+    r = [Fraction(rng.randint(1, 9), 11) for _ in range(K.q)]
+    c = [Fraction(rng.randint(1, 9), 13) for _ in range(K.p)]
+    return KroneckerModule([[f.scale(ri * cj) for f, cj in zip(row, c)]
+                            for row, ri in zip(K.entries, r)])
+
+
+def block_sum(K, L):
+    zero = Form.zero(1)
+    return KroneckerModule([list(row) + [zero] * L.p for row in K.entries]
+                           + [[zero] * K.p + list(row) for row in L.entries])
+
+
+SKEW_3X3 = [["0", "X", "Y"], ["-X", "0", "Z"], ["-Y", "-Z", "0"]]
+
+
+def wong_corpus():
+    rng = random.Random(2016)
+    for p, q, pp, qq in PLANTED_SHAPES:
+        K = plant_zero_block(p, q, pp, qq, rng)
+        yield from (K, conjugate(K, rng), rational_copy(K, rng))
+    for _ in range(20):
+        p, q = rng.randint(2, 5), rng.randint(2, 5)
+        yield KroneckerModule([[random_form(1, rng) if rng.random() < 0.4 else Form.zero(1)
+                                for _ in range(p)] for _ in range(q)])
+    skew = module(SKEW_3X3)
+    yield skew
+    for _ in range(3):
+        yield conjugate(skew, rng)
+    yield rational_copy(skew, rng)
+    for other in (skew, random_module(2, 2, rng), random_module(3, 3, rng),
+                  random_module(2, 3, rng), plant_zero_block(3, 3, 2, 2, rng)):
+        yield block_sum(skew, other)
+
+
+def test_wong_sequence_matches_the_fraction_reference(monkeypatch):
+    calls = []
+    wong = kronecker._second_wong_sequence
+
+    def recording(K, blocks):
+        result = wong(K, blocks)
+        calls.append((K, blocks, result))
+        return result
+
+    monkeypatch.setattr(kronecker, "_second_wong_sequence", recording)
+    for K in wong_corpus():
+        is_semistable(K)
+    outcomes, sizes = Counter(), Counter()
+    for K, blocks, (corank, D) in calls:
+        ref_corank, ref_D = _fraction_wong_sequence(K, blocks)
+        assert corank == ref_corank
+        assert (D is None) == (ref_D is None)
+        if D is not None:
+            assert D.to_json() == ref_D.to_json()
+        outcomes["witness" if D else "corank > 0, none" if corank else "corank 0"] += 1
+        sizes[len(blocks[0]) * gcd(K.p, K.q) // K.p] += 1
+    # every branch of the sequence is reached, the no-witness one past m = 1
+    assert outcomes["witness"] and outcomes["corank > 0, none"]
+    assert any(m > 1 for m in sizes)
 
 
 def test_moduli_dimensions():

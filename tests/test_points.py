@@ -210,7 +210,8 @@ def test_cap_violation_errors():
     (TRIANGLE, 2),
 ])
 def test_walk_stops_after_regularity_index(monkeypatch, cfg, last):
-    # the slices are read up to r_Z + 1 and no further
+    # the slices are read up to r_Z and no further: dim I_(r_Z + 1) is
+    # dim S_(r_Z + 1) - n without a slice
     seen = []
 
     def recording_slice(cfg, t):
@@ -219,7 +220,7 @@ def test_walk_stops_after_regularity_index(monkeypatch, cfg, last):
 
     monkeypatch.setattr(points, "ideal_slice", recording_slice)
     minimal_resolution(cfg)
-    assert seen == list(range(last + 1))
+    assert seen == list(range(last))
 
 
 def criterion_6_configs():
