@@ -11,10 +11,13 @@ Polynomial text has one grammar:
 
 Whitespace (what ``str.split`` splits on) may separate any two tokens; n/m
 is one token, and n and m are numerals of 1 to MAX_DIGITS Unicode decimal
-digits, read as ``int`` reads them.  ``parse_form`` checks the whole text
-with one compiled regular expression, then reads the terms by string
-splits; ``format_form`` prints text that ``parse_form`` reads back to the
-same form.
+digits, read as ``int`` reads them.  ``format_form`` prints text that
+``parse_form`` reads back to the same form.  ``parse_form`` reads printed
+text by looking up each monomial spelling in the table ``format_form``
+prints from, and keeps that form only if it prints back to the very same
+text, so by the round trip it is the grammar's reading.  Any other text is
+checked with one compiled regular expression, then read by string splits;
+the caps and the error messages are the grammar's.
 
 Questions about factors are linear algebra on multiplication matrices
 (``mult_map``), run by the one exact core in ``linalg``: ``form_gcd`` takes
@@ -245,6 +248,52 @@ def parse_form(text: str, degree: int | None = None) -> Form:
     digits.  If ``degree`` is given, the result is coerced to it (only
     possible for the zero form or an exact match).
     """
+    # no coefficient of text this short can pass the digit cap
+    if type(text) is str and len(text) <= MAX_DIGITS // 2:
+        form = _read_printed(text, degree)
+        if form is not None:
+            return form
+    return _parse_grammar(text, degree)
+
+
+def _read_printed(text: str, degree: int | None):
+    """The form that ``format_form`` prints as text, read by splitting the
+    terms and looking up each monomial spelling; None unless the form read
+    prints back to text itself and has the given degree.  Reading text back
+    from its print is the round-trip contract, so the form is the one
+    ``_parse_grammar`` returns, with the same coefficient types."""
+    terms = text.replace(" - ", " + -").split(" + ")
+    try:
+        first = terms[0].lstrip("-")
+        if first[:1] not in _VARIABLE_INDEX:
+            first = first.partition("*")[2]
+        d = sum(int(f[2:]) if f[1:] else 1 for f in first.split("*")) if first else 0
+        if degree is not None and d != degree or not 0 <= d <= MAX_DEGREE:
+            return None
+        index = _spelling_index(d)
+        coeffs = [0] * len(index)
+        for term in terms:
+            sign = 1
+            if term[:1] == "-":
+                sign, term = -1, term[1:]
+            i = index.get(term)
+            if i is not None:
+                coeffs[i] = sign
+                continue
+            head, _, mono = term.partition("*")
+            i = index.get(mono)
+            if i is None:
+                return None
+            coeffs[i] = sign * (Fraction(head) if "/" in head else int(head))
+    except (ValueError, ZeroDivisionError):
+        return None
+    form = Form(d, coeffs)
+    return form if format_form(form) == text else None
+
+
+def _parse_grammar(text: str, degree: int | None) -> Form:
+    """``parse_form`` on any text: the grammar match, then the terms read by
+    string splits."""
     if not _POLYNOMIAL.fullmatch(text):
         raise _syntax_error(text)
     # the match fixes every token boundary, so plain string splits read the terms
@@ -306,6 +355,12 @@ def _monomial_spellings(degree: int):
     return tuple("*".join(name if e == 1 else "%s^%d" % (name, e)
                           for name, e in zip(VARIABLES, expo) if e)
                  for expo in monomials(degree))
+
+
+@lru_cache(maxsize=None)
+def _spelling_index(degree: int):
+    """Position in the basis of each monomial spelling of the degree."""
+    return {text: i for i, text in enumerate(_monomial_spellings(degree))}
 
 
 def format_form(f: Form) -> str:

@@ -277,12 +277,12 @@ def _rref_basis(vectors, length: int):
             for row in vectors[:len(pivots)]]
 
 
-def _witness(K: KroneckerModule, basis) -> Destabilizer | None:
+def _witness(K: KroneckerModule, basis, integer) -> Destabilizer | None:
     """The destabilizer with S the span of the given integer p-vectors,
-    taken in the scaled source coordinates of `_integer_slices`, and
-    T = K(S), both as canonical RREF bases, if it violates the slope
-    inequality and verifies; else None."""
-    slices, scales = _integer_slices(K)
+    taken in the scaled source coordinates of ``integer``, the value of
+    `_integer_slices(K)`, and T = K(S), both as canonical RREF bases, if it
+    violates the slope inequality and verifies; else None."""
+    slices, scales = integer
     S = _rref_basis([[a * d for a, d in zip(s, scales)] for s in basis], K.p)
     T = _rref_basis([[sum(map(mul, row, s)) for row in sl] for sl in slices for s in basis], K.q)
     p_prime, q_prime = len(S), K.q - len(T)
@@ -298,15 +298,16 @@ def _exact_small_cases(K: KroneckerModule) -> KroneckerVerdict | None:
         span = coefficient_matrix(row[0] for row in K.entries)
         if span.rank() == q and q <= 3:
             return KroneckerVerdict("semistable")
-        D = _witness(K, [[1]])
+        D = _witness(K, [[1]], _integer_slices(K))
         if D is None:
             raise KroneckerError("internal: dependent column without witness")
         return KroneckerVerdict("unstable", D)
     if q == 1:
-        rows = QMatrix.from_rows(sl[0] for sl in _integer_slices(K)[0])
+        integer = _integer_slices(K)
+        rows = QMatrix.from_rows(sl[0] for sl in integer[0])
         if rows.rank() == p and p <= 3:
             return KroneckerVerdict("semistable")
-        D = _witness(K, rows.integer_kernel_basis())
+        D = _witness(K, rows.integer_kernel_basis(), integer)
         if D is None:
             raise KroneckerError("internal: dependent row entries without witness")
         return KroneckerVerdict("unstable", D)
@@ -321,9 +322,11 @@ def _primitive_basis(vectors, length: int):
     return [[a // g for a in row] for row in rows[:len(pivots)] for g in (gcd(*row),)]
 
 
-def _second_wong_sequence(K: KroneckerModule, blocks):
+def _second_wong_sequence(K: KroneckerModule, blocks, integer, B):
     """(corank of B = sum_k K_k ⊗ T_k over Q, the destabilizer that the
-    limit of its second Wong sequence proves, or None).
+    limit of its second Wong sequence proves, or None), for B the
+    `_blow_up` of the blocks and of the slices of ``integer``, the value of
+    `_integer_slices(K)`.
 
     One Bareiss elimination of [B | I] gives d, the pivots, the integer
     kernel of B and E with E B = d RREF(B).  The rows of E from rank B on
@@ -334,8 +337,7 @@ def _second_wong_sequence(K: KroneckerModule, blocks):
     S and K(S) are kept in the scaled source coordinates as primitive
     integer bases, and only the witness is scaled back by D."""
     rows, cols = len(blocks[0]), len(blocks[0][0])
-    slices = _integer_slices(K)[0]
-    B = _blow_up(slices, blocks)
+    slices = integer[0]
     n = len(B)
     m = [row + [int(k == i) for k in range(n)] for i, row in enumerate(B)]
     pivots, d = integer_echelon(m, n, reduced=True)
@@ -368,7 +370,7 @@ def _second_wong_sequence(K: KroneckerModule, blocks):
         image = _primitive_basis([[sum(map(mul, row, s)) for row in sl]
                                   for sl in slices for s in S], K.q)
         if len(image) == len(R):
-            D = _witness(K, S)
+            D = _witness(K, S, integer)
             if D is None:
                 raise KroneckerError("internal: Wong limit without witness")
             return n - rank, D
@@ -379,12 +381,16 @@ def _decide_on_blow_ups(K: KroneckerModule, seed: int) -> KroneckerVerdict:
     g = gcd(K.p, K.q)
     cap = K.p * K.q // g - 1          # >= 1, since p, q >= 2
     rng = random.Random(derive_seed("kron-certificate", seed))
+    integer = _integer_slices(K)
     m = 1
     while True:
+        # the draw has the certificate's shape, so verify_certificate
+        # reduces to this rank, and B is shared with the Wong sequence
         cert = SemistabilityCertificate(_draw(rng, m * K.p // g, m * K.q // g))
-        if verify_certificate(K, cert):
+        B = _blow_up(integer[0], cert.blocks)
+        if mod_nonsingular(B, cert.prime):
             return KroneckerVerdict("semistable", certificate=cert)
-        corank, D = _second_wong_sequence(K, cert.blocks)
+        corank, D = _second_wong_sequence(K, cert.blocks, integer, B)
         if D is not None:
             return KroneckerVerdict("unstable", D)
         if corank == 0:

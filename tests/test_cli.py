@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -304,6 +305,20 @@ def test_flag_pair_parse_errors(capsys):
     for blob in blobs:
         code, _ = run(capsys, "flag-pair", "--input", blob)
         assert code == 2, blob
+
+
+def test_flag_pair_sextic_that_is_not_text_keeps_its_error(capsys):
+    # parse_form hands anything but a str to the grammar match, whose
+    # TypeError is the message ("..., got 'int'" from Python 3.11 on)
+    with pytest.raises(TypeError) as expected:
+        re.fullmatch("", 5)
+    blob = json.dumps({"points": [["1", "0", "0"], ["0", "1", "0"]], "sextic": 5})
+    assert main(["flag-pair", "--input", blob]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad flag-pair input: %s\n" % expected.value
+    assert "expected string or bytes-like object" in err
+    if sys.version_info >= (3, 11):
+        assert err.endswith("got 'int'\n")
 
 
 def test_parser_crashes_are_parse_errors(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planesheaves import forms
 from planesheaves.forms import (MAX_DIGITS, Form, FormError, ParseError,
                                 block_mult_map,
                                 conic_is_irreducible, divides, form_gcd,
@@ -331,10 +332,13 @@ def test_parse_form_returns_a_form_or_raises_parse_error(text, degree):
     assert isinstance(f, Form)
 
 
+_INT_COEFFS = st.integers(-20, 20)
+_FRACTION_COEFFS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
 @st.composite
-def _forms(draw):
+def _forms(draw, coeff=_FRACTION_COEFFS):
     degree = draw(st.integers(0, 4))
-    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
     return Form(degree, draw(st.lists(coeff, min_size=space_dim(degree),
                                       max_size=space_dim(degree))))
 
@@ -376,3 +380,69 @@ def test_format_parse_round_trip_property(f, data):
     # the same coefficient types
     h = parse_form(_respell(text, data.draw), degree)
     assert h == g and list(map(type, h.coeffs)) == list(map(type, g.coeffs))
+
+
+def _reading(reader, text, degree):
+    """What a reader makes of the text: the form and its coefficient types,
+    or the message of its ParseError."""
+    try:
+        f = reader(text, degree)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    return f, [type(c) for c in f.coeffs]
+
+
+def assert_reads_as_the_grammar(text, degree=None):
+    """parse_form, printed text read by lookup, agrees with the grammar
+    reader on every input."""
+    assert _reading(parse_form, text, degree) == _reading(forms._parse_grammar, text, degree)
+
+
+def _mutations(text):
+    """Printed text changed into text that format_form never prints but the
+    grammar may still read: doubled, leading and trailing spaces, a leading
+    "+", a repeated term, terms out of graded-lex order, a coefficient of 1,
+    an unreduced fraction, a zero-padded exponent, a signed zero, a digit
+    that is not ASCII and a zero denominator."""
+    terms = text.replace(" - ", " + -").split(" + ")
+    return [text.replace(" ", "  ", 1), text + " ", " " + text, "+" + text,
+            text + " + " + terms[0].lstrip("-"), " + ".join(reversed(terms)),
+            "1*" + text, "2/4*" + text.lstrip("-"), text.replace("^", "^0", 1),
+            text + " - 0", "-0 + " + text, text.replace("2", "\u0662"),
+            text.replace("1", "\u0663"), text + " + 1/0*" + terms[-1].split("*")[-1]]
+
+
+def test_fixed_spellings_read_as_the_grammar():
+    for text, degree in (("1*X", None), ("2/4*X", None), ("X + X", None), ("Y + X", None),
+                         ("Z^2 + X*Y", 2), ("X^01", None), ("-0", None), ("+X", None),
+                         ("\u0663*X", None), ("1/0*X", None), ("X  + Y", None),
+                         ("X + Y ", None), ("X - -Y", None), ("0", 3), ("0", None),
+                         ("0", 0), ("X", 2), ("X^2 + Y", None), ("1/2", None), ("-1/2", 0),
+                         ("X^41", None), ("X^1", None), ("X*Y*Z^-1", None), ("", None),
+                         ("X + ", None), (" + X", None), ("3_0*X", None), ("1e3*X", None),
+                         ("1.5*X", None), ("X**Y", None), ("X^", None), ("Q", None),
+                         ("Q^2 + X^2", None), ("X^99999999999", None), ("-X", 1),
+                         (format_form(Form(1, (10 ** 600, -Fraction(1, 7), 1))), None),
+                         (format_form(Form(1, (10 ** 600, -Fraction(1, 7), 1))), 2),
+                         (" + ".join(["X"] * 200), None)):
+        assert_reads_as_the_grammar(text, degree)
+    # only text longer than MAX_DIGITS // 2 can build a coefficient past the
+    # digit cap; the grammar reads it and names the cap
+    long = "*".join(["9" * 300] * 4) + "*X"
+    with pytest.raises(ParseError, match="coefficient of more than %d digits" % MAX_DIGITS):
+        parse_form(long)
+    assert_reads_as_the_grammar(long)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from([_INT_COEFFS, _FRACTION_COEFFS]).flatmap(_forms), st.data())
+def test_printed_and_mutated_text_read_as_the_grammar(f, data):
+    text = format_form(f)
+    degree = data.draw(st.sampled_from([None, f.degree, f.degree + 1]))
+    assert_reads_as_the_grammar(text, degree)
+    # the lookup reads the print itself whenever its degree is asked for
+    printed_degree = 0 if f.is_zero() else f.degree
+    assert (forms._read_printed(text, degree) is None) == (degree not in (None, printed_degree))
+    assert_reads_as_the_grammar(_respell(text, data.draw), degree)
+    for mutated in _mutations(text):
+        assert_reads_as_the_grammar(mutated, degree)

@@ -398,8 +398,8 @@ def test_wong_sequence_matches_the_fraction_reference(monkeypatch):
     calls = []
     wong = kronecker._second_wong_sequence
 
-    def recording(K, blocks):
-        result = wong(K, blocks)
+    def recording(K, blocks, *shared):
+        result = wong(K, blocks, *shared)
         calls.append((K, blocks, result))
         return result
 
@@ -418,6 +418,30 @@ def test_wong_sequence_matches_the_fraction_reference(monkeypatch):
     # every branch of the sequence is reached, the no-witness one past m = 1
     assert outcomes["witness"] and outcomes["corank > 0, none"]
     assert any(m > 1 for m in sizes)
+
+
+def test_blow_up_inputs_are_built_once_per_module_and_draw(monkeypatch):
+    # no draw certifies a planted unstable 3 x 3 module, so every draw also
+    # runs the Wong sequence: the integer slices are built once per verdict,
+    # and each draw's B once for both the certificate check and the sequence
+    built = Counter()
+    for name in ("_integer_slices", "_blow_up"):
+        def spy(*args, real=getattr(kronecker, name), name=name):
+            built[name] += 1
+            return real(*args)
+        monkeypatch.setattr(kronecker, name, spy)
+    draws = []
+    wong = kronecker._second_wong_sequence
+    monkeypatch.setattr(kronecker, "_second_wong_sequence",
+                        lambda *args: draws.append(args[1]) or wong(*args))
+    rng = random.Random(33)
+    for K in (plant_zero_block(3, 3, 2, 2, rng), module([["0", "0", "X"], ["0", "0", "Y"],
+                                                         ["X", "Y", "Z"]])):
+        built.clear()
+        draws.clear()
+        verdict = is_semistable(K)
+        assert verdict.kind == "unstable" and verify_destabilizer(K, verdict.witness)
+        assert built == {"_integer_slices": 1, "_blow_up": len(draws)} and draws
 
 
 def test_moduli_dimensions():
