@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .forms import FormError, ParseError, parse_form
-from .kronecker import KroneckerModule, is_semistable
+from .kronecker import KroneckerError, KroneckerModule, is_semistable
 from .points import (CLAIMS, PointConfig, PointError, flag_pair_presentation,
                      minimal_resolution, verify_point_claim)
 from .presentation import Presentation, PresentationError, dual, hilbert
@@ -35,12 +35,22 @@ class CliError(Exception):
         self.code = code
 
 
-def _emit(obj, out_dir=None, name=None):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
-    if out_dir and name:
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write(text, out_dir, name, show=True):
+    """Print text (unless not `show`) and, given --out-dir, save the same
+    bytes there as `name`."""
+    if show:
+        sys.stdout.write(text)
+    if out_dir:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         Path(out_dir, name).write_text(text)
+
+
+def _emit(obj, out_dir, name):
+    _write(_json_text(obj), out_dir, name)
 
 
 def _read_input(arg):
@@ -121,7 +131,7 @@ def cmd_gen(args):
         P = generate(args.chi, args.stratum, seed=args.seed)
     except GenerationError as exc:
         raise CliError(EXIT_VERIFY, str(exc))
-    except Exception as exc:
+    except StrataError as exc:
         raise CliError(EXIT_PRECONDITION, str(exc))
     _emit(P.to_json(), args.out_dir, "gen.json")
     return EXIT_OK
@@ -131,7 +141,7 @@ def cmd_kron_check(args):
     P = _load_presentation(args.input)
     try:
         K = KroneckerModule.from_presentation(P)
-    except Exception as exc:
+    except KroneckerError as exc:
         raise CliError(EXIT_PRECONDITION, str(exc))
     verdict = is_semistable(K, seed=args.seed)
     out = {"kind": verdict.kind}
@@ -174,10 +184,7 @@ def cmd_dims(args):
     audits = [dim_audit(r) for r in rows]
     payload = {"moduli_dimension": MODULI_DIM, "rows": [a.to_json() for a in audits]}
     if args.format == "markdown":
-        sys.stdout.write(_dims_markdown(audits))
-        if args.out_dir:
-            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-            Path(args.out_dir, "dims.md").write_text(_dims_markdown(audits))
+        _write(_dims_markdown(audits), args.out_dir, "dims.md")
     else:
         _emit(payload, args.out_dir, "dims.json")
     return EXIT_OK if all(a.check_corrected for a in audits) else EXIT_VERIFY
@@ -241,21 +248,13 @@ def cmd_verify_tables(args):
         if args.samples > 0:
             reports.append(verify_row(row.chi, row.id, args.samples, args.seed))
     ok = all(a.check_corrected for a in audits) and all(rep.passed for rep in reports)
-    md = _tables_markdown(rows, reports, audits)
-    if args.out_dir:
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-        Path(args.out_dir, "verify_tables.md").write_text(md)
-        Path(args.out_dir, "verify_tables.json").write_text(json.dumps({
-            "passed": ok,
-            "reports": [r.to_json() for r in reports],
-            "audits": [a.to_json() for a in audits],
-        }, indent=2, sort_keys=True) + "\n")
-    if args.format == "markdown":
-        sys.stdout.write(md)
-    else:
-        _emit({"passed": ok,
+    payload = {"passed": ok,
                "reports": [r.to_json() for r in reports],
-               "audits": [a.to_json() for a in audits]})
+               "audits": [a.to_json() for a in audits]}
+    # both files are saved whichever format is printed
+    _write(_tables_markdown(rows, reports, audits), args.out_dir, "verify_tables.md",
+           show=args.format == "markdown")
+    _write(_json_text(payload), args.out_dir, "verify_tables.json", show=args.format == "json")
     return EXIT_OK if ok else EXIT_VERIFY
 
 

@@ -240,35 +240,34 @@ def _syntax_error(text: str) -> ParseError:
     return ParseError("malformed polynomial %s" % quoted(text))
 
 
-def parse_form(text: str, degree: int | None = None) -> Form:
+def parse_form(text: str) -> Form:
     """Parse polynomial text like ``3*X^2*Y - 1/2*Z^3``.
 
     Rejects inhomogeneous input, reporting the degrees found, and any
     coefficient whose numerator or denominator has more than MAX_DIGITS
-    digits.  If ``degree`` is given, the result is coerced to it (only
-    possible for the zero form or an exact match).
+    digits.  The zero form is read in degree 0.
     """
     # no coefficient of text this short can pass the digit cap
     if type(text) is str and len(text) <= MAX_DIGITS // 2:
-        form = _read_printed(text, degree)
+        form = _read_printed(text)
         if form is not None:
             return form
-    return _parse_grammar(text, degree)
+    return _parse_grammar(text)
 
 
-def _read_printed(text: str, degree: int | None):
+def _read_printed(text: str):
     """The form that ``format_form`` prints as text, read by splitting the
     terms and looking up each monomial spelling; None unless the form read
-    prints back to text itself and has the given degree.  Reading text back
-    from its print is the round-trip contract, so the form is the one
-    ``_parse_grammar`` returns, with the same coefficient types."""
+    prints back to text itself.  Reading text back from its print is the
+    round-trip contract, so the form is the one ``_parse_grammar`` returns,
+    with the same coefficient types."""
     terms = text.replace(" - ", " + -").split(" + ")
     try:
         first = terms[0].lstrip("-")
         if first[:1] not in _VARIABLE_INDEX:
             first = first.partition("*")[2]
         d = sum(int(f[2:]) if f[1:] else 1 for f in first.split("*")) if first else 0
-        if degree is not None and d != degree or not 0 <= d <= MAX_DEGREE:
+        if not 0 <= d <= MAX_DEGREE:
             return None
         index = _spelling_index(d)
         coeffs = [0] * len(index)
@@ -291,7 +290,7 @@ def _read_printed(text: str, degree: int | None):
     return form if format_form(form) == text else None
 
 
-def _parse_grammar(text: str, degree: int | None) -> Form:
+def _parse_grammar(text: str) -> Form:
     """``parse_form`` on any text: the grammar match, then the terms read by
     string splits."""
     if not _POLYNOMIAL.fullmatch(text):
@@ -335,13 +334,11 @@ def _parse_grammar(text: str, degree: int | None) -> Form:
             if abs(c.numerator) >= _DIGIT_BOUND or c.denominator >= _DIGIT_BOUND:
                 raise ParseError("coefficient of more than %d digits" % MAX_DIGITS)
     if not acc:
-        return Form.zero(degree if degree is not None else 0)
+        return Form.zero(0)
     degrees = {sum(k) for k in acc}
     if len(degrees) > 1:
         raise ParseError("inhomogeneous polynomial: degrees %s" % sorted(degrees))
     d = degrees.pop()
-    if degree is not None and d != degree:
-        raise ParseError("polynomial has degree %d, expected %d" % (d, degree))
     index = monomial_index(d)
     coeffs = [0] * space_dim(d)
     for key, c in acc.items():

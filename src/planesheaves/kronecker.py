@@ -43,8 +43,10 @@ one: m grows to pq/g - 1 and then fresh draws are made at that size.  The
 verdict never depends on the draw, only the running time does.  A draw
 whose B is nonsingular over Q but singular modulo the prime is a proof
 without a certificate.  Before the reduction modulo the prime each source
-column is scaled by the lcm of its denominators, a change of basis that
-keeps semistability.
+column is scaled by the lcm of its denominators (`linalg.integer_rows` on
+the columns), a change of basis that keeps semistability.  The scale is one
+per column, not one for the whole module: a column whose denominator the
+prime divides then leaves the other columns nonzero modulo the prime.
 """
 
 from __future__ import annotations
@@ -52,11 +54,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .forms import Form, coefficient_matrix, linearly_independent, monomial_index, parse_form
-from .linalg import CERTIFICATE_PRIME, QMatrix, from_columns, integer_echelon, mod_nonsingular
+from .linalg import (CERTIFICATE_PRIME, QMatrix, from_columns, integer_echelon, integer_rows,
+                     mod_nonsingular, null_vectors)
 from .presentation import Presentation, derive_seed, random_invertible
 
 
@@ -187,13 +190,13 @@ def verify_destabilizer(K: KroneckerModule, D: Destabilizer) -> bool:
 
 def _integer_slices(K: KroneckerModule):
     """K_X, K_Y, K_Z as lists of integer rows, each source column j scaled by
-    the lcm d_j of its denominators (a change of source basis, which keeps
-    semistability), and the scales d_j."""
+    the lcm d_j of the denominators of its 3q entries (a change of source
+    basis, which keeps semistability), and the scales d_j."""
     slices = [sl.data for sl in K.coefficient_slices()]
-    scales = [lcm(*[sl[i][j].denominator for sl in slices for i in range(K.q)])
-              for j in range(K.p)]
-    return [[[x.numerator * (d // x.denominator) for x, d in zip(row, scales)] for row in sl]
-            for sl in slices], scales
+    q = K.q
+    columns, scales = integer_rows([[sl[i][j] for sl in slices for i in range(q)]
+                                    for j in range(K.p)])
+    return [[[col[k * q + i] for col in columns] for i in range(q)] for k in range(3)], scales
 
 
 def _blow_up(slices, blocks):
@@ -280,15 +283,13 @@ def _rref_basis(vectors, length: int):
 def _witness(K: KroneckerModule, basis, integer) -> Destabilizer | None:
     """The destabilizer with S the span of the given integer p-vectors,
     taken in the scaled source coordinates of ``integer``, the value of
-    `_integer_slices(K)`, and T = K(S), both as canonical RREF bases, if it
-    violates the slope inequality and verifies; else None."""
+    `_integer_slices(K)`, and T = K(S), both as canonical RREF bases, if
+    `verify_destabilizer` accepts it (its first check is the slope
+    inequality); else None."""
     slices, scales = integer
     S = _rref_basis([[a * d for a, d in zip(s, scales)] for s in basis], K.p)
     T = _rref_basis([[sum(map(mul, row, s)) for row in sl] for sl in slices for s in basis], K.q)
-    p_prime, q_prime = len(S), K.q - len(T)
-    if p_prime == 0 or q_prime < 1 or Fraction(p_prime, K.p) + Fraction(q_prime, K.q) <= 1:
-        return None
-    D = Destabilizer(p_prime, q_prime, from_columns(S, K.p), from_columns(T, K.q))
+    D = Destabilizer(len(S), K.q - len(T), from_columns(S, K.p), from_columns(T, K.q))
     return D if verify_destabilizer(K, D) else None
 
 
@@ -345,13 +346,7 @@ def _second_wong_sequence(K: KroneckerModule, blocks, integer, B):
     if rank == n:
         return 0, None
     E = [row[n:] for row in m]
-    kernel = []
-    for fc in sorted(set(range(n)) - set(pivots)):
-        x = [0] * n
-        x[fc] = d
-        for k, pc in enumerate(pivots):
-            x[pc] = -m[k][fc]
-        kernel.append(x)
+    kernel = null_vectors(m, pivots, d, n)
     R = []
     while True:
         preimages = kernel[:]

@@ -22,10 +22,14 @@ column rank.  One prime-field elimination, modulo the word-size
 (`mod_rank` on one integer row per unknown) and the Kronecker
 semistability certificate (`mod_nonsingular` on the blown-up matrix, which
 stops at the first column without a pivot).  Both take int rows as they
-are, unreduced, since the elimination reduces every entry it reads;
-Fraction rows go through `mod_residues` first.  A rank modulo p only bounds
-the rational rank from below, so it proves something only when it meets an
-upper bound known in advance.
+are, unreduced, since the elimination reduces every entry it reads.
+Rationals enter every integer routine one way: scaled by the lcm of their
+denominators, a row at a time (`integer_rows`) or, where the caller knows
+the system, by one scalar for all of it.  A rank modulo p only bounds the
+rational rank from below, so it proves something only when it meets an
+upper bound known in advance.  `null_vectors` turns an integer RREF into
+null vectors, for `kernel_basis`, `integer_kernel_basis` and the Kronecker
+Wong sequence alike.
 """
 
 from __future__ import annotations
@@ -146,32 +150,16 @@ class QMatrix:
         free coordinates are the ints 0 and 1, the pivot ones Fractions."""
         m, pivots, d = self._rref()
         pivset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
-        basis = []
-        for fc in free:
-            v = [0] * self.cols
-            v[fc] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = Fraction(-m[r][fc], d)
-            basis.append(v)
-        return basis
+        return [[Fraction(a, d) if c in pivset else a // d for c, a in enumerate(v)]
+                for v in null_vectors(m, pivots, d, self.cols)]
 
     def integer_kernel_basis(self):
         """Basis of the right null space as primitive integer vectors: each
         is the matching `kernel_basis` vector times the positive integer
         that clears its denominators and leaves its entries coprime."""
         m, pivots, d = self._rref()
-        pivset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
-        basis = []
-        for fc in free:
-            v = [0] * self.cols
-            v[fc] = d
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
-            g = gcd(*v) if d > 0 else -gcd(*v)
-            basis.append([a // g for a in v])
-        return basis
+        return [[a // g for a in v] for v in null_vectors(m, pivots, d, self.cols)
+                for g in (gcd(*v) if d > 0 else -gcd(*v),)]
 
     def solve(self, rhs):
         """One solution of self @ x = rhs, or None if the system is
@@ -191,9 +179,9 @@ class QMatrix:
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise LinalgError("det of non-square matrix")
-        m, scale = integer_rows(self.data)
+        m, scales = integer_rows(self.data)
         pivots, sign, last = _bareiss(m, self.cols, reduced=False)
-        return Fraction(sign * last if len(pivots) == self.rows else 0, scale)
+        return Fraction(sign * last if len(pivots) == self.rows else 0, prod(scales))
 
     def __repr__(self):
         return "QMatrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
@@ -201,20 +189,18 @@ class QMatrix:
 
 def integer_rows(data):
     """Each row times the lcm of its denominators, which keeps the row space,
-    and the product of those scales.  A row of ints is only copied."""
+    and the list of those scales, 1 for a row of ints, which is only copied."""
     rows = []
     scales = []
     for row in data:
         if all(type(x) is int for x in row):
             rows.append(list(row))
+            scales.append(1)
             continue
         scale = lcm(*[x.denominator for x in row])
-        if scale == 1:
-            rows.append([x.numerator for x in row])
-        else:
-            rows.append([x.numerator * (scale // x.denominator) for x in row])
-            scales.append(scale)
-    return rows, prod(scales)
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return rows, scales
 
 
 def _bareiss(m, ncols: int, reduced: bool):
@@ -292,25 +278,20 @@ def integer_echelon(rows, ncols: int, reduced: bool = False):
     return pivots, d
 
 
-def mod_residues(rows, p: int):
-    """Rows of rationals reduced to residues modulo the prime p.  A row of
-    ints is reduced in one pass."""
-    out = []
-    for row in rows:
-        if all(type(x) is int for x in row):
-            out.append([x % p for x in row])
-            continue
-        r = []
-        for x in row:
-            if x.denominator == 1:
-                r.append(x.numerator % p)
-                continue
-            den = x.denominator % p
-            if den == 0:
-                raise LinalgError("prime divides a denominator")
-            r.append(x.numerator * pow(den, p - 2, p) % p)
-        out.append(r)
-    return out
+def null_vectors(m, pivots, d: int, ncols: int):
+    """A basis of the null space of the RREF m / d of integer rows m, with
+    the given pivot columns among the first ncols: one integer vector per
+    free column fc, d at fc and -m[r][fc] at the r-th pivot column."""
+    pivset = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivset:
+            v = [0] * ncols
+            v[fc] = d
+            for r, pc in enumerate(pivots):
+                v[pc] = -m[r][fc]
+            basis.append(v)
+    return basis
 
 
 def _mod_pivot_flags(rows, p: int):

@@ -137,9 +137,6 @@ class Presentation:
     def __repr__(self):
         return "Presentation(%r, %r)" % (self.source, self.target)
 
-    def entry(self, i: int, j: int) -> Form:
-        return self.matrix[i][j]
-
 
 def _twist(d) -> int:
     """int(d) for a number d of integral value.  A bool or a string is

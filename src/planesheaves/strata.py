@@ -21,11 +21,12 @@ import json
 import random
 from dataclasses import dataclass, field
 from importlib import resources
+from math import lcm
 
 from .forms import (Form, coefficient_matrix, divides, form_gcd, linearly_independent,
                     monomial_index, monomials, random_form, space_dim)
 from .kronecker import KroneckerModule, is_semistable, minors_semistable
-from .linalg import CERTIFICATE_PRIME, LinalgError, QMatrix, mod_rank, mod_residues
+from .linalg import CERTIFICATE_PRIME, QMatrix, mod_rank
 from .presentation import (CohomologyProfile, InconsistentPresentationError,
                            Presentation, PresentationError, derive_seed, dual,
                            hilbert, h0_twist, h1_twist, is_injective, profile,
@@ -382,10 +383,7 @@ def _generate(chi: int, stratum_id: str, seed: int):
                 else:
                     out.append(random_form(deg, rng, 9))
             matrix.append(out)
-        try:
-            P = Presentation(row.source, row.target, matrix)
-        except PresentationError:
-            continue
+        P = Presentation(row.source, row.target, matrix)
         side = _SIDE_CATALOGUE[row.side_condition](P)
         if side.status == "fail":
             continue
@@ -438,10 +436,17 @@ def _stabilizer_rows(P: Presentation):
     monomials of the cells (i, j) of the equation that some unknown reaches.
     gB[a][b] = m puts m * phi[b][j] into cell (a, j) and gA[a][b] = m puts
     -phi[i][a] * m into cell (i, b).  The products of the terms of one entry
-    by one monomial are distinct, so each entry is written at most once; it
-    is an int, or a Fraction where phi has one."""
+    by one monomial are distinct, so each entry is written at most once.
+
+    The system written is that of L . phi, L the lcm of the denominators of
+    the coefficients of phi: a nonzero scalar, so the solution space is the
+    same, and every entry is an int."""
     d, e = P.source, P.target
     terms = [[f.terms() for f in row] for row in P.matrix]
+    L = lcm(*[c.denominator for row in terms for ts in row for _, c in ts])
+    if L > 1:
+        terms = [[[(m, c.numerator * (L // c.denominator)) for m, c in ts] for ts in row]
+                 for row in terms]
     offset, ncols = {}, 0
     for i in range(len(e)):
         for j in range(len(d)):
@@ -488,23 +493,20 @@ def generic_stabilizer_dim(P: Presentation) -> int:
     over Q (a nonzero minor mod p is nonzero over Q), which by the theorem is
     at most nvars - 1 - hom.  So when `is_injective` proves phi injective and
     the rank modulo CERTIFICATE_PRIME reaches nvars - 1 - hom, the stabilizer
-    is exactly hom.  Otherwise (phi not injective, the prime divides a
-    denominator, or the modular rank falls short because F is not simple or
-    the prime is unlucky) the exact rank decides."""
+    is exactly hom.  The rows are those of L . phi, L a scalar, all ints, so
+    `mod_rank` takes them as they are.  Otherwise (phi not injective, or the
+    modular rank falls short because F is not simple, the prime is unlucky
+    or it divides L, which zeroes the entries it does not divide) the exact
+    rank decides."""
     d, e = P.source, P.target
     rows = _stabilizer_rows(P)
     nvars = len(rows)
     if not nvars:
         return 0
     hom = sum(space_dim(dj - ei) for ei in e for dj in d if dj >= ei)
-    if len(d) == len(e) and is_injective(P):
-        try:
-            integral = all(type(c) is int for row in P.matrix for f in row for c in f.coeffs)
-            residues = rows if integral else mod_residues(rows, CERTIFICATE_PRIME)
-            if mod_rank(residues, CERTIFICATE_PRIME) == nvars - 1 - hom:
-                return hom
-        except LinalgError:
-            pass
+    if len(d) == len(e) and is_injective(P) \
+            and mod_rank(rows, CERTIFICATE_PRIME) == nvars - 1 - hom:
+        return hom
     return nvars - QMatrix(nvars, len(rows[0]), rows).rank() - 1
 
 

@@ -276,6 +276,37 @@ def test_verify_tables_dim_audit_only(capsys):
     assert exc.value.code == 2
 
 
+def test_out_dir_files_are_the_bytes_printed(capsys, tmp_path):
+    for fmt, name in (("json", "verify_tables.json"), ("markdown", "verify_tables.md")):
+        code, out = run(capsys, "verify-tables", "--chi", "0", "--samples", "0",
+                        "--format", fmt, "--out-dir", str(tmp_path / fmt))
+        assert code == 0 and (tmp_path / fmt / name).read_text() == out
+        # both files are saved whichever format is printed
+        assert {f.name for f in (tmp_path / fmt).iterdir()} == {"verify_tables.json",
+                                                                "verify_tables.md"}
+    for fmt, name in (("json", "dims.json"), ("markdown", "dims.md")):
+        code, out = run(capsys, "dims", "--chi", "0", "--format", fmt,
+                        "--out-dir", str(tmp_path / "dims"))
+        assert code == 0 and (tmp_path / "dims" / name).read_text() == out
+
+
+def test_internal_errors_are_not_hidden_as_exit_4(capsys, monkeypatch):
+    # the documented preconditions still exit 4
+    assert run(capsys, "gen", "--chi", "1", "--stratum", "X_99")[0] == 4
+    gap_two = json.dumps({"source": [-2], "target": [0], "matrix": [["X^2"]]})
+    assert run(capsys, "kron-check", "--input", gap_two)[0] == 4
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("internal")
+
+    monkeypatch.setattr(cli, "generate", boom)
+    with pytest.raises(RuntimeError, match="internal"):
+        main(["gen", "--chi", "1", "--stratum", "X_0"])
+    monkeypatch.setattr(cli.KroneckerModule, "from_presentation", boom)
+    with pytest.raises(RuntimeError, match="internal"):
+        main(["kron-check", "--input", gap_two])
+
+
 def test_cli_determinism(capsys):
     args = ("verify-tables", "--chi", "3", "--samples", "1")
     _, out1 = run(capsys, *args)

@@ -308,7 +308,10 @@ def test_format_roundtrip_bit_exact():
     for _ in range(20):
         f = random_form(rng.randint(0, 4), rng)
         text = format_form(f)
-        assert format_form(parse_form(text, degree=f.degree if not f.is_zero() else None)) == text
+        g = parse_form(text)
+        assert format_form(g) == text
+        # the zero form is read in degree 0
+        assert g.degree == (0 if f.is_zero() else f.degree)
 
 
 # Pieces of polynomial text: the grammar's own tokens, whitespace, and what
@@ -323,10 +326,10 @@ _TEXT_PIECES = st.one_of(
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.lists(_TEXT_PIECES, max_size=12).map("".join), st.none() | st.integers(0, 4))
-def test_parse_form_returns_a_form_or_raises_parse_error(text, degree):
+@given(st.lists(_TEXT_PIECES, max_size=12).map("".join))
+def test_parse_form_returns_a_form_or_raises_parse_error(text):
     try:
-        f = parse_form(text, degree)
+        f = parse_form(text)
     except ParseError:
         return
     assert isinstance(f, Form)
@@ -372,30 +375,29 @@ def _respell(text, draw):
 @given(_forms(), st.data())
 def test_format_parse_round_trip_property(f, data):
     text = format_form(f)
-    degree = None if f.is_zero() else f.degree
-    g = parse_form(text, degree)
+    g = parse_form(text)
     assert format_form(g) == text
-    assert f.is_zero() or g == f
+    assert g == f if not f.is_zero() else g.is_zero() and g.degree == 0
     # the same polynomial spelt otherwise reads back to the same form, with
     # the same coefficient types
-    h = parse_form(_respell(text, data.draw), degree)
+    h = parse_form(_respell(text, data.draw))
     assert h == g and list(map(type, h.coeffs)) == list(map(type, g.coeffs))
 
 
-def _reading(reader, text, degree):
+def _reading(reader, text):
     """What a reader makes of the text: the form and its coefficient types,
     or the message of its ParseError."""
     try:
-        f = reader(text, degree)
+        f = reader(text)
     except ParseError as exc:
         return "ParseError", str(exc)
     return f, [type(c) for c in f.coeffs]
 
 
-def assert_reads_as_the_grammar(text, degree=None):
+def assert_reads_as_the_grammar(text):
     """parse_form, printed text read by lookup, agrees with the grammar
     reader on every input."""
-    assert _reading(parse_form, text, degree) == _reading(forms._parse_grammar, text, degree)
+    assert _reading(parse_form, text) == _reading(forms._parse_grammar, text)
 
 
 def _mutations(text):
@@ -413,19 +415,14 @@ def _mutations(text):
 
 
 def test_fixed_spellings_read_as_the_grammar():
-    for text, degree in (("1*X", None), ("2/4*X", None), ("X + X", None), ("Y + X", None),
-                         ("Z^2 + X*Y", 2), ("X^01", None), ("-0", None), ("+X", None),
-                         ("\u0663*X", None), ("1/0*X", None), ("X  + Y", None),
-                         ("X + Y ", None), ("X - -Y", None), ("0", 3), ("0", None),
-                         ("0", 0), ("X", 2), ("X^2 + Y", None), ("1/2", None), ("-1/2", 0),
-                         ("X^41", None), ("X^1", None), ("X*Y*Z^-1", None), ("", None),
-                         ("X + ", None), (" + X", None), ("3_0*X", None), ("1e3*X", None),
-                         ("1.5*X", None), ("X**Y", None), ("X^", None), ("Q", None),
-                         ("Q^2 + X^2", None), ("X^99999999999", None), ("-X", 1),
-                         (format_form(Form(1, (10 ** 600, -Fraction(1, 7), 1))), None),
-                         (format_form(Form(1, (10 ** 600, -Fraction(1, 7), 1))), 2),
-                         (" + ".join(["X"] * 200), None)):
-        assert_reads_as_the_grammar(text, degree)
+    for text in ("1*X", "2/4*X", "X + X", "Y + X", "Z^2 + X*Y", "X^01", "-0", "+X",
+                 "\u0663*X", "1/0*X", "X  + Y", "X + Y ", "X - -Y", "0", "X", "X^2 + Y",
+                 "1/2", "-1/2", "X^41", "X^1", "X*Y*Z^-1", "", "X + ", " + X", "3_0*X",
+                 "1e3*X", "1.5*X", "X**Y", "X^", "Q", "Q^2 + X^2", "X^99999999999", "-X",
+                 format_form(Form(1, (10 ** 600, -Fraction(1, 7), 1))),
+                 " + ".join(["X"] * 200)):
+        assert_reads_as_the_grammar(text)
+    assert parse_form("0").degree == 0 and parse_form("-X").degree == 1
     # only text longer than MAX_DIGITS // 2 can build a coefficient past the
     # digit cap; the grammar reads it and names the cap
     long = "*".join(["9" * 300] * 4) + "*X"
@@ -438,11 +435,9 @@ def test_fixed_spellings_read_as_the_grammar():
 @given(st.sampled_from([_INT_COEFFS, _FRACTION_COEFFS]).flatmap(_forms), st.data())
 def test_printed_and_mutated_text_read_as_the_grammar(f, data):
     text = format_form(f)
-    degree = data.draw(st.sampled_from([None, f.degree, f.degree + 1]))
-    assert_reads_as_the_grammar(text, degree)
-    # the lookup reads the print itself whenever its degree is asked for
-    printed_degree = 0 if f.is_zero() else f.degree
-    assert (forms._read_printed(text, degree) is None) == (degree not in (None, printed_degree))
-    assert_reads_as_the_grammar(_respell(text, data.draw), degree)
+    assert_reads_as_the_grammar(text)
+    # the lookup reads every print itself
+    assert forms._read_printed(text) is not None
+    assert_reads_as_the_grammar(_respell(text, data.draw))
     for mutated in _mutations(text):
-        assert_reads_as_the_grammar(mutated, degree)
+        assert_reads_as_the_grammar(mutated)

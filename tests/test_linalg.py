@@ -47,8 +47,9 @@ def test_det():
 
 
 def _rank_mod(m, p):
-    """mod_rank of the reduction of a QMatrix modulo p."""
-    return linalg.mod_rank(linalg.mod_residues(m.data, p), p)
+    """mod_rank of a QMatrix whose rows are scaled to integers by the lcm of
+    their denominators, none of which p divides."""
+    return linalg.mod_rank(linalg.integer_rows(m.data)[0], p)
 
 
 def test_mod_rank_cross_check():
@@ -89,6 +90,25 @@ def test_integer_kernel_is_the_kernel_basis_scaled_to_primitive_integers():
             # v has a 1 at its free column, so w is v times w's entry there
             scale = next(a for a, b in zip(w, v) if b == 1)
             assert scale > 0 and w == [scale * b for b in v]
+
+
+def test_null_vectors_of_an_integer_rref_are_d_times_the_kernel_basis():
+    rng = random.Random(5)
+    for _ in range(60):
+        rows, cols = rng.randint(0, 5), rng.randint(1, 8)
+        data = [[rng.choice([0, rng.randint(-9, 9)]) for _ in range(cols)] for _ in range(rows)]
+        m = [row[:] for row in data]
+        pivots, d = linalg.integer_echelon(m, cols, reduced=True)
+        vectors = linalg.null_vectors(m, pivots, d, cols)
+        assert all(type(a) is int for v in vectors for a in v)
+        assert vectors == [[d * a for a in v] for v in QMatrix(rows, cols, data).kernel_basis()]
+
+
+def test_integer_rows_scales_each_row_by_the_lcm_of_its_denominators():
+    rows, scales = linalg.integer_rows([[1, -2], [Fraction(1, 6), Fraction(3, 4)],
+                                        [Fraction(5), 0]])
+    assert rows == [[1, -2], [2, 9], [5, 0]] and scales == [1, 12, 1]
+    assert all(type(a) is int for row in rows for a in row)
 
 
 # -- the fraction-free core against sympy -------------------------------------------
@@ -407,12 +427,3 @@ def test_mod_rank_of_either_orientation_agrees_with_rank():
         assert _rank_mod(m, p) == m.rank() == _rank_mod(m.transpose(), p)
         if all(type(x) is int for row in m.data for x in row):
             assert linalg.mod_rank(m.data, p) == m.rank()
-
-
-def test_mod_residues_of_int_rows_and_fraction_rows_agree():
-    p = 32749
-    ints = [[-5, 0, 7 * p + 3, -(p + 1)]]
-    fracs = [[Fraction(x) for x in ints[0]]]
-    assert linalg.mod_residues(ints, p) == linalg.mod_residues(fracs, p) == [[p - 5, 0, 3, p - 1]]
-    with pytest.raises(LinalgError):
-        linalg.mod_residues([[1, Fraction(1, p)]], p)

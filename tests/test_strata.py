@@ -361,8 +361,8 @@ def _rational_copy(P, rng):
 def test_certified_stabilizer_equals_the_exact_one_on_every_row(monkeypatch):
     """The modular certificate against an exact rank built independently, on
     all 28 rows at 20 seeds, and at three of them also on the dual, a random
-    equivalence and a rational rescaling (whose Fraction coefficients are
-    reduced modulo the prime one by one): the generic stabilizer is hom on
+    equivalence and a rational rescaling (whose system is scaled to integers
+    by the lcm of its denominators): the generic stabilizer is hom on
     every one, and no stabilizer system goes to the exact elimination."""
     for seed in range(20):
         rng = random.Random(seed)
