@@ -443,8 +443,9 @@ def _stabilizer_rows(P: Presentation):
     same, and every entry is an int."""
     d, e = P.source, P.target
     terms = [[f.terms() for f in row] for row in P.matrix]
-    L = lcm(*[c.denominator for row in terms for ts in row for _, c in ts])
-    if L > 1:
+    # by type, not by L > 1: a Fraction of denominator 1 must become an int too
+    if any(type(c) is not int for row in terms for ts in row for _, c in ts):
+        L = lcm(*[c.denominator for row in terms for ts in row for _, c in ts])
         terms = [[[(m, c.numerator * (L // c.denominator)) for m, c in ts] for ts in row]
                  for row in terms]
     offset, ncols = {}, 0

@@ -358,12 +358,21 @@ def _rational_copy(P, rng):
                           for f, cj in zip(row, c)] for row, ri in zip(P.matrix, r)])
 
 
+def _integral_fraction_copy(P):
+    """P itself, with every coefficient c written as Fraction(c)."""
+    return Presentation(P.source, P.target,
+                        [[Form(f.degree, [Fraction(x) for x in f.coeffs]) for f in row]
+                         for row in P.matrix])
+
+
 def test_certified_stabilizer_equals_the_exact_one_on_every_row(monkeypatch):
     """The modular certificate against an exact rank built independently, on
     all 28 rows at 20 seeds, and at three of them also on the dual, a random
-    equivalence and a rational rescaling (whose system is scaled to integers
-    by the lcm of its denominators): the generic stabilizer is hom on
-    every one, and no stabilizer system goes to the exact elimination."""
+    equivalence, a rational rescaling (whose system is scaled to integers
+    by the lcm of its denominators) and a copy whose coefficients are
+    Fractions of denominator 1 (lcm 1, yet they must still become ints): the
+    generic stabilizer is hom on every one, and no stabilizer system goes to
+    the exact elimination."""
     for seed in range(20):
         rng = random.Random(seed)
         for row in REGISTRY:
@@ -371,9 +380,11 @@ def test_certified_stabilizer_equals_the_exact_one_on_every_row(monkeypatch):
             copies = {"generated": P}
             if seed < 3:
                 copies.update(dual=dual(P), equivalent=random_equivalence(P, rng),
-                              rational=_rational_copy(P, rng))
-                assert all(type(x) is Fraction for r in copies["rational"].matrix
-                           for f in r for x in f.coeffs)
+                              rational=_rational_copy(P, rng),
+                              integral_fractions=_integral_fraction_copy(P))
+                for name in ("rational", "integral_fractions"):
+                    assert all(type(x) is Fraction for r in copies[name].matrix
+                               for f in r for x in f.coeffs)
             for name, Q in copies.items():
                 exact = _exact_stabilizer_dim(Q)
                 shapes = _system_ranks(monkeypatch)
