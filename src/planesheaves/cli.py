@@ -15,10 +15,11 @@ from .forms import FormError, ParseError, parse_form
 from .kronecker import KroneckerError, KroneckerModule, is_semistable
 from .points import (CLAIMS, PointConfig, PointError, flag_pair_presentation,
                      minimal_resolution, verify_point_claim)
-from .presentation import Presentation, PresentationError, dual, hilbert
+from .presentation import Presentation, PresentationError, dual, hilbert, is_injective
 from .stability import CRITERIA, BoundsQuery, bounds_check
 from .strata import (ClassifyError, GenerationError, MODULI_DIM, REGISTRY,
-                     StrataError, classify, dim_audit, generate, verify_row)
+                     StrataError, classify, dim_audit, generate, normalize_chi,
+                     verify_row)
 
 DEFAULT_SEED = 123456789
 
@@ -89,7 +90,7 @@ def cmd_classify(args):
     P = _load_presentation(args.input)
     hd = hilbert_or_fail(P)
     try:
-        label, prof, recipe = classify(P, with_profile=True)
+        label = classify(P)
     except ClassifyError as exc:
         raise CliError(EXIT_CLASSIFY, str(exc))
     except (PresentationError, StrataError) as exc:
@@ -98,9 +99,9 @@ def cmd_classify(args):
         "chi": label.chi,
         "stratum": label.id,
         "codim": label.codim,
-        "profile": list(prof.as_tuple()),
+        "profile": list(label.profile.as_tuple()),
         "hilbert": {"r": hd.r, "chi": hd.chi},
-        "normalization": recipe,
+        "normalization": normalize_chi(hd.r, hd.chi)[1],
     }, args.out_dir, "classify.json")
     return EXIT_OK
 
@@ -156,6 +157,8 @@ def cmd_kron_check(args):
 def cmd_stability(args):
     P = _load_presentation(args.input)
     try:
+        if not is_injective(P):
+            raise CliError(EXIT_PRECONDITION, "the presentation map is not injective")
         if args.criterion == "auto":
             for name in ("two-by-two", "minor-gcd"):
                 verdict = CRITERIA[name](P)
@@ -232,10 +235,10 @@ def cmd_flag_pair(args):
         P = flag_pair_presentation(cfg, sextic)
     except PointError as exc:
         raise CliError(EXIT_PRECONDITION, str(exc))
-    label, prof, _ = classify(P, with_profile=True)
+    label = classify(P)
     _emit({"presentation": P.to_json(),
            "chi": label.chi, "stratum": label.id,
-           "profile": list(prof.as_tuple())}, args.out_dir, "flag-pair.json")
+           "profile": list(label.profile.as_tuple())}, args.out_dir, "flag-pair.json")
     return EXIT_OK
 
 

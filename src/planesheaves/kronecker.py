@@ -60,7 +60,7 @@ from operator import mul
 from .forms import Form, coefficient_matrix, linearly_independent, monomial_index, parse_form
 from .linalg import (CERTIFICATE_PRIME, QMatrix, from_columns, integer_echelon, integer_rows,
                      mod_nonsingular, null_vectors)
-from .presentation import Presentation, derive_seed, random_invertible
+from .presentation import Presentation, derive_seed
 
 
 class KroneckerError(ValueError):
@@ -404,22 +404,3 @@ def is_semistable(K: KroneckerModule, seed: int = 0) -> KroneckerVerdict:
     if (K.p, K.q) in ((2, 3), (3, 2)) and minors_semistable(K):
         return KroneckerVerdict("semistable")
     return _decide_on_blow_ups(K, seed)
-
-
-def conjugate(K: KroneckerModule, rng) -> KroneckerModule:
-    """Random exact conjugation by invertible rational matrices on both sides."""
-    g = random_invertible(K.q, rng)
-    h = random_invertible(K.p, rng)
-    out = []
-    for i in range(K.q):
-        row = []
-        for j in range(K.p):
-            acc = Form.zero(1)
-            for a in range(K.q):
-                if g.data[i][a]:
-                    for b in range(K.p):
-                        if h.data[b][j] and not K.entries[a][b].is_zero():
-                            acc = acc + K.entries[a][b].scale(g.data[i][a] * h.data[b][j])
-            row.append(acc)
-        out.append(row)
-    return KroneckerModule(out)

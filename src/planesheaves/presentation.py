@@ -188,8 +188,7 @@ def hilbert(P: Presentation) -> HilbertData:
     r = sum(P.target) - sum(P.source)
     if r < 1:
         raise PresentationError("multiplicity %d is not positive" % r)
-    chi = sum((k * k + 3 * k) // 2 + 1 for k in P.target) \
-        - sum((k * k + 3 * k) // 2 + 1 for k in P.source)
+    chi = sum(map(euler_char_line_bundle, P.target)) - sum(map(euler_char_line_bundle, P.source))
     return HilbertData(r, chi)
 
 

@@ -143,7 +143,8 @@ def _pair_special_form(P: Presentation) -> bool:
 def two_by_two_criterion(P: Presentation) -> StabilityVerdict:
     """Pairs O(d1)+O(d2) -> O(e1)+O(e2) with d2 < e1 and e1-d1 >= e2-d2 and the
     second-column entries coprime: stable, unless the twist gaps agree and the
-    top-left slot can be cleared, which is the properly-semistable wall."""
+    top-left slot can be cleared, which is the properly-semistable wall.
+    P must be injective; that is not checked here."""
     d, e = _sorted_square(P)
     if len(d) != 2:
         return StabilityVerdict("inconclusive", "needs exactly two summands on each side")
@@ -171,7 +172,8 @@ def minor_gcd_criterion(P: Presentation) -> StabilityVerdict:
     """Square presentations with sorted twists: if the twist-gap inequalities
     hold and the maximal minors of the truncation (lowest source column
     removed) are coprime of positive degree, the cokernel is stable unless an
-    integral slope ratio admits a line-bundle-pair subsheaf."""
+    integral slope ratio admits a line-bundle-pair subsheaf.  P must be
+    injective; that is not checked here."""
     d, e = _sorted_square(P)
     n = len(d)
     tail_e = sum(e[1:])
@@ -237,7 +239,8 @@ def pencil_block_failure(block) -> str | None:
 
 def pencil_block_criterion(P: Presentation) -> StabilityVerdict:
     """Shape O(-3)+2O(-2) -> 2O(-1)+O(1): stable when the top 2x3 block
-    passes pencil_block_failure, inconclusive with the failed part otherwise."""
+    passes pencil_block_failure, inconclusive with the failed part otherwise.
+    P must be injective; that is not checked here."""
     d, e = _sorted_square(P)
     if tuple(d) != (-3, -2, -2) or tuple(e) != (-1, -1, 1):
         raise PresentationError("pencil block criterion needs shape (-3,-2,-2) -> (-1,-1,1)")

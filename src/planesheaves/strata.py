@@ -1,18 +1,20 @@
 """The strata registry for multiplicity-6 moduli (chi = 0, 1, 2, 3).
 
-Each registry row records a stratum: its cohomological conditions, the twist
-shape of the presentations realizing it, the exact side conditions used as
-generator filters, and the expected codimension inside the 37-dimensional
-moduli space.  Classification authority is the cohomology profile; matrix
-side conditions only filter generated instances.  They are decided exactly
-where a closed form exists; every Kronecker side condition is `pass` or
-`fail`, decided by `kronecker.is_semistable`; only the orbit-form
-conditions stay `unknown`, which the generator accepts like `pass`.
+Each registry row (data/strata_registry.json) records a stratum: its
+cohomological conditions, the twist shape of the presentations realizing it,
+its expected codimension inside the 37-dimensional moduli space and its
+dual row.  The exact side conditions used as generator filters live here,
+in one table keyed by the row's (chi, id); a row without an entry has none.
+Classification authority is the cohomology profile; matrix side conditions
+only filter generated instances.  They are decided exactly where a closed
+form exists; every Kronecker side condition is `pass` or `fail`, decided by
+`kronecker.is_semistable`; only the orbit-form conditions stay `unknown`,
+which the generator accepts like `pass`.
 
 The classifier decides exactly that its input map is injective and raises
 otherwise.  It assumes that the sheaf is semistable: a non-semistable
 injective presentation whose profile happens to sit in the registry is
-classified silently.
+classified silently.  Its label carries the profile that picked the row.
 """
 
 from __future__ import annotations
@@ -56,15 +58,10 @@ class StratumRow:
     source: tuple
     target: tuple
     conditions: dict
-    side_condition: str
-    quotient_kind: str
     dual_id: str | None
-    stability_asserted: bool
 
     def matches(self, prof: CohomologyProfile) -> bool:
-        values = {"h0_Fm1": prof.h0_Fm1, "h1_F": prof.h1_F,
-                  "h0_omega": prof.h0_omega, "h1_F1": prof.h1_F1}
-        return all(values[k] == v for k, v in self.conditions.items())
+        return all(getattr(prof, k) == v for k, v in self.conditions.items())
 
     @property
     def zero_cells(self) -> tuple:
@@ -77,29 +74,21 @@ class StratumRow:
 
 @dataclass(frozen=True)
 class StratumLabel:
+    """The row `classify` found, with the profile of the chi-normalized
+    presentation that picked it."""
     chi: int
     id: str
     codim: int
-
-    def to_json(self):
-        return {"chi": self.chi, "stratum": self.id, "codim": self.codim}
+    profile: CohomologyProfile
 
 
 def _load_registry():
+    """Each row straight from its JSON keys, so a key that is not a field of
+    StratumRow fails here."""
     with resources.files("planesheaves.data").joinpath("strata_registry.json").open() as fh:
         raw = json.load(fh)
-    rows = []
-    for row in raw["rows"]:
-        rows.append(StratumRow(
-            chi=row["chi"], id=row["id"], codim=row["codim"],
-            source=tuple(row["source"]), target=tuple(row["target"]),
-            conditions=dict(row["conditions"]),
-            side_condition=row["side_condition"],
-            quotient_kind=row["quotient_kind"],
-            dual_id=row["dual_id"],
-            stability_asserted=row["stability_asserted"],
-        ))
-    return tuple(rows)
+    return tuple(StratumRow(**dict(row, source=tuple(row["source"]), target=tuple(row["target"])))
+                 for row in raw["rows"])
 
 
 REGISTRY = _load_registry()
@@ -151,13 +140,14 @@ def apply_recipe(P: Presentation, recipe) -> Presentation:
 # classification
 # ---------------------------------------------------------------------------
 
-def classify(P: Presentation, with_profile: bool = False):
+def classify(P: Presentation) -> StratumLabel:
     """Label a validated presentation by its cohomology profile.
 
-    Injectivity is decided exactly (`is_injective`): a map that is not
-    injective raises InconsistentPresentationError.  Semistability is
-    assumed, not checked; profiles outside the registry raise
-    ClassifyError."""
+    The profile is that of P moved to chi in {0, 1, 2, 3} by the recipe of
+    `normalize_chi`, and the label carries it.  Injectivity is decided
+    exactly (`is_injective`): a map that is not injective raises
+    InconsistentPresentationError.  Semistability is assumed, not checked;
+    profiles outside the registry raise ClassifyError."""
     hd = hilbert(P)
     chi_bar, recipe = normalize_chi(hd.r, hd.chi)
     if not is_injective(P):
@@ -170,10 +160,7 @@ def classify(P: Presentation, with_profile: bool = False):
         raise ClassifyError(
             "profile not in table: chi=%d profile=%s" % (chi_bar, prof.as_tuple()))
     row = matches[0]
-    label = StratumLabel(chi_bar, row.id, row.codim)
-    if with_profile:
-        return label, prof, recipe
-    return label
+    return StratumLabel(chi_bar, row.id, row.codim, prof)
 
 
 # ---------------------------------------------------------------------------
@@ -311,34 +298,35 @@ def _side_chi0_X4(P):
     return _check(not P.matrix[0][1].is_zero())
 
 
-_SIDE_CATALOGUE = {
-    "none": lambda P: _PASS,
-    "chi1_X0": _side_chi1_X0,
-    "chi1_X1": lambda P: _ORBIT_UNKNOWN,
-    "chi1_X2": _side_chi1_X2,
-    "chi1_X3": _side_chi1_X3,
-    "chi1_X4": _side_chi1_X4,
-    "chi1_X5": _side_chi1_X5,
-    "chi2_X0": lambda P: _ORBIT_UNKNOWN,
-    "chi2_X1": _side_chi2_X1,
-    "chi2_X2": lambda P: _ORBIT_UNKNOWN,
-    "chi2_X3": _side_chi2_X3,
-    "chi2_X4": lambda P: _ORBIT_UNKNOWN,
-    "chi2_X5": _side_chi2_X5,
-    "chi2_X6": _side_chi2_X6,
-    "chi3_X1": _side_chi3_X1,
-    "chi3_X2": _side_chi3_X2,
-    "chi3_X3": _side_chi3_X3,
-    "chi3_X3D": _side_chi3_X3D,
-    "chi3_X4": _side_chi3_X4,
-    "chi3_X5": _side_chi3_X5,
-    "chi3_X6": _side_chi3_X6,
-    "chi0_X0": _side_chi0_X0,
-    "chi0_X1": _side_chi0_X1,
-    "chi0_X2": _side_chi0_X2,
-    "chi0_X3": _side_chi0_X3,
-    "chi0_X3D": _side_chi0_X3D,
-    "chi0_X4": _side_chi0_X4,
+# The side condition of each row, by (chi, id).  chi 3 X_0 and X_7 have
+# none: a row without an entry passes.
+_SIDE_CONDITIONS = {
+    (1, "X_0"): _side_chi1_X0,
+    (1, "X_1"): lambda P: _ORBIT_UNKNOWN,
+    (1, "X_2"): _side_chi1_X2,
+    (1, "X_3"): _side_chi1_X3,
+    (1, "X_4"): _side_chi1_X4,
+    (1, "X_5"): _side_chi1_X5,
+    (2, "X_0"): lambda P: _ORBIT_UNKNOWN,
+    (2, "X_1"): _side_chi2_X1,
+    (2, "X_2"): lambda P: _ORBIT_UNKNOWN,
+    (2, "X_3"): _side_chi2_X3,
+    (2, "X_4"): lambda P: _ORBIT_UNKNOWN,
+    (2, "X_5"): _side_chi2_X5,
+    (2, "X_6"): _side_chi2_X6,
+    (3, "X_1"): _side_chi3_X1,
+    (3, "X_2"): _side_chi3_X2,
+    (3, "X_3"): _side_chi3_X3,
+    (3, "X_3D"): _side_chi3_X3D,
+    (3, "X_4"): _side_chi3_X4,
+    (3, "X_5"): _side_chi3_X5,
+    (3, "X_6"): _side_chi3_X6,
+    (0, "X_0"): _side_chi0_X0,
+    (0, "X_1"): _side_chi0_X1,
+    (0, "X_2"): _side_chi0_X2,
+    (0, "X_3"): _side_chi0_X3,
+    (0, "X_3D"): _side_chi0_X3D,
+    (0, "X_4"): _side_chi0_X4,
 }
 
 
@@ -348,7 +336,8 @@ def side_condition(P: Presentation, row: StratumRow) -> SideResult:
                           % (row.chi, row.id))
     if not _zero_cells_hold(P, row):
         return SideResult("fail", "forced zero cell is nonzero")
-    return _SIDE_CATALOGUE[row.side_condition](P)
+    check = _SIDE_CONDITIONS.get((row.chi, row.id))
+    return _PASS if check is None else check(P)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +357,7 @@ def generate(chi: int, stratum_id: str, seed: int) -> Presentation:
 
 def _generate(chi: int, stratum_id: str, seed: int):
     """`generate`, returning (P, profile(P)); the profile is the one the
-    classifier computed, P's own since every registry chi is canonical."""
+    classifier's label carries, P's own since every registry chi is canonical."""
     row = get_row(chi, stratum_id)
     zero = set(row.zero_cells)
     rng = random.Random(derive_seed("generate", chi, stratum_id, seed))
@@ -384,15 +373,14 @@ def _generate(chi: int, stratum_id: str, seed: int):
                     out.append(random_form(deg, rng, 9))
             matrix.append(out)
         P = Presentation(row.source, row.target, matrix)
-        side = _SIDE_CATALOGUE[row.side_condition](P)
-        if side.status == "fail":
+        if side_condition(P, row).status == "fail":
             continue
         try:
-            label, prof, _ = classify(P, with_profile=True)
+            label = classify(P)
         except (ClassifyError, PresentationError):
             continue
         if (label.chi, label.id) == (chi, stratum_id):
-            return P, prof
+            return P, label.profile
     raise GenerationError(
         "no instance of (chi=%d, %s) in %d attempts (seed %d)"
         % (chi, stratum_id, MAX_ATTEMPTS, seed))
@@ -541,14 +529,14 @@ def dim_audit(row: StratumRow, seed: int = 0) -> DimAudit:
 
 # (criterion named as in stability.CRITERIA, expected verdict kind)
 _STABILITY_SPOT_CHECKS = {
-    ("chi1", "X_4"): ("two-by-two", "inconclusive"),
-    ("chi1", "X_5"): ("two-by-two", "stable"),
-    ("chi2", "X_2"): ("minor-gcd", "stable"),
-    ("chi2", "X_4"): ("pencil-block", "stable"),
-    ("chi3", "X_4"): ("two-by-two", "stable"),
-    ("chi0", "X_2"): ("two-by-two", "stable"),
-    ("chi0", "X_3"): ("minor-gcd", "stable"),
-    ("chi0", "X_4"): ("two-by-two", "stable"),
+    (1, "X_4"): ("two-by-two", "inconclusive"),
+    (1, "X_5"): ("two-by-two", "stable"),
+    (2, "X_2"): ("minor-gcd", "stable"),
+    (2, "X_4"): ("pencil-block", "stable"),
+    (3, "X_4"): ("two-by-two", "stable"),
+    (0, "X_2"): ("two-by-two", "stable"),
+    (0, "X_3"): ("minor-gcd", "stable"),
+    (0, "X_4"): ("two-by-two", "stable"),
 }
 
 
@@ -584,7 +572,7 @@ def verify_row(chi: int, stratum_id: str, samples: int, seed: int) -> RowReport:
     row = get_row(chi, stratum_id)
     report = RowReport(chi=chi, id=stratum_id, attempted=samples, accepted=0,
                        hilbert_matches=0, profile_matches=0)
-    spot = _STABILITY_SPOT_CHECKS.get(("chi%d" % chi, stratum_id))
+    spot = _STABILITY_SPOT_CHECKS.get((chi, stratum_id))
     for k in range(samples):
         sample_seed = derive_seed("verify", chi, stratum_id, seed, k)
         try:

@@ -21,6 +21,7 @@ from planesheaves.kronecker import (CERTIFICATE_PRIME, Destabilizer, KroneckerMo
                                     verify_destabilizer)
 from planesheaves.linalg import QMatrix
 from planesheaves.presentation import Presentation, is_injective
+from planesheaves.stability import CRITERIA
 
 SEXTIC = "X^6 + Y^6 + Z^6 + X*Y*Z^4 + 2*X^2*Y^2*Z^2"
 OC2 = json.dumps({"source": [-4], "target": [2], "matrix": [[SEXTIC]]})
@@ -106,6 +107,14 @@ def test_classify_refuses_a_map_that_is_not_injective(blob, capsys):
     assert main(["classify", "--input", json.dumps(blob)]) == 4
     captured = capsys.readouterr()
     assert captured.out == "" and "not injective" in captured.err
+
+
+@pytest.mark.parametrize("criterion", ["auto", *CRITERIA])
+@pytest.mark.parametrize("blob", NOT_INJECTIVE)
+def test_stability_refuses_a_map_that_is_not_injective(blob, criterion, capsys):
+    # the criteria assume an injective map: no verdict is printed without one
+    assert main(["stability", "--input", json.dumps(blob), "--criterion", criterion]) == 4
+    assert capsys.readouterr().out == ""
 
 
 def test_classify_not_in_table(capsys):

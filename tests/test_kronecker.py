@@ -10,18 +10,24 @@ import planesheaves.kronecker as kronecker
 from planesheaves.forms import Form
 from planesheaves.kronecker import (CERTIFICATE_PRIME, Destabilizer,
                                     KroneckerError, KroneckerModule,
-                                    SemistabilityCertificate, conjugate,
+                                    SemistabilityCertificate,
                                     dim_kronecker_moduli, is_semistable,
                                     minors_semistable,
                                     semistability_certificate,
                                     verify_certificate, verify_destabilizer)
 from planesheaves.linalg import QMatrix, from_columns
+from planesheaves.presentation import random_equivalence
 from planesheaves.strata import generate, get_row, side_condition
 from helpers import random_form
 
 
 def module(rows):
     return KroneckerModule.from_text(rows)
+
+
+def conjugate(K, rng):
+    """K under the group action: one twist on each side, so constant invertible blocks."""
+    return KroneckerModule.from_presentation(random_equivalence(K.to_presentation(), rng))
 
 
 def random_module(p, q, rng):

@@ -11,7 +11,7 @@ from planesheaves.presentation import (InconsistentPresentationError,
                                        h1_omega, h1_twist, hilbert,
                                        is_injective, profile,
                                        random_equivalence, twist)
-from planesheaves.strata import REGISTRY, generate
+from planesheaves.strata import REGISTRY, classify, generate
 from helpers import random_form
 
 SEXTIC = "X^6 + Y^6 + Z^6 + X*Y*Z^4 + 2*X^2*Y^2*Z^2"
@@ -306,13 +306,17 @@ def test_euler_contraction_characteristic():
 
 
 def test_group_action_preserves_cohomology():
+    # one copy per registry row and seed: classify runs end to end, through
+    # is_injective, on 84 presentations of known label
     rng = random.Random(15)
-    for P in [generate(1, "X_5", seed=7), generate(2, "X_3", seed=7)]:
-        base = (h0_twist(P, 0), h0_omega(P))
-        for _ in range(3):
+    for row in REGISTRY:
+        for seed in range(3):
+            P = generate(row.chi, row.id, seed=seed)
             Q = random_equivalence(P, rng)
             assert is_injective(Q)
-            assert (h0_twist(Q, 0), h0_omega(Q)) == base
+            assert (h0_twist(Q, 0), h0_omega(Q)) == (h0_twist(P, 0), h0_omega(P))
+            label = classify(Q)
+            assert (label.chi, label.id) == (row.chi, row.id)
 
 
 # -- JSON round trip ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ from planesheaves.linalg import QMatrix
 from planesheaves.presentation import (Presentation, derive_seed, dual, hilbert,
                                        is_injective, profile, random_equivalence, twist)
 from planesheaves.strata import (REGISTRY, ClassifyError, MODULI_DIM,
-                                 StrataError, apply_recipe,
+                                 StrataError, StratumRow, _SIDE_CONDITIONS, apply_recipe,
                                  classify, dim_audit, generate,
                                  generic_stabilizer_dim, get_row,
                                  normalize_chi, rows_for_chi, side_condition,
@@ -115,13 +116,16 @@ def test_registry_file_is_what_we_loaded():
     assert len(raw["rows"]) == 28
 
 
-def test_quotient_kinds():
-    assert get_row(2, "X_0").quotient_kind == "good"
-    assert get_row(3, "X_1").quotient_kind == "categorical"
-    assert get_row(3, "X_3").quotient_kind == "mixed"
-    assert get_row(0, "X_1").quotient_kind == "categorical"
-    assert get_row(1, "X_5").quotient_kind == "geometric"
-    assert get_row(1, "X_4").stability_asserted
+def test_registry_rows_and_side_conditions_agree_key_for_key():
+    with resources.files("planesheaves.data").joinpath("strata_registry.json").open() as fh:
+        raw = json.load(fh)
+    fields = {f.name for f in dataclasses.fields(StratumRow)}
+    assert all(set(row) == fields for row in raw["rows"])
+    # a mistyped key in the side-condition table would silently drop a row's
+    # condition, since a row without an entry passes
+    keys = {(row.chi, row.id) for row in REGISTRY}
+    assert set(_SIDE_CONDITIONS) <= keys
+    assert keys - set(_SIDE_CONDITIONS) == {(3, "X_0"), (3, "X_7")}
 
 
 # -- normalize_chi -------------------------------------------------------------
