@@ -116,6 +116,8 @@ def hilbert_or_fail(P):
 def cmd_hilbert(args):
     P = _load_presentation(args.input)
     hd = hilbert_or_fail(P)
+    if not is_injective(P):
+        raise CliError(EXIT_PRECONDITION, "the presentation map is not injective")
     _emit({"r": hd.r, "chi": hd.chi, "polynomial": hd.as_text()},
           args.out_dir, "hilbert.json")
     return EXIT_OK

@@ -86,7 +86,9 @@ class Form:
     def __init__(self, degree: int, coeffs):
         if degree < 0:
             raise FormError("negative degree")
-        coeffs = tuple([c if type(c) in SCALAR_TYPES else Fraction(c) for c in coeffs])
+        coeffs = tuple(coeffs)
+        if not SCALAR_TYPES.issuperset(map(type, coeffs)):
+            coeffs = tuple([c if type(c) in SCALAR_TYPES else Fraction(c) for c in coeffs])
         if len(coeffs) != space_dim(degree):
             raise FormError("coefficient vector has wrong length for degree %d" % degree)
         self.degree = degree
@@ -192,10 +194,28 @@ def form_mul(f: Form, g: Form) -> Form:
     return Form(deg, coeffs)
 
 
+def random_ints(rng, n: int, bound: int) -> list:
+    """The values, and the state left in rng, of n calls rng.randint(-bound,
+    bound) without their overhead: the same draws getrandbits(k), k the bit
+    length of 2 * bound + 1, each drawn again while it is at least 2 * bound + 1."""
+    if bound < 0:
+        raise ValueError("bound %d is negative" % bound)
+    span = 2 * bound + 1
+    k = span.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(n):
+        r = getrandbits(k)
+        while r >= span:
+            r = getrandbits(k)
+        out.append(r - bound)
+    return out
+
+
 def random_form(degree: int, rng, bound: int) -> Form:
     """Form of the given degree with coefficients drawn uniformly from
-    [-bound, bound] by rng.randint, in monomial order."""
-    return Form(degree, [rng.randint(-bound, bound) for _ in range(space_dim(degree))])
+    [-bound, bound] in monomial order, as rng.randint draws them."""
+    return Form(degree, random_ints(rng, space_dim(degree), bound))
 
 
 # ---------------------------------------------------------------------------

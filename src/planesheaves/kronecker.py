@@ -57,7 +57,8 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .forms import Form, coefficient_matrix, linearly_independent, monomial_index, parse_form
+from .forms import (Form, coefficient_matrix, linearly_independent, monomial_index, parse_form,
+                    random_ints)
 from .linalg import (CERTIFICATE_PRIME, QMatrix, from_columns, integer_echelon, integer_rows,
                      mod_nonsingular, null_vectors)
 from .presentation import Presentation, derive_seed
@@ -233,8 +234,7 @@ def verify_certificate(K: KroneckerModule, cert: SemistabilityCertificate) -> bo
 
 
 def _draw(rng, rows: int, cols: int):
-    return tuple(tuple(tuple(rng.randint(-9, 9) for _ in range(cols)) for _ in range(rows))
-                 for _ in range(3))
+    return tuple(tuple(tuple(random_ints(rng, cols, 9)) for _ in range(rows)) for _ in range(3))
 
 
 def semistability_certificate(K: KroneckerModule, seed: int = 0):

@@ -47,8 +47,8 @@ class LinalgError(ValueError):
 CERTIFICATE_PRIME = 32749
 
 # The exact scalars, kept as they are in a matrix cell or a form coefficient;
-# a bool, a float or any other number given there becomes a Fraction.
-SCALAR_TYPES = (int, Fraction)
+# a bool, a float or any other number becomes a Fraction.  A set, to test rows in C.
+SCALAR_TYPES = frozenset((int, Fraction))
 
 
 class QMatrix:
@@ -65,7 +65,8 @@ class QMatrix:
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise LinalgError("data shape does not match (%d, %d)" % (rows, cols))
-            self.data = [[x if type(x) in SCALAR_TYPES else Fraction(x) for x in row]
+            self.data = [list(row) if SCALAR_TYPES.issuperset(map(type, row))
+                         else [x if type(x) in SCALAR_TYPES else Fraction(x) for x in row]
                          for row in data]
 
     @classmethod
@@ -193,7 +194,7 @@ def integer_rows(data):
     rows = []
     scales = []
     for row in data:
-        if all(type(x) is int for x in row):
+        if {int}.issuperset(map(type, row)):
             rows.append(list(row))
             scales.append(1)
             continue

@@ -18,7 +18,7 @@ from numbers import Real
 from operator import mul
 
 from .forms import (Form, ParseError, format_form, monomials, parse_form, quoted,
-                    random_form, space_dim)
+                    random_form, random_ints, space_dim)
 from .linalg import QMatrix
 
 
@@ -295,7 +295,7 @@ def twist(P: Presentation, k: int) -> Presentation:
 def random_invertible(n: int, rng) -> QMatrix:
     """Random invertible n x n matrix with integer entries in [-4, 4]."""
     while True:
-        m = QMatrix(n, n, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        m = QMatrix(n, n, [random_ints(rng, n, 4) for _ in range(n)])
         if m.det() != 0:
             return m
 

@@ -273,6 +273,9 @@ class BoundsQuery:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("multiplicity must be positive")
+        for name in ("h0_Fm1", "h1_F", "h1_F1"):
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError("%s is negative; a cohomology count is at least 0" % name)
 
 
 @dataclass

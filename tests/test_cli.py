@@ -117,6 +117,22 @@ def test_stability_refuses_a_map_that_is_not_injective(blob, criterion, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("blob", NOT_INJECTIVE)
+def test_hilbert_refuses_a_map_that_is_not_injective(blob, capsys):
+    # the cokernel of such a map is not a sheaf of dimension 1, so it has no
+    # Hilbert polynomial r*m + chi to print
+    assert main(["hilbert", "--input", json.dumps(blob)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not injective" in captured.err
+
+
+def test_hilbert_of_a_map_that_is_not_square_keeps_its_message(capsys):
+    blob = {"source": [-6, -1], "target": [0], "matrix": [["0", "0"]]}
+    assert main(["hilbert", "--input", json.dumps(blob)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not one-dimensional" in captured.err
+
+
 def test_classify_not_in_table(capsys):
     lines = ["X", "Y", "Z", "X + Y", "Y + Z", "X + Z"]
     ks = [-3, -3, -3, 0, 0, 0]
@@ -218,6 +234,13 @@ def test_bounds_cmd(capsys):
     code, out = run(capsys, "bounds", "--chi", "1", "--h0-fm1", "1", "--h1-f", "1")
     assert code == 0
     assert json.loads(out) == {"allowed": False, "rule": "forbidden_chi1_b"}
+
+
+@pytest.mark.parametrize("flag", ["--h0-fm1", "--h1-f", "--h1-f1"])
+def test_bounds_refuses_a_negative_cohomology_count(flag, capsys):
+    assert main(["bounds", "--chi", "1", flag, "-5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "negative" in captured.err
 
 
 def test_points_resolve_triangle(capsys):

@@ -112,6 +112,22 @@ def test_random_equivalence_keeps_exact_coefficients(seed):
             assert_exact(f.coeffs)
 
 
+def test_exact_cells_are_kept_and_the_others_become_fractions():
+    # a row of ints and Fractions is copied as it is; a row with any other
+    # number is converted cell by cell, its exact cells kept
+    half = Fraction(1, 2)
+    for row in ([1, half, 0], [True, 2, half], [0.5, 1, False], [True, False, 3.0]):
+        expected = [x if type(x) in (int, Fraction) else Fraction(x) for x in row]
+        for got in (QMatrix(1, 3, [row]).data[0], list(Form(1, row).coeffs)):
+            assert got == expected
+            assert [type(x) for x in got] == [type(x) for x in expected]
+    assert [type(x) for x in Form(1, (True, 0.25, 2)).coeffs] == [Fraction, Fraction, int]
+    row = [1, 2, 3]
+    m = QMatrix(1, 3, [row])
+    row[0] = 9
+    assert m.data == [[1, 2, 3]]   # the matrix owns a copy of each row
+
+
 def test_monic_of_an_integer_form_divides_exactly():
     for text, coeffs in (("2*X", (1, 0, 0)), ("3*X - Y", (1, Fraction(-1, 3), 0))):
         monic = parse_form(text).monic().coeffs

@@ -11,7 +11,8 @@ from planesheaves.forms import (MAX_DIGITS, Form, FormError, ParseError,
                                 block_mult_map,
                                 conic_is_irreducible, divides, form_gcd,
                                 form_mul, format_form, linearly_independent,
-                                monomials, mult_map, parse_form, space_dim)
+                                monomials, mult_map, parse_form, random_ints,
+                                space_dim)
 from planesheaves.linalg import QMatrix
 from helpers import random_form, random_nonzero_form
 
@@ -43,6 +44,23 @@ def test_mul_evaluation_oracle():
         assert h.degree == 4
         pt = (1, 2, 3)
         assert h.evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
+
+
+@pytest.mark.parametrize("bound", [0, 4, 9])
+@pytest.mark.parametrize("n", [0, 1, 7, 40])
+def test_random_ints_are_the_draws_of_randint(bound, n):
+    # the values, and the state left in the generator, of n randint calls
+    for seed in range(50):
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert random_ints(fast, n, bound) == [slow.randint(-bound, bound) for _ in range(n)]
+        assert fast.random() == slow.random()
+
+
+def test_random_ints_refuse_a_negative_bound():
+    # every draw of getrandbits(1) is at least 2 * -1 + 1, so without the
+    # check the rejection loop would never end
+    with pytest.raises(ValueError):
+        random_ints(random.Random(0), 1, -1)
 
 
 def test_gcd_monomials():

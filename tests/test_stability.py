@@ -225,6 +225,13 @@ def test_bounds_named_forbidden_cases():
         assert not result.allowed and result.rule == rule
 
 
+@pytest.mark.parametrize("field", ["h0_Fm1", "h1_F", "h1_F1"])
+def test_bounds_query_refuses_a_negative_count(field):
+    with pytest.raises(ValueError, match=field):
+        BoundsQuery(6, 1, **{field: -1})
+    assert getattr(BoundsQuery(6, 1, **{field: 0}), field) == 0
+
+
 def test_bounds_growth_rule():
     result = bounds_check(BoundsQuery(6, 3, h0_Fm1=2, h1_F=3, h1_F1=0))
     assert not result.allowed and result.rule == "h1_growth_bound"

@@ -12,7 +12,8 @@ from planesheaves.linalg import QMatrix
 from planesheaves.presentation import (Presentation, derive_seed, dual, hilbert,
                                        is_injective, profile, random_equivalence, twist)
 from planesheaves.strata import (REGISTRY, ClassifyError, MODULI_DIM,
-                                 StrataError, StratumRow, _SIDE_CONDITIONS, apply_recipe,
+                                 StrataError, StratumRow, _SIDE_CONDITIONS, _generate,
+                                 _products, apply_recipe,
                                  classify, dim_audit, generate,
                                  generic_stabilizer_dim, get_row,
                                  normalize_chi, rows_for_chi, side_condition,
@@ -232,6 +233,25 @@ def test_generate_expected_profiles():
     assert (p.h0_Fm1, p.h1_F, p.h0_omega) == (1, 0, 3)
     p = profile(generate(2, "X_6", seed=5))
     assert (p.h0_Fm1, p.h1_F, p.h0_omega) == (2, 3, 6)
+
+
+def test_generated_presentations_are_what_validation_would_build():
+    # _generate builds its draws unvalidated: the registry twists are sorted
+    # and every cell has its degree, so validating changes nothing
+    for row in REGISTRY:
+        assert list(row.source) == sorted(row.source)
+        assert list(row.target) == sorted(row.target)
+        P, _ = _generate(row.chi, row.id, seed=3)
+        assert Presentation(P.source, P.target, P.matrix) == P, (row.chi, row.id)
+
+
+@pytest.mark.parametrize("s,k", [(0, 0), (0, 3), (1, 2), (2, 1), (3, 3), (4, 0)])
+def test_products_index_the_product_monomial(s, k):
+    table = _products(s, k)
+    assert len(table) == space_dim(s)
+    for (a, b, c), indices in zip(monomials(s), table):
+        assert [monomials(s + k)[n] for n in indices] == \
+            [(a + u, b + v, c + w) for u, v, w in monomials(k)]
 
 
 def test_generate_determinism():
