@@ -1,7 +1,8 @@
 """Command-line front end: JSON in, JSON (or markdown) out.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error,
-3 classification miss, 4 precondition failure.
+3 classification miss, 4 precondition failure.  A subcommand raises;
+`main` maps the error to its code through `_EXIT_CODES`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,17 @@ class CliError(Exception):
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
+
+
+# The exit code of each error a subcommand raises, besides CliError, which
+# carries its own.  The first match wins, so a subclass comes before its base.
+# ValueError is not here: every class below subclasses it, and so would an
+# internal bug, which must crash instead.
+_EXIT_CODES = (
+    (GenerationError, EXIT_VERIFY),
+    (ClassifyError, EXIT_CLASSIFY),
+    ((PresentationError, StrataError, KroneckerError, PointError), EXIT_PRECONDITION),
+)
 
 
 def _json_text(obj) -> str:
@@ -88,13 +100,8 @@ def _load_points(arg) -> PointConfig:
 
 def cmd_classify(args):
     P = _load_presentation(args.input)
-    hd = hilbert_or_fail(P)
-    try:
-        label = classify(P)
-    except ClassifyError as exc:
-        raise CliError(EXIT_CLASSIFY, str(exc))
-    except (PresentationError, StrataError) as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc))
+    hd = hilbert(P)
+    label = classify(P)
     _emit({
         "chi": label.chi,
         "stratum": label.id,
@@ -106,16 +113,9 @@ def cmd_classify(args):
     return EXIT_OK
 
 
-def hilbert_or_fail(P):
-    try:
-        return hilbert(P)
-    except PresentationError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc))
-
-
 def cmd_hilbert(args):
     P = _load_presentation(args.input)
-    hd = hilbert_or_fail(P)
+    hd = hilbert(P)
     if not is_injective(P):
         raise CliError(EXIT_PRECONDITION, "the presentation map is not injective")
     _emit({"r": hd.r, "chi": hd.chi, "polynomial": hd.as_text()},
@@ -130,22 +130,14 @@ def cmd_dual(args):
 
 
 def cmd_gen(args):
-    try:
-        P = generate(args.chi, args.stratum, seed=args.seed)
-    except GenerationError as exc:
-        raise CliError(EXIT_VERIFY, str(exc))
-    except StrataError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc))
+    P = generate(args.chi, args.stratum, seed=args.seed)
     _emit(P.to_json(), args.out_dir, "gen.json")
     return EXIT_OK
 
 
 def cmd_kron_check(args):
     P = _load_presentation(args.input)
-    try:
-        K = KroneckerModule.from_presentation(P)
-    except KroneckerError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc))
+    K = KroneckerModule.from_presentation(P)
     verdict = is_semistable(K, seed=args.seed)
     out = {"kind": verdict.kind}
     if verdict.witness is not None:
@@ -158,18 +150,15 @@ def cmd_kron_check(args):
 
 def cmd_stability(args):
     P = _load_presentation(args.input)
-    try:
-        if not is_injective(P):
-            raise CliError(EXIT_PRECONDITION, "the presentation map is not injective")
-        if args.criterion == "auto":
-            for name in ("two-by-two", "minor-gcd"):
-                verdict = CRITERIA[name](P)
-                if verdict.kind != "inconclusive":
-                    break
-        else:
-            verdict = CRITERIA[args.criterion](P)
-    except PresentationError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc))
+    if not is_injective(P):
+        raise CliError(EXIT_PRECONDITION, "the presentation map is not injective")
+    if args.criterion == "auto":
+        for name in ("two-by-two", "minor-gcd"):
+            verdict = CRITERIA[name](P)
+            if verdict.kind != "inconclusive":
+                break
+    else:
+        verdict = CRITERIA[args.criterion](P)
     _emit(verdict.to_json(), args.out_dir, "stability.json")
     return EXIT_OK
 
@@ -209,19 +198,12 @@ def _dims_markdown(audits) -> str:
 def cmd_points(args):
     cfg = _load_points(args.input)
     if args.points_cmd == "resolve":
-        try:
-            shape = minimal_resolution(cfg)
-        except PointError as exc:
-            raise CliError(EXIT_PRECONDITION, str(exc))
-        _emit(shape.to_json(), args.out_dir, "resolve.json")
+        _emit(minimal_resolution(cfg).to_json(), args.out_dir, "resolve.json")
         return EXIT_OK
     if args.claim not in CLAIMS:
         raise CliError(EXIT_PARSE, "unknown claim %r (choose from %s)"
                        % (args.claim, ", ".join(sorted(CLAIMS))))
-    try:
-        result = verify_point_claim(args.claim, cfg)
-    except PointError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc))
+    result = verify_point_claim(args.claim, cfg)
     _emit(result.to_json(), args.out_dir, "claim.json")
     return EXIT_OK if result.matched else EXIT_VERIFY
 
@@ -233,10 +215,7 @@ def cmd_flag_pair(args):
         sextic = parse_form(data["sextic"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, "bad flag-pair input: %s" % exc)
-    try:
-        P = flag_pair_presentation(cfg, sextic)
-    except PointError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc))
+    P = flag_pair_presentation(cfg, sextic)
     label = classify(P)
     _emit({"presentation": P.to_json(),
            "chi": label.chi, "stratum": label.id,
@@ -326,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact engine for one-dimensional plane sheaves presented "
                     "by matrices of homogeneous forms.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common.add_argument("--out-dir", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     registry_chis = sorted({row.chi for row in REGISTRY})
@@ -349,10 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("gen", help="generate a seeded instance of a stratum")
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--stratum", required=True)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_gen)
 
     p = add_parser("kron-check", help="Kronecker semistability verdict")
     p.add_argument("--input", required=True)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_kron_check)
 
     p = add_parser("stability", help="stability criteria verdicts")
@@ -386,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("verify-tables", help="regenerate and check the registry")
     p.add_argument("--chi", type=int, default=None, choices=registry_chis)
     p.add_argument("--samples", type=_count, default=25)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--format", default="json", choices=["json", "markdown"])
     p.set_defaults(func=cmd_verify_tables)
 
@@ -405,9 +386,13 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except Exception as exc:
+        code = exc.code if isinstance(exc, CliError) else next(
+            (code for classes, code in _EXIT_CODES if isinstance(exc, classes)), None)
+        if code is None:
+            raise
         sys.stderr.write("error: %s\n" % exc)
-        return exc.code
+        return code
 
 
 if __name__ == "__main__":

@@ -301,7 +301,7 @@ def _exact_small_cases(K: KroneckerModule) -> KroneckerVerdict | None:
             return KroneckerVerdict("semistable")
         D = _witness(K, [[1]], _integer_slices(K))
         if D is None:
-            raise KroneckerError("internal: dependent column without witness")
+            raise RuntimeError("internal: dependent column without witness")
         return KroneckerVerdict("unstable", D)
     if q == 1:
         integer = _integer_slices(K)
@@ -310,7 +310,7 @@ def _exact_small_cases(K: KroneckerModule) -> KroneckerVerdict | None:
             return KroneckerVerdict("semistable")
         D = _witness(K, rows.integer_kernel_basis(), integer)
         if D is None:
-            raise KroneckerError("internal: dependent row entries without witness")
+            raise RuntimeError("internal: dependent row entries without witness")
         return KroneckerVerdict("unstable", D)
     return None
 
@@ -367,7 +367,7 @@ def _second_wong_sequence(K: KroneckerModule, blocks, integer, B):
         if len(image) == len(R):
             D = _witness(K, S, integer)
             if D is None:
-                raise KroneckerError("internal: Wong limit without witness")
+                raise RuntimeError("internal: Wong limit without witness")
             return n - rank, D
         R = image
 

@@ -289,7 +289,7 @@ def twist(P: Presentation, k: int) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# the symmetry group action (used by tests and the stabilizer audit)
+# the symmetry group action (used by tests)
 # ---------------------------------------------------------------------------
 
 def random_invertible(n: int, rng) -> QMatrix:

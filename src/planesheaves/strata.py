@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from math import lcm
 
@@ -30,9 +30,8 @@ from .forms import (Form, coefficient_matrix, divides, form_gcd, linearly_indepe
                     monomial_index, monomials, random_form, space_dim)
 from .kronecker import KroneckerModule, is_semistable, minors_semistable
 from .linalg import CERTIFICATE_PRIME, QMatrix, mod_rank
-from .presentation import (CohomologyProfile, InconsistentPresentationError,
-                           Presentation, PresentationError, derive_seed, dual,
-                           hilbert, is_injective, profile, twist)
+from .presentation import (CohomologyProfile, InconsistentPresentationError, Presentation,
+                           derive_seed, dual, hilbert, is_injective, profile, twist)
 from .stability import CRITERIA, BoundsQuery, bounds_check, pencil_block_failure
 
 MODULI_DIM = 37   # r^2 + 1 for multiplicity 6
@@ -63,7 +62,7 @@ class StratumRow:
     def matches(self, prof: CohomologyProfile) -> bool:
         return all(getattr(prof, k) == v for k, v in self.conditions.items())
 
-    @property
+    @cached_property
     def zero_cells(self) -> tuple:
         """Cells (i, j) of degree 0, target[i] == source[j]: a nonzero
         constant there would split off a summand O(e) -> O(e), so a minimal
@@ -92,6 +91,7 @@ def _load_registry():
 
 
 REGISTRY = _load_registry()
+_ROWS = {(r.chi, r.id): r for r in REGISTRY}
 
 
 def rows_for_chi(chi: int):
@@ -99,10 +99,10 @@ def rows_for_chi(chi: int):
 
 
 def get_row(chi: int, stratum_id: str) -> StratumRow:
-    for r in REGISTRY:
-        if r.chi == chi and r.id == stratum_id:
-            return r
-    raise StrataError("no registry row (chi=%d, %s)" % (chi, stratum_id))
+    try:
+        return _ROWS[chi, stratum_id]
+    except KeyError:
+        raise StrataError("no registry row (chi=%d, %s)" % (chi, stratum_id)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +350,11 @@ MAX_ATTEMPTS = 1000
 
 def generate(chi: int, stratum_id: str, seed: int) -> Presentation:
     """Rejection sampling: random integer matrices of the row's shape with its
-    forced zero pattern, accepted when the exact side conditions and the
-    classifier (which proves injectivity) both agree with the row."""
-    return _generate(chi, stratum_id, seed)[0]
-
-
-def _generate(chi: int, stratum_id: str, seed: int):
-    """`generate`, returning (P, profile(P)); the profile is the one the
-    classifier's label carries, P's own since every registry chi is canonical.
-    Draws skip validation: the twists are sorted and every cell has its degree."""
+    forced zero pattern, accepted when the exact side condition does not fail
+    and `is_injective` proves the map injective.  Nothing else varies: the
+    zero cells cover the constant block C of `h0_omega`, so the profile of an
+    injective draw is twist arithmetic, the row's own.  Draws skip validation:
+    the twists are sorted and every cell has its degree."""
     row = get_row(chi, stratum_id)
     zero = set(row.zero_cells)
     rng = random.Random(derive_seed("generate", chi, stratum_id, seed))
@@ -374,14 +370,8 @@ def _generate(chi: int, stratum_id: str, seed: int):
                     out.append(random_form(deg, rng, 9))
             matrix.append(out)
         P = Presentation(row.source, row.target, matrix, _checked=True)
-        if side_condition(P, row).status == "fail":
-            continue
-        try:
-            label = classify(P)
-        except (ClassifyError, PresentationError):
-            continue
-        if (label.chi, label.id) == (chi, stratum_id):
-            return P, label.profile
+        if side_condition(P, row).status != "fail" and is_injective(P):
+            return P
     raise GenerationError(
         "no instance of (chi=%d, %s) in %d attempts (seed %d)"
         % (chi, stratum_id, MAX_ATTEMPTS, seed))
@@ -593,13 +583,14 @@ def verify_row(chi: int, stratum_id: str, samples: int, seed: int) -> RowReport:
     for k in range(samples):
         sample_seed = derive_seed("verify", chi, stratum_id, seed, k)
         try:
-            P, prof = _generate(chi, stratum_id, seed=sample_seed)
+            P = generate(chi, stratum_id, seed=sample_seed)
         except GenerationError as exc:
             report.failures.append({"sample": k, "seed": sample_seed,
                                     "check": "generate", "detail": str(exc)})
             continue
         report.accepted += 1
         hd = hilbert(P)
+        prof = profile(P)
         if (hd.r, hd.chi) == (6, chi):
             report.hilbert_matches += 1
         else:

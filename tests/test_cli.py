@@ -15,13 +15,16 @@ from hypothesis import given, settings, strategies as st
 import planesheaves
 from planesheaves import cli, strata
 from planesheaves.cli import main
-from planesheaves.forms import MAX_DIGITS, Form, format_form, monomials, space_dim
-from planesheaves.kronecker import (CERTIFICATE_PRIME, Destabilizer, KroneckerModule,
-                                    SemistabilityCertificate, verify_certificate,
-                                    verify_destabilizer)
-from planesheaves.linalg import QMatrix
-from planesheaves.presentation import Presentation, is_injective
+from planesheaves.forms import MAX_DIGITS, Form, FormError, format_form, monomials, space_dim
+from planesheaves.kronecker import (CERTIFICATE_PRIME, Destabilizer, KroneckerError,
+                                    KroneckerModule, SemistabilityCertificate,
+                                    verify_certificate, verify_destabilizer)
+from planesheaves.linalg import LinalgError, QMatrix
+from planesheaves.points import GenericityError, PointError
+from planesheaves.presentation import (InconsistentPresentationError, Presentation,
+                                       PresentationError, is_injective)
 from planesheaves.stability import CRITERIA
+from planesheaves.strata import ClassifyError, GenerationError, StrataError
 
 SEXTIC = "X^6 + Y^6 + Z^6 + X*Y*Z^4 + 2*X^2*Y^2*Z^2"
 OC2 = json.dumps({"source": [-4], "target": [2], "matrix": [[SEXTIC]]})
@@ -337,6 +340,83 @@ def test_internal_errors_are_not_hidden_as_exit_4(capsys, monkeypatch):
     monkeypatch.setattr(cli.KroneckerModule, "from_presentation", boom)
     with pytest.raises(RuntimeError, match="internal"):
         main(["kron-check", "--input", gap_two])
+
+
+PENCIL = json.dumps({"source": [-1, -1], "target": [0, 0, 0],
+                     "matrix": [["X", "Y"], ["Y", "Z"], ["Z", "X"]]})
+TRIANGLE = json.dumps({"points": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]})
+FLAG_PAIR = json.dumps({"points": [["1", "0", "0"], ["0", "1", "0"]],
+                        "sextic": "X^5*Y + Y^5*Z + Z^6 + X^3*Y^2*Z"})
+
+# (argv, a name in cli that the subcommand calls on that input)
+CALLEES = [
+    (["classify", "--input", OC2], "classify"),
+    (["hilbert", "--input", OC2], "hilbert"),
+    (["dual", "--input", OC2], "dual"),
+    (["gen", "--chi", "1", "--stratum", "X_0"], "generate"),
+    (["kron-check", "--input", PENCIL], "is_semistable"),
+    (["stability", "--input", OC2], "is_injective"),
+    (["bounds", "--chi", "1"], "bounds_check"),
+    (["dims", "--chi", "1"], "dim_audit"),
+    (["points", "resolve", "--input", TRIANGLE], "minimal_resolution"),
+    (["points", "claim", "--claim", "len3_general", "--input", TRIANGLE], "verify_point_claim"),
+    (["flag-pair", "--input", FLAG_PAIR], "flag_pair_presentation"),
+    (["flag-pair", "--input", FLAG_PAIR], "classify"),
+    (["verify-tables", "--chi", "3", "--samples", "1"], "dim_audit"),
+]
+_CALLEE_IDS = ["%s:%s" % (argv[0], name) for argv, name in CALLEES]
+
+
+def _raiser(exc_class):
+    def boom(*args, **kwargs):
+        raise exc_class("planted %s" % exc_class.__name__)
+    return boom
+
+
+@pytest.mark.parametrize("exc_class,code", [
+    (GenerationError, 1), (ClassifyError, 3), (StrataError, 4), (PresentationError, 4),
+    (InconsistentPresentationError, 4), (KroneckerError, 4), (PointError, 4),
+    (GenericityError, 4)])
+@pytest.mark.parametrize("argv,callee", CALLEES, ids=_CALLEE_IDS)
+def test_one_table_maps_each_error_to_its_exit_code(argv, callee, exc_class, code,
+                                                     capsys, monkeypatch):
+    monkeypatch.setattr(cli, callee, _raiser(exc_class))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: planted %s\n" % exc_class.__name__
+
+
+@pytest.mark.parametrize("exc_class", [RuntimeError, FormError, LinalgError, ValueError])
+@pytest.mark.parametrize("argv,callee", CALLEES, ids=_CALLEE_IDS)
+def test_errors_outside_the_table_propagate(argv, callee, exc_class, monkeypatch):
+    monkeypatch.setattr(cli, callee, _raiser(exc_class))
+    with pytest.raises(exc_class, match="planted"):
+        main(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--input", OC2], ["hilbert", "--input", OC2], ["dual", "--input", OC2],
+    ["stability", "--input", OC2], ["bounds", "--chi", "1"], ["dims", "--chi", "1"],
+    ["points", "resolve", "--input", TRIANGLE], ["flag-pair", "--input", FLAG_PAIR]])
+def test_seed_is_a_usage_error_where_nothing_reads_it(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --seed 1" in captured.err
+
+
+def test_seed_is_read_by_gen_kron_check_and_verify_tables(capsys):
+    gen = ["gen", "--chi", "2", "--stratum", "X_3"]
+    assert run(capsys, *gen, "--seed", "7") != run(capsys, *gen, "--seed", "8")
+    with mock.patch.object(cli, "is_semistable", wraps=cli.is_semistable) as spy:
+        assert run(capsys, "kron-check", "--input", PENCIL, "--seed", "7")[0] == 0
+    assert spy.call_args.kwargs["seed"] == 7
+    with mock.patch.object(cli, "verify_row", wraps=cli.verify_row) as spy:
+        assert run(capsys, "verify-tables", "--chi", "3", "--samples", "1",
+                   "--seed", "7")[0] == 0
+    assert spy.call_count == 9 and {c.args[3] for c in spy.call_args_list} == {7}
 
 
 def test_cli_determinism(capsys):

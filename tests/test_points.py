@@ -292,20 +292,34 @@ def test_seven_on_conic_shape_observed_not_asserted():
         assert lhs == rhs
 
 
+def _criterion_6_configs():
+    """The 200 generic configurations of the acceptance test for criterion 6
+    (same seed, same draws), then colinear configurations of 1 to 6 points."""
+    rng = random.Random(20240601)
+    configs = []
+    for claim_id in ("len8_general", "len5_general", "len7_no_conic", "len9_unique_cubic"):
+        claim = CLAIMS[claim_id]
+        configs += [config_satisfying(claim.predicates, claim.size, rng) for _ in range(50)]
+    return configs + [colinear_points(n, rng) for n in range(1, 7)]
+
+
 def test_hilbert_burch_consistency():
+    # minimal_resolution reads the shape off the Hilbert function; the ideal
+    # slices here check it degree by degree against independent ranks
     rng = random.Random(14)
-    for n in (3, 5, 8):
-        cfg = random_affine_config(n, rng)
-        try:
-            shape = minimal_resolution(cfg)
-        except PointError:
-            continue
-        assert len(shape.generators) == len(shape.syzygies) + 1
-        for t in range(9):
-            lhs = len(ideal_slice(cfg, t))
-            rhs = (sum(space_dim(t - a) for a in shape.generators)
-                   - sum(space_dim(t - b) for b in shape.syzygies))
-            assert lhs == rhs
+    drawn = [random_affine_config(n, rng) for n in (3, 5, 8)]
+    for cfgs in (drawn, _criterion_6_configs()):
+        for cfg in cfgs:
+            try:
+                shape = minimal_resolution(cfg)
+            except PointError:
+                continue
+            assert len(shape.generators) == len(shape.syzygies) + 1
+            for t in range(9):
+                lhs = len(ideal_slice(cfg, t))
+                rhs = (sum(space_dim(t - a) for a in shape.generators)
+                       - sum(space_dim(t - b) for b in shape.syzygies))
+                assert lhs == rhs, (cfg.to_json(), t)
 
 
 # -- the flag-pair construction ---------------------------------------------------------

@@ -12,7 +12,7 @@ from planesheaves.linalg import QMatrix
 from planesheaves.presentation import (Presentation, derive_seed, dual, hilbert,
                                        is_injective, profile, random_equivalence, twist)
 from planesheaves.strata import (REGISTRY, ClassifyError, MODULI_DIM,
-                                 StrataError, StratumRow, _SIDE_CONDITIONS, _generate,
+                                 StrataError, StratumRow, _SIDE_CONDITIONS,
                                  _products, apply_recipe,
                                  classify, dim_audit, generate,
                                  generic_stabilizer_dim, get_row,
@@ -218,8 +218,10 @@ def test_side_condition_shape_mismatch_errors():
 
 # -- generate ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("chi,sid", [(1, "X_0"), (3, "X_3D"), (2, "X_6")])
+@pytest.mark.parametrize("chi,sid", [(row.chi, row.id) for row in REGISTRY])
 def test_generate_round_trip(chi, sid):
+    # generate accepts on the side condition and injectivity alone; the
+    # classifier still finds the row
     P = generate(chi, sid, seed=11)
     label = classify(P)
     assert (label.chi, label.id) == (chi, sid)
@@ -236,12 +238,12 @@ def test_generate_expected_profiles():
 
 
 def test_generated_presentations_are_what_validation_would_build():
-    # _generate builds its draws unvalidated: the registry twists are sorted
+    # generate builds its draws unvalidated: the registry twists are sorted
     # and every cell has its degree, so validating changes nothing
     for row in REGISTRY:
         assert list(row.source) == sorted(row.source)
         assert list(row.target) == sorted(row.target)
-        P, _ = _generate(row.chi, row.id, seed=3)
+        P = generate(row.chi, row.id, seed=3)
         assert Presentation(P.source, P.target, P.matrix) == P, (row.chi, row.id)
 
 
