@@ -21,7 +21,10 @@ the caps and the error messages are the grammar's.
 
 Questions about factors are linear algebra on multiplication matrices
 (``mult_map``), run by the one exact core in ``linalg``: ``form_gcd`` takes
-one rank, one kernel and one solve, ``divides`` one solve.
+one rank, one kernel and one solve, ``divides`` one solve.  Where a
+product of monomials sits in the basis (``product_table``), the values of
+the monomials at a point (``monomial_values``) and determinants of
+matrices of forms (``form_det``) are worked out here and nowhere else.
 
 Coefficients are ints, and Fractions only where a coefficient has a
 denominator; any other number given to ``Form`` becomes a Fraction
@@ -78,6 +81,22 @@ def monomials(degree: int):
 @lru_cache(maxsize=None)
 def monomial_index(degree: int):
     return {m: i for i, m in enumerate(monomials(degree))}
+
+
+@lru_cache(maxsize=None)
+def product_table(s: int, k: int):
+    """For each degree-s monomial, the index in degree s + k of its product
+    with each degree-k monomial."""
+    idx = monomial_index(s + k)
+    return tuple(tuple(idx[(a + u, b + v, c + w)] for (u, v, w) in monomials(k))
+                 for (a, b, c) in monomials(s))
+
+
+def monomial_values(degree: int, point) -> list:
+    """The degree's basis monomials evaluated at the point, in basis order:
+    ints when the coordinates are ints, else Fractions."""
+    x, y, z = [v if type(v) in SCALAR_TYPES else Fraction(v) for v in point]
+    return [x**a * y**b * z**c for a, b, c in monomials(degree)]
 
 
 class Form:
@@ -154,12 +173,7 @@ class Form:
     def evaluate(self, point):
         """Value at the point: an int when the point and the coefficients
         are integers, else a Fraction."""
-        x, y, z = [v if type(v) in SCALAR_TYPES else Fraction(v) for v in point]
-        total = 0
-        for (a, b, c), coeff in zip(monomials(self.degree), self.coeffs):
-            if coeff:
-                total += coeff * x**a * y**b * z**c
-        return total
+        return sum(c * v for c, v in zip(self.coeffs, monomial_values(self.degree, point)) if c)
 
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term; None if zero."""
@@ -192,6 +206,24 @@ def form_mul(f: Form, g: Form) -> Form:
         for (a2, b2, c2), y in gterms:
             coeffs[idx[(a1 + a2, b1 + b2, c1 + c2)]] += x * y
     return Form(deg, coeffs)
+
+
+def form_det(block) -> Form:
+    """Determinant of a square matrix of forms, expanded along the first row;
+    the constant 1 for the empty matrix."""
+    n = len(block)
+    if n == 0:
+        return Form.constant(1)
+    if n == 1:
+        return block[0][0]
+    acc = None
+    for j in range(n):
+        sub = [[block[r][c] for c in range(n) if c != j] for r in range(1, n)]
+        term = block[0][j] * form_det(sub)
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def random_ints(rng, n: int, bound: int) -> list:
@@ -499,10 +531,10 @@ def block_mult_map(entries, row_deg, col_deg) -> QMatrix:
 
     Block (i, j) is mult_map(entries[i][j], col_deg[j]), from the degree
     col_deg[j] forms to the degree row_deg[i] forms; a zero entry gives a
-    zero block.  The terms are written straight into the output: for a fixed
-    source monomial m_j the products m_f * m_j are distinct, so each cell is
-    written at most once.  Raises FormError if a nonzero entry has the wrong
-    degree."""
+    zero block.  The terms are written straight into the output, at the rows
+    `product_table` gives: for a fixed source monomial m_j the products
+    m_f * m_j are distinct, so each cell is written at most once.  Raises
+    FormError if a nonzero entry has the wrong degree."""
     row_dims = [space_dim(k) for k in row_deg]
     col_dims = [space_dim(k) for k in col_deg]
     out = QMatrix(sum(row_dims), sum(col_dims))
@@ -515,11 +547,10 @@ def block_mult_map(entries, row_deg, col_deg) -> QMatrix:
                 if f.degree + s != t:
                     raise FormError("entry of degree %d maps degree %d into %d rows, not %d"
                                     % (f.degree, s, space_dim(s + f.degree), t_dim))
-                idx = monomial_index(t)
-                terms = f.terms()
-                for j, (a2, b2, c2) in enumerate(monomials(s), c0):
-                    for (a1, b1, c1), coeff in terms:
-                        data[r0 + idx[(a1 + a2, b1 + b2, c1 + c2)]][j] = coeff
+                terms = [(n, coeff) for n, coeff in enumerate(f.coeffs) if coeff]
+                for j, products in enumerate(product_table(s, f.degree), c0):
+                    for n, coeff in terms:
+                        data[r0 + products[n]][j] = coeff
             c0 += s_dim
         r0 += t_dim
     return out

@@ -57,7 +57,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .forms import (Form, coefficient_matrix, linearly_independent, monomial_index, parse_form,
+from .forms import (Form, coefficient_matrix, form_det, linearly_independent, parse_form,
                     random_ints)
 from .linalg import (CERTIFICATE_PRIME, QMatrix, from_columns, integer_echelon, integer_rows,
                      mod_nonsingular, null_vectors)
@@ -100,16 +100,13 @@ class KroneckerModule:
     def coefficient_slices(self):
         """The three scalar matrices K_X, K_Y, K_Z, built once per module.
 
-        Callers share the returned matrices and must not mutate them."""
+        Callers share the returned matrices and must not mutate them.  X, Y
+        and Z are the coefficients 0, 1 and 2 of a degree-1 form."""
         if self._slices is None:
-            index = monomial_index(1)
-            slices = []
-            for mono in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-                k = index[mono]
-                data = [[0 if f.is_zero() else f.coeffs[k] for f in row]
-                        for row in self.entries]
-                slices.append(QMatrix(self.q, self.p, data))
-            self._slices = tuple(slices)
+            self._slices = tuple(
+                QMatrix(self.q, self.p, [[0 if f.is_zero() else f.coeffs[k] for f in row]
+                                         for row in self.entries])
+                for k in range(3))
         return self._slices
 
     def transpose(self) -> "KroneckerModule":
@@ -254,13 +251,8 @@ def minors_semistable(K: KroneckerModule) -> bool:
         return minors_semistable(K.transpose())
     if (K.p, K.q) != (2, 3):
         raise KroneckerError("minors criterion needs shape (2, 3) or (3, 2)")
-    minors = []
-    for skip in range(3):
-        rows = [i for i in range(3) if i != skip]
-        a, b = K.entries[rows[0]]
-        c, d = K.entries[rows[1]]
-        minors.append(a * d - b * c)
-    return linearly_independent(minors)
+    return linearly_independent([form_det([row for i, row in enumerate(K.entries) if i != skip])
+                                 for skip in range(3)])
 
 
 def dim_kronecker_moduli(n: int, p: int, q: int) -> int:

@@ -2,14 +2,13 @@
 
 Point ideals stay in integers: an ideal slice is the kernel of an
 evaluation matrix taken as primitive integer vectors
-(`QMatrix.integer_kernel_basis`), and multiplying a slice by X, Y and Z
-only moves its coefficients, through one index table per variable and
-degree.  Colinearity is decided by counting the points on the line
-p x q through each pair; the curve predicates are ranks of evaluation
-matrices.  Minimal free resolutions are counted, not eliminated: the
-Hilbert function and the generator degrees, read off the slices up to
-degree r_Z and their products by X, Y and Z, fix the syzygy degrees
-(Hilbert-Burch).  A configuration is
+(`QMatrix.integer_kernel_basis`), and the products of a slice by X, Y
+and Z are the columns of its `block_mult_map`.  Colinearity is decided
+by counting the points on the line p x q through each pair; the curve
+predicates are ranks of evaluation matrices.  Minimal free resolutions
+are counted, not eliminated: the Hilbert function and the generator
+degrees, read off the slices up to degree r_Z and their products by X, Y
+and Z, fix the syzygy degrees (Hilbert-Burch).  A configuration is
 resolved exactly when it has at most 15 points and r_Z <= 5; see
 `minimal_resolution`.  Coordinates read from JSON have at most MAX_DIGITS
 digits in numerator and denominator.
@@ -21,11 +20,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, count
 
-from .forms import (MAX_DIGITS, Form, ParseError, block_mult_map, divides,
-                    monomial_index, monomials, quoted, space_dim)
+from .forms import (MAX_DIGITS, Form, ParseError, block_mult_map, divides, monomial_values,
+                    quoted, space_dim)
 from .linalg import QMatrix
 from .presentation import Presentation
 
@@ -151,10 +149,7 @@ def colinear_subset_exists(cfg: PointConfig, k: int) -> bool:
 
 def evaluation_matrix(cfg: PointConfig, t: int) -> QMatrix:
     """Rows are the degree-t monomials evaluated at each point."""
-    rows = []
-    for (x, y, z) in cfg.points:
-        rows.append([x**a * y**b * z**c for (a, b, c) in monomials(t)])
-    return QMatrix(len(cfg), space_dim(t), rows)
+    return QMatrix(len(cfg), space_dim(t), [monomial_values(t, p) for p in cfg.points])
 
 
 def contained_in_curve_of_degree(cfg: PointConfig, k: int) -> bool:
@@ -196,29 +191,6 @@ class BettiShape:
 DEGREE_CAP = 8
 
 
-@lru_cache(maxsize=None)
-def _shift_tables(s: int):
-    """For X, Y and Z in turn, the index in degree s + 1 of each degree-s
-    monomial times that variable."""
-    idx = monomial_index(s + 1)
-    return tuple(tuple(idx[(a + da, b + db, c + dc)] for (a, b, c) in monomials(s))
-                 for (da, db, dc) in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-
-def _times_variables(forms, s: int):
-    """Coefficient rows of X*f, Y*f and Z*f for each degree-s form f: a
-    product by a variable only moves the coefficients."""
-    size = space_dim(s + 1)
-    rows = []
-    for f in forms:
-        for table in _shift_tables(s):
-            row = [0] * size
-            for j, c in zip(table, f.coeffs):
-                row[j] = c
-            rows.append(row)
-    return rows
-
-
 def minimal_resolution(cfg: PointConfig) -> BettiShape:
     """Generator and syzygy degrees of the minimal free resolution
     0 -> (+) S(-b) -> (+) S(-a) -> I_Z -> 0 of the point ideal.
@@ -251,7 +223,8 @@ def minimal_resolution(cfg: PointConfig) -> BettiShape:
         last = t > 0 and hilb[t - 1] == n      # t = r_Z + 1, where H_Z(t) = n
         cur = None if last else ideal_slice(cfg, t)
         hilb.append(n if last else space_dim(t) - len(cur))
-        shifted = QMatrix.from_rows(_times_variables(prev_slice, t - 1))
+        # columns X*f, Y*f and Z*f for each f in I_(t-1)
+        shifted = block_mult_map([prev_slice], [t], [1] * len(prev_slice))
         gens.extend([t] * (space_dim(t) - hilb[t] - shifted.rank()))
         if last:
             break

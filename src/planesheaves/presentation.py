@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from numbers import Real
 from operator import mul
 
-from .forms import (Form, ParseError, format_form, monomials, parse_form, quoted,
+from .forms import (Form, ParseError, format_form, monomial_values, parse_form, quoted,
                     random_form, random_ints, space_dim)
 from .linalg import QMatrix
 
@@ -212,11 +212,14 @@ def is_injective(P: Presentation) -> bool:
 
     det P is zero or a form of degree r = sum(target) - sum(source), and a
     form vanishes iff it vanishes on the chart Z = 1.  There det P is a
-    polynomial in x, y of degree at most r in each variable, so it is zero
-    iff it vanishes on the grid {0..r}^2 (combinatorial Nullstellensatz,
-    Alon 1999, Lemma 2.1).  The grid is walked x-major; the first point
-    where the evaluated matrix has full rank proves injectivity, and False
-    is returned only after every point failed."""
+    polynomial f(x, y) of total degree at most r, so it is zero iff it
+    vanishes on the triangle of integer points x, y >= 0, x + y <= r: f(x, 0)
+    has the r + 1 roots 0..r, so f = y g, and g(x, y + 1) has total degree
+    at most r - 1 and vanishes on the triangle of side r - 1; at r = 0, f is
+    a constant that vanishes at (0, 0).  The triangle's (r + 1)(r + 2)/2
+    points are walked x-major from (0, 0) to (r, 0); the first point where
+    the evaluated matrix has full rank proves injectivity, and False is
+    returned only after every point failed."""
     p = len(P.source)
     if p != len(P.target):
         raise PresentationError("injectivity is decided for square presentations only")
@@ -224,8 +227,8 @@ def is_injective(P: Presentation) -> bool:
     cells = [[(f.degree, f.coeffs) for f in row] for row in P.matrix]
     degrees = {d for row in cells for d, _ in row}
     for x in range(r + 1):
-        for y in range(r + 1):
-            table = {d: [x ** a * y ** b for a, b, _ in monomials(d)] for d in degrees}
+        for y in range(r + 1 - x):
+            table = {d: monomial_values(d, (x, y, 1)) for d in degrees}
             values = [[sum(map(mul, coeffs, table[d])) for d, coeffs in row] for row in cells]
             if QMatrix(p, p, values).rank() == p:
                 return True

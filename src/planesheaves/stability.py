@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import Form, divides, form_gcd, space_dim
+from .forms import Form, divides, form_det, form_gcd, space_dim
 from .linalg import QMatrix
 from .presentation import (Presentation, PresentationError,
                            euler_char_line_bundle)
@@ -74,25 +74,9 @@ def _restriction_minors(P: Presentation):
     tail_d = sum(P.source[1:])
     for i in range(n):
         rows = [r for r in range(n) if r != i]
-        minors.append(_det_forms([[P.matrix[r][c] for c in range(1, n)] for r in rows]))
+        minors.append(form_det([[P.matrix[r][c] for c in range(1, n)] for r in rows]))
         degs.append(total_e - P.target[i] - tail_d)
     return minors, degs
-
-
-def _det_forms(block) -> Form:
-    n = len(block)
-    if n == 0:
-        return Form.constant(1)
-    if n == 1:
-        return block[0][0]
-    acc = None
-    for j in range(n):
-        sub = [[block[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = block[0][j] * _det_forms(sub)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def _gcd_of_all(forms):

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from importlib import resources
 from math import lcm
 
 from .forms import (Form, coefficient_matrix, divides, form_gcd, linearly_independent,
-                    monomial_index, monomials, random_form, space_dim)
+                    product_table, random_form, space_dim)
 from .kronecker import KroneckerModule, is_semistable, minors_semistable
 from .linalg import CERTIFICATE_PRIME, QMatrix, mod_rank
 from .presentation import (CohomologyProfile, InconsistentPresentationError, Presentation,
@@ -396,24 +396,9 @@ class DimAudit:
     check_corrected: bool
 
     def to_json(self):
-        return {
-            "chi": self.chi, "stratum": self.id, "codim": self.codim,
-            "dimW": self.dimW, "dimG": self.dimG, "dimX": self.dimX,
-            "check": self.check,
-            "forced_zero_dims": self.forced_zero_dims,
-            "stabilizer_dim": self.stabilizer_dim,
-            "dimX_corrected": self.dimX_corrected,
-            "check_corrected": self.check_corrected,
-        }
-
-
-@lru_cache(maxsize=None)
-def _products(s: int, k: int):
-    """For each degree-s monomial, the index in degree s + k of its product
-    with each degree-k monomial."""
-    idx = monomial_index(s + k)
-    return tuple(tuple(idx[(a + u, b + v, c + w)] for (u, v, w) in monomials(k))
-                 for (a, b, c) in monomials(s))
+        out = asdict(self)
+        out["stratum"] = out.pop("id")
+        return out
 
 
 def _stabilizer_rows(P: Presentation):
@@ -423,7 +408,7 @@ def _stabilizer_rows(P: Presentation):
     and gB[a][b]: O(e_b) -> O(e_a) of nonnegative degree; the columns are the
     monomials of the cells (i, j) of the equation that some unknown reaches.
     gB[a][b] = m puts m * phi[b][j] into cell (a, j) and gA[a][b] = m puts
-    -phi[i][a] * m into cell (i, b), at the columns of the `_products` table.
+    -phi[i][a] * m into cell (i, b), at the columns of `product_table`.
     The products of the terms of one entry by one monomial are distinct, so
     each entry is written at most once.
 
@@ -453,9 +438,9 @@ def _stabilizer_rows(P: Presentation):
                 if s < 0:
                     continue
                 # (column offset, product table, signed terms) of each cell reached
-                reached = ([(offset[a, j], _products(s, e[b] - d[j]), ts)
+                reached = ([(offset[a, j], product_table(s, e[b] - d[j]), ts)
                             for j, ts in enumerate(terms[b]) if ts] if sign > 0
-                           else [(offset[i, b], _products(s, e[i] - d[a]), neg[a])
+                           else [(offset[i, b], product_table(s, e[i] - d[a]), neg[a])
                                  for i, neg in enumerate(negated) if neg[a]])
                 for m in range(space_dim(s)):
                     row = [0] * ncols
@@ -563,13 +548,10 @@ class RowReport:
                 and not self.failures)
 
     def to_json(self):
-        return {
-            "chi": self.chi, "stratum": self.id,
-            "attempted": self.attempted, "accepted": self.accepted,
-            "hilbert_matches": self.hilbert_matches,
-            "profile_matches": self.profile_matches,
-            "failures": self.failures, "passed": self.passed,
-        }
+        out = asdict(self)
+        out["stratum"] = out.pop("id")
+        out["passed"] = self.passed
+        return out
 
 
 def verify_row(chi: int, stratum_id: str, samples: int, seed: int) -> RowReport:

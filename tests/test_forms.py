@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from planesheaves import forms
 from planesheaves.forms import (MAX_DIGITS, Form, FormError, ParseError,
                                 block_mult_map,
-                                conic_is_irreducible, divides, form_gcd,
+                                conic_is_irreducible, divides, form_det, form_gcd,
                                 form_mul, format_form, linearly_independent,
-                                monomials, mult_map, parse_form, random_ints,
-                                space_dim)
+                                monomials, mult_map, parse_form, product_table,
+                                random_ints, space_dim)
 from planesheaves.linalg import QMatrix
+from planesheaves.strata import REGISTRY, generate
 from helpers import random_form, random_nonzero_form
 
 X = Form.monomial(1, 0, 0)
@@ -244,16 +245,60 @@ def test_mult_map_composition_law():
         assert lhs == rhs
 
 
+def _sparse_form(deg, rng):
+    return Form(deg, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.6
+                      else 0 for _ in range(space_dim(deg))])
+
+
 def test_mult_map_columns_are_products():
     rng = random.Random(47)
     for _ in range(80):
-        deg = rng.randint(0, 4)
-        f = Form(deg, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.6
-                       else 0 for _ in range(space_dim(deg))])
+        f = _sparse_form(rng.randint(0, 4), rng)
         s = rng.randint(0, 4)
         m = mult_map(f, s)
         for j, mono in enumerate(monomials(s)):
             assert m.column(j) == list(form_mul(f, Form.monomial(*mono)).coeffs)
+    # several blocks: each column of block (i, j) is entry (i, j) times one
+    # degree-col_deg[j] monomial, and a zero entry, of any degree, is a zero block
+    for _ in range(40):
+        col_deg = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        row_deg = [rng.randint(0, 4) for _ in range(rng.randint(1, 3))]
+        entries = [[_sparse_form(t - s, rng) if t >= s and rng.random() < 0.7
+                    else Form.zero(rng.randint(0, 2)) for s in col_deg] for t in row_deg]
+        m = block_mult_map(entries, row_deg, col_deg)
+        c0 = 0
+        for j, s in enumerate(col_deg):
+            for k, mono in enumerate(monomials(s)):
+                column = m.column(c0 + k)
+                r0 = 0
+                for i, t in enumerate(row_deg):
+                    f = entries[i][j]
+                    want = [0] * space_dim(t) if f.is_zero() else \
+                        list(form_mul(f, Form.monomial(*mono)).coeffs)
+                    assert column[r0:r0 + space_dim(t)] == want
+                    r0 += space_dim(t)
+            c0 += space_dim(s)
+        assert (m.rows, m.cols) == (r0, c0)
+
+
+@pytest.mark.parametrize("s,k", [(0, 0), (0, 3), (1, 2), (2, 1), (3, 3), (4, 0)])
+def test_products_index_the_product_monomial(s, k):
+    table = product_table(s, k)
+    assert len(table) == space_dim(s)
+    for (a, b, c), indices in zip(monomials(s), table):
+        assert [monomials(s + k)[n] for n in indices] == \
+            [(a + u, b + v, c + w) for u, v, w in monomials(k)]
+
+
+def test_form_det_evaluates_to_the_determinant_of_the_values():
+    rng = random.Random(23)
+    for row in REGISTRY:
+        P = generate(row.chi, row.id, seed=5)
+        det = form_det(P.matrix)
+        for _ in range(2):
+            pt = tuple(rng.randint(-4, 4) for _ in range(3))
+            values = QMatrix.from_rows([[f.evaluate(pt) for f in r] for r in P.matrix])
+            assert det.evaluate(pt) == values.det(), (row.chi, row.id, pt)
 
 
 def test_block_mult_map_places_mult_map_blocks():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from planesheaves.forms import Form, block_mult_map, form_mul, space_dim
 from planesheaves.linalg import QMatrix
+from planesheaves.points import PointConfig, evaluation_matrix
 from planesheaves.presentation import (InconsistentPresentationError,
                                        Presentation, PresentationError,
                                        derive_seed, dual, h0_omega, h0_twist,
@@ -90,20 +91,29 @@ def test_injective_conic_matrix():
 
 
 def test_injectivity_walks_the_whole_grid():
-    # det = prod (X - iZ), i = 0..5, is zero at (x, y, 1) for x in 0..5: the
-    # first 42 points of the x-major grid {0..6}^2; {0..5}^2 would miss x = 6
+    # det = prod (X - iZ), i = 0..5, is zero at (x, y, 1) for x in 0..5: every
+    # point of the triangle x + y <= 6 but the walk's last, the corner (6, 0)
     det = Form(1, [1, 0, 0])
     for i in range(1, 6):
         det = form_mul(det, Form(1, [1, 0, -i]))
     P = Presentation([-6], [0], [[det]])
     assert all(det.evaluate((x, y, 1)) == 0 for x in range(6) for y in range(7))
     assert is_injective(P)
-    # a seventh factor (X - 6Z) vanishes on all of {0..6}^2, but the grid of
-    # a degree-7 determinant is {0..7}^2
+    # a seventh factor (X - 6Z) vanishes on the whole triangle x + y <= 6, but
+    # the triangle of a degree-7 determinant reaches (7, 0)
     D = Presentation([-7], [0], [[form_mul(det, Form(1, [1, 0, -6]))]])
     assert is_injective(D)
     zero = Presentation([-6], [0], [[Form.zero(6)]])
     assert not is_injective(zero)
+
+
+def test_injectivity_triangle_is_unisolvent():
+    # no nonzero form of degree r vanishes at every (x, y, 1), x + y <= r
+    for r in range(9):
+        cfg = PointConfig([(x, y, 1) for x in range(r + 1) for y in range(r + 1 - x)])
+        m = evaluation_matrix(cfg, r)
+        assert m.rows == m.cols == space_dim(r)
+        assert m.det() != 0
 
 
 def test_injectivity_is_decided_for_square_maps_only():

@@ -13,7 +13,7 @@ from planesheaves.presentation import (Presentation, derive_seed, dual, hilbert,
                                        is_injective, profile, random_equivalence, twist)
 from planesheaves.strata import (REGISTRY, ClassifyError, MODULI_DIM,
                                  StrataError, StratumRow, _SIDE_CONDITIONS,
-                                 _products, apply_recipe,
+                                 apply_recipe,
                                  classify, dim_audit, generate,
                                  generic_stabilizer_dim, get_row,
                                  normalize_chi, rows_for_chi, side_condition,
@@ -245,15 +245,6 @@ def test_generated_presentations_are_what_validation_would_build():
         assert list(row.target) == sorted(row.target)
         P = generate(row.chi, row.id, seed=3)
         assert Presentation(P.source, P.target, P.matrix) == P, (row.chi, row.id)
-
-
-@pytest.mark.parametrize("s,k", [(0, 0), (0, 3), (1, 2), (2, 1), (3, 3), (4, 0)])
-def test_products_index_the_product_monomial(s, k):
-    table = _products(s, k)
-    assert len(table) == space_dim(s)
-    for (a, b, c), indices in zip(monomials(s), table):
-        assert [monomials(s + k)[n] for n in indices] == \
-            [(a + u, b + v, c + w) for u, v, w in monomials(k)]
 
 
 def test_generate_determinism():
