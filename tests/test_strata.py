@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from importlib import resources
 import pytest
 
 from planesheaves.cli import main
-from planesheaves.forms import Form, monomials, space_dim
+from planesheaves.forms import Form, monomials, random_form, space_dim
 from planesheaves.linalg import QMatrix
 from planesheaves.presentation import (Presentation, derive_seed, dual, hilbert,
                                        is_injective, profile, random_equivalence, twist)
@@ -214,6 +215,54 @@ def test_side_condition_shape_mismatch_errors():
     P = generate(1, "X_0", seed=1)
     with pytest.raises(StrataError):
         side_condition(P, get_row(3, "X_7"))
+
+
+# (density, coefficient bound) of the corpus draws, cycled over k
+_CORPUS_SETTINGS = ((1.0, 9), (0.8, 2), (0.5, 1))
+# sha256 of the 840 statuses, row by row in registry order, space-separated
+CORPUS_SHA256 = "e9fb5fe55f7354b2b8c20fa4e4ec4a9660be35b6248f94b6d78c3b9e909a5e2b"
+
+
+def _corpus_draw(row, k):
+    """A raw draw of the row's shape, no filter: each cell of nonnegative
+    degree outside the forced zeros is kept with the setting's density and
+    gets a random form; the rest stay zero.  Sparse, small draws reach the
+    fail path of every clause kind."""
+    density, bound = _CORPUS_SETTINGS[k % 3]
+    rng = random.Random(derive_seed("side-corpus", row.chi, row.id, k))
+    zero = set(row.zero_cells)
+    matrix = [[random_form(e - d, rng, bound)
+               if e >= d and (i, j) not in zero and rng.random() < density
+               else Form.zero(0)
+               for j, d in enumerate(row.source)]
+              for i, e in enumerate(row.target)]
+    return Presentation(row.source, row.target, matrix)
+
+
+def test_side_condition_corpus():
+    # 30 raw draws per row pin every row's verdicts, fail paths included;
+    # generate alone pins only the draws before each accepted one
+    statuses = {(row.chi, row.id): [side_condition(_corpus_draw(row, k), row).status
+                                    for k in range(30)]
+                for row in REGISTRY}
+    flat = [s for row in REGISTRY for s in statuses[row.chi, row.id]]
+    assert [flat.count(s) for s in ("pass", "fail", "unknown")] == [468, 234, 138]
+    assert hashlib.sha256(" ".join(flat).encode()).hexdigest() == CORPUS_SHA256
+    # every row with a condition beyond the orbit marker fails somewhere
+    failing = {key for key, seq in statuses.items() if "fail" in seq}
+    assert len(failing) == 22
+    assert failing.isdisjoint({(3, "X_0"), (3, "X_7"),
+                               (1, "X_1"), (2, "X_0"), (2, "X_2"), (2, "X_4")})
+
+
+def test_side_condition_names_a_nonzero_forced_zero_cell():
+    row = get_row(1, "X_2")
+    P = generate(1, "X_2", seed=1)
+    i, j = row.zero_cells[0]
+    matrix = [list(r) for r in P.matrix]
+    matrix[i][j] = Form(0, [1])
+    res = side_condition(Presentation(P.source, P.target, matrix), row)
+    assert (res.status, res.reason) == ("fail", "forced zero cell is nonzero")
 
 
 # -- generate ---------------------------------------------------------------------
