@@ -115,9 +115,6 @@ class PointConfig:
     def to_json(self) -> dict:
         return {"points": [[str(c) for c in p] for p in self.points]}
 
-    def subset(self, idxs) -> "PointConfig":
-        return PointConfig([self.points[i] for i in idxs])
-
 
 def colinear_triple_exists(cfg: PointConfig) -> bool:
     return colinear_subset_exists(cfg, 3)
@@ -167,9 +164,14 @@ def ideal_slice(cfg: PointConfig, t: int):
 
 
 def subset_on_curve_exists(cfg: PointConfig, size: int, degree: int) -> bool:
+    """True iff some `size` of the points lie on a curve of the given degree:
+    their rows of one evaluation matrix have rank below dim S_degree."""
     if len(cfg) < size:
         return False
-    return any(contained_in_curve_of_degree(cfg.subset(sub), degree)
+    if degree < 1:
+        raise PointError("curve degree must be positive")
+    values = evaluation_matrix(cfg, degree)
+    return any(QMatrix(size, values.cols, [values.data[i] for i in sub]).rank() < values.cols
                for sub in combinations(range(len(cfg)), size))
 
 
@@ -223,9 +225,10 @@ def minimal_resolution(cfg: PointConfig) -> BettiShape:
         last = t > 0 and hilb[t - 1] == n      # t = r_Z + 1, where H_Z(t) = n
         cur = None if last else ideal_slice(cfg, t)
         hilb.append(n if last else space_dim(t) - len(cur))
-        # columns X*f, Y*f and Z*f for each f in I_(t-1)
-        shifted = block_mult_map([prev_slice], [t], [1] * len(prev_slice))
-        gens.extend([t] * (space_dim(t) - hilb[t] - shifted.rank()))
+        # columns X*f, Y*f and Z*f for each f in I_(t-1), none below the first generator
+        shifted = (block_mult_map([prev_slice], [t], [1] * len(prev_slice)).rank()
+                   if prev_slice else 0)
+        gens.extend([t] * (space_dim(t) - hilb[t] - shifted))
         if last:
             break
         if hilb[t] < n and t + 3 >= DEGREE_CAP:

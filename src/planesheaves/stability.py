@@ -187,10 +187,10 @@ def minor_gcd_criterion(P: Presentation) -> StabilityVerdict:
         return StabilityVerdict("stable", "slope ratio is not an integer")
     rho = int(ratio)
     if n == 2:
-        delegate = two_by_two_criterion(P)
-        if delegate.kind in ("stable", "properly_semistable"):
-            return delegate
-        return StabilityVerdict("stable", "pair criterion found no special subsheaf")
+        # every gate of the pair criterion holds here: f12 is a nonzero minor
+        # of degree e1 - d2 > 0, the gap ordering is the first gate above and
+        # the second column is coprime, so its verdict is a definite one
+        return two_by_two_criterion(P)
     # a subsheaf 0 -> O(d1) -> O(rho - d1) -> S -> 0 needs a nonzero map
     # O(rho - d1) -> target; impossible when every twist gap is negative
     if all(ei < rho - d[0] for ei in e):

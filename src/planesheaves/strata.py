@@ -3,13 +3,15 @@
 Each registry row (data/strata_registry.json) records a stratum: its
 cohomological conditions, the twist shape of the presentations realizing it,
 its expected codimension inside the 37-dimensional moduli space and its
-dual row.  The exact side conditions used as generator filters live here,
-in one table keyed by the row's (chi, id); a row without an entry has none.
-Classification authority is the cohomology profile; matrix side conditions
-only filter generated instances.  They are decided exactly where a closed
-form exists; every Kronecker side condition is `pass` or `fail`, decided by
-`kronecker.is_semistable`; only the orbit-form conditions stay `unknown`,
-which the generator accepts like `pass`.
+dual row.  The side conditions used as generator filters live here, in one
+table keyed by the row's (chi, id): a tuple of clauses in the paper's terms
+(a block is a semistable Kronecker module, two forms are independent, two
+entries are coprime, one entry does not divide another), checked in order.
+A row without an entry has none.  Classification authority is the
+cohomology profile; side conditions only filter generated instances.  Every
+clause is decided exactly, each Kronecker block by
+`kronecker.is_semistable`; only the orbit-form marker stays `unknown`, which
+the generator accepts like `pass`.
 
 The classifier decides exactly that its input map is injective and raises
 otherwise.  It assumes that the sheaf is semistable: a non-semistable
@@ -28,7 +30,7 @@ from math import lcm
 
 from .forms import (Form, coefficient_matrix, divides, form_gcd, linearly_independent,
                     product_table, random_form, space_dim)
-from .kronecker import KroneckerModule, is_semistable, minors_semistable
+from .kronecker import KroneckerModule, is_semistable
 from .linalg import CERTIFICATE_PRIME, QMatrix, mod_rank
 from .presentation import (CohomologyProfile, InconsistentPresentationError, Presentation,
                            derive_seed, dual, hilbert, is_injective, profile, twist)
@@ -181,163 +183,98 @@ def _block(P, rows, cols):
     return [[P.matrix[i][j] for j in cols] for i in rows]
 
 
-def _check(flag: bool) -> SideResult:
-    return _PASS if flag else SideResult("fail")
+# The clauses of the side conditions, named as the paper names them: each
+# factory takes cells (i, j) of the matrix and returns an exact predicate on
+# the presentation.
+
+def semistable(rows, cols):
+    """The block is a semistable Kronecker module: `is_semistable` proves
+    either verdict, by a certificate or a destabilizer."""
+    return lambda P: is_semistable(KroneckerModule(_block(P, rows, cols))).kind == "semistable"
 
 
-def _kron_filter(block) -> SideResult:
-    """Kronecker semistability as a side condition: `pass` on a semistable
-    verdict, `fail` on an exact destabilizer; both are proofs."""
-    return _check(is_semistable(KroneckerModule(block)).kind == "semistable")
+def independent(*cells):
+    """The entries are linearly independent, so none is zero."""
+    return lambda P: linearly_independent([P.matrix[i][j] for i, j in cells])
 
 
-def _zero_cells_hold(P: Presentation, row: StratumRow) -> bool:
-    return all(P.matrix[i][j].is_zero() for i, j in row.zero_cells)
+def span_at_least_2(*cells):
+    return lambda P: coefficient_matrix(P.matrix[i][j] for i, j in cells).rank() >= 2
 
 
-def _coprime(f, g) -> bool:
-    if f.is_zero() or g.is_zero():
-        return False
-    return form_gcd(f, g).degree == 0
+def coprime(a, b):
+    """Both entries are nonzero and their gcd is a constant."""
+    def holds(P):
+        f, g = (P.matrix[i][j] for i, j in (a, b))
+        return not f.is_zero() and not g.is_zero() and form_gcd(f, g).degree == 0
+    return holds
 
 
-def _side_chi1_X0(P):
-    return _kron_filter(_block(P, range(4), range(5)))
-
-def _side_chi1_X2(P):
-    l1, l2 = P.matrix[2][3], P.matrix[3][3]
-    if l1.is_zero() or l2.is_zero() or not linearly_independent([l1, l2]):
-        return SideResult("fail")
-    return _check(pencil_block_failure(_block(P, (0, 1), (0, 1, 2))) is None)
-
-def _side_chi1_X3(P):
-    if not linearly_independent([P.matrix[0][0], P.matrix[0][1]]):
-        return SideResult("fail")
-    return _check(minors_semistable(KroneckerModule(_block(P, (1, 2, 3), (2, 3)))))
-
-def _side_chi1_X4(P):
-    return _check(_coprime(P.matrix[0][0], P.matrix[0][1]))
-
-def _side_chi1_X5(P):
-    l = P.matrix[0][1]
-    return _check(not l.is_zero() and not divides(l, P.matrix[1][1]))
-
-def _side_chi2_X1(P):
-    inner = _kron_filter(_block(P, (0, 1, 2), (0, 1, 2, 3)))
-    if inner.status == "fail":
-        return inner
-    if not linearly_independent([P.matrix[3][4], P.matrix[4][4]]):
-        return SideResult("fail")
-    return inner
-
-def _side_chi2_X3(P):
-    f12 = P.matrix[0][1]
-    if f12.is_zero() or divides(f12, P.matrix[0][0]):
-        return SideResult("fail")
-    return _check(minors_semistable(KroneckerModule(_block(P, (1, 2, 3), (2, 3)))))
-
-def _side_chi2_X5(P):
-    if not linearly_independent([P.matrix[0][0], P.matrix[0][1]]):
-        return SideResult("fail")
-    f22 = P.matrix[1][2]
-    return _check(not f22.is_zero() and not divides(f22, P.matrix[2][2]))
-
-def _side_chi2_X6(P):
-    return _check(linearly_independent([P.matrix[0][1], P.matrix[1][1]]))
-
-def _side_chi3_X1(P):
-    span1 = coefficient_matrix(P.matrix[0][j] for j in range(3))
-    span2 = coefficient_matrix(P.matrix[i][3] for i in (1, 2, 3))
-    if span1.rank() < 2 or span2.rank() < 2:
-        return SideResult("fail")
-    return _ORBIT_UNKNOWN
-
-def _side_chi3_X2(P):
-    if not minors_semistable(KroneckerModule(_block(P, (0, 1), (0, 1, 2)))):
-        return SideResult("fail")
-    return _check(minors_semistable(KroneckerModule(_block(P, (2, 3, 4), (3, 4)))))
-
-def _side_chi3_X3(P):
-    return _kron_filter(_block(P, range(4), (1, 2, 3)))
-
-def _side_chi3_X3D(P):
-    return _kron_filter(_block(P, (0, 1, 2), range(4)))
-
-def _side_chi3_X4(P):
-    return _check(not P.matrix[0][1].is_zero())
-
-def _side_chi3_X5(P):
-    f12, f23 = P.matrix[0][1], P.matrix[1][2]
-    if f12.is_zero() or f23.is_zero():
-        return SideResult("fail")
-    if divides(f12, P.matrix[0][0]) or divides(f23, P.matrix[2][2]):
-        return SideResult("fail")
-    return _PASS
-
-def _side_chi3_X6(P):
-    if not linearly_independent([P.matrix[0][0], P.matrix[0][1]]):
-        return SideResult("fail")
-    return _check(linearly_independent([P.matrix[1][2], P.matrix[2][2]]))
-
-def _side_chi0_X0(P):
-    return _kron_filter(_block(P, range(6), range(6)))
-
-def _side_chi0_X1(P):
-    return _kron_filter(_block(P, (0, 1, 2), (1, 2, 3)))
-
-def _side_chi0_X2(P):
-    return _check(_coprime(P.matrix[0][1], P.matrix[1][1]))
-
-def _side_chi0_X3(P):
-    return _check(minors_semistable(KroneckerModule(_block(P, (0, 1, 2), (1, 2)))))
-
-def _side_chi0_X3D(P):
-    return _check(minors_semistable(KroneckerModule(_block(P, (0, 1), (0, 1, 2)))))
-
-def _side_chi0_X4(P):
-    return _check(not P.matrix[0][1].is_zero())
+def not_dividing(a, b):
+    """Entry a is nonzero and does not divide entry b."""
+    def holds(P):
+        f, g = (P.matrix[i][j] for i, j in (a, b))
+        return not f.is_zero() and not divides(f, g)
+    return holds
 
 
-# The side condition of each row, by (chi, id).  chi 3 X_0 and X_7 have
-# none: a row without an entry passes.
+def nonzero(i, j):
+    return lambda P: not P.matrix[i][j].is_zero()
+
+
+def pencil_block(rows, cols):
+    return lambda P: pencil_block_failure(_block(P, rows, cols)) is None
+
+
+# The side condition of each row, by (chi, id): its clauses in the order they
+# are checked.  _ORBIT_UNKNOWN marks membership in an orbit of normal forms,
+# which no clause decides.  chi 3 X_0 and X_7 have no entry and pass.
 _SIDE_CONDITIONS = {
-    (1, "X_0"): _side_chi1_X0,
-    (1, "X_1"): lambda P: _ORBIT_UNKNOWN,
-    (1, "X_2"): _side_chi1_X2,
-    (1, "X_3"): _side_chi1_X3,
-    (1, "X_4"): _side_chi1_X4,
-    (1, "X_5"): _side_chi1_X5,
-    (2, "X_0"): lambda P: _ORBIT_UNKNOWN,
-    (2, "X_1"): _side_chi2_X1,
-    (2, "X_2"): lambda P: _ORBIT_UNKNOWN,
-    (2, "X_3"): _side_chi2_X3,
-    (2, "X_4"): lambda P: _ORBIT_UNKNOWN,
-    (2, "X_5"): _side_chi2_X5,
-    (2, "X_6"): _side_chi2_X6,
-    (3, "X_1"): _side_chi3_X1,
-    (3, "X_2"): _side_chi3_X2,
-    (3, "X_3"): _side_chi3_X3,
-    (3, "X_3D"): _side_chi3_X3D,
-    (3, "X_4"): _side_chi3_X4,
-    (3, "X_5"): _side_chi3_X5,
-    (3, "X_6"): _side_chi3_X6,
-    (0, "X_0"): _side_chi0_X0,
-    (0, "X_1"): _side_chi0_X1,
-    (0, "X_2"): _side_chi0_X2,
-    (0, "X_3"): _side_chi0_X3,
-    (0, "X_3D"): _side_chi0_X3D,
-    (0, "X_4"): _side_chi0_X4,
+    (1, "X_0"): (semistable(range(4), range(5)),),
+    (1, "X_1"): (_ORBIT_UNKNOWN,),
+    (1, "X_2"): (independent((2, 3), (3, 3)), pencil_block((0, 1), (0, 1, 2))),
+    (1, "X_3"): (independent((0, 0), (0, 1)), semistable((1, 2, 3), (2, 3))),
+    (1, "X_4"): (coprime((0, 0), (0, 1)),),
+    (1, "X_5"): (not_dividing((0, 1), (1, 1)),),
+    (2, "X_0"): (_ORBIT_UNKNOWN,),
+    (2, "X_1"): (semistable((0, 1, 2), (0, 1, 2, 3)), independent((3, 4), (4, 4))),
+    (2, "X_2"): (_ORBIT_UNKNOWN,),
+    (2, "X_3"): (not_dividing((0, 1), (0, 0)), semistable((1, 2, 3), (2, 3))),
+    (2, "X_4"): (_ORBIT_UNKNOWN,),
+    (2, "X_5"): (independent((0, 0), (0, 1)), not_dividing((1, 2), (2, 2))),
+    (2, "X_6"): (independent((0, 1), (1, 1)),),
+    (3, "X_1"): (span_at_least_2((0, 0), (0, 1), (0, 2)),
+                 span_at_least_2((1, 3), (2, 3), (3, 3)), _ORBIT_UNKNOWN),
+    (3, "X_2"): (semistable((0, 1), (0, 1, 2)), semistable((2, 3, 4), (3, 4))),
+    (3, "X_3"): (semistable(range(4), (1, 2, 3)),),
+    (3, "X_3D"): (semistable((0, 1, 2), range(4)),),
+    (3, "X_4"): (nonzero(0, 1),),
+    (3, "X_5"): (not_dividing((0, 1), (0, 0)), not_dividing((1, 2), (2, 2))),
+    (3, "X_6"): (independent((0, 0), (0, 1)), independent((1, 2), (2, 2))),
+    (0, "X_0"): (semistable(range(6), range(6)),),
+    (0, "X_1"): (semistable((0, 1, 2), (1, 2, 3)),),
+    (0, "X_2"): (coprime((0, 1), (1, 1)),),
+    (0, "X_3"): (semistable((0, 1, 2), (1, 2)),),
+    (0, "X_3D"): (semistable((0, 1), (0, 1, 2)),),
+    (0, "X_4"): (nonzero(0, 1),),
 }
 
 
 def side_condition(P: Presentation, row: StratumRow) -> SideResult:
+    """The row's clauses in order: the first that fails gives `fail`,
+    reaching the orbit marker gives `unknown`, and otherwise the row passes.
+    A nonzero forced zero cell fails first."""
     if P.source != row.source or P.target != row.target:
         raise StrataError("presentation shape does not match row (chi=%d, %s)"
                           % (row.chi, row.id))
-    if not _zero_cells_hold(P, row):
+    if not all(P.matrix[i][j].is_zero() for i, j in row.zero_cells):
         return SideResult("fail", "forced zero cell is nonzero")
-    check = _SIDE_CONDITIONS.get((row.chi, row.id))
-    return _PASS if check is None else check(P)
+    for clause in _SIDE_CONDITIONS.get((row.chi, row.id), ()):
+        if clause is _ORBIT_UNKNOWN:
+            return clause
+        if not clause(P):
+            return SideResult("fail")
+    return _PASS
 
 
 # ---------------------------------------------------------------------------

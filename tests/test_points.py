@@ -119,6 +119,29 @@ def test_contained_in_curve():
     assert len(ideal_slice(nine, 3)) == 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 8), st.integers(1, 3))
+def test_subset_on_curve_ranks_the_rows_of_each_subset(seed, n, degree):
+    # some of the points on the conic X^2 = Y*Z, the rest anywhere; each
+    # subset ranked as rows of one evaluation matrix, as its own configuration
+    rng = random.Random(seed)
+    pts = {(t, t * t, 1) for t in rng.sample(range(-9, 10), rng.randint(0, n))}
+    while len(pts) < n:
+        pts.add((rng.randint(-9, 9), rng.randint(-9, 9), 1))
+    cfg = PointConfig(sorted(pts))
+    for size in range(n - 3, n + 2):
+        expected = any(contained_in_curve_of_degree(PointConfig([cfg.points[i] for i in sub]),
+                                                    degree)
+                       for sub in combinations(range(n), size))
+        assert points.subset_on_curve_exists(cfg, size, degree) == expected
+
+
+def test_subset_on_curve_needs_a_curve_only_when_there_are_enough_points():
+    assert not points.subset_on_curve_exists(TRIANGLE, 4, 0)
+    with pytest.raises(PointError):
+        points.subset_on_curve_exists(TRIANGLE, 3, 0)
+
+
 def test_ideal_slice_examples():
     basis = ideal_slice(TRIANGLE, 2)
     assert len(basis) == 3

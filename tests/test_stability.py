@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from planesheaves.forms import parse_form
-from planesheaves.presentation import Presentation, PresentationError, hilbert
+from planesheaves import forms
+from planesheaves.forms import Form, parse_form
+from planesheaves.presentation import Presentation, PresentationError, hilbert, is_injective
 from planesheaves.stability import (BoundsQuery, _pair_special_form, bounds_check,
                                     minor_gcd_criterion,
                                     pencil_block_criterion,
@@ -126,6 +128,35 @@ def test_pair_agrees_with_minor_gcd_on_shared_domain():
         assert v1.kind == v2.kind
         hits += 1
     assert hits >= 5
+
+
+# the reasons of minor_gcd_criterion's own gates
+_MINOR_GCD_GATES = {
+    "twist gap inequality (first summand) fails", "twist quadratic inequality fails",
+    "componentwise twist inequality fails", "a truncation minor has degree zero",
+    "all truncation minors vanish", "truncation minors share a common factor",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-5, 0), min_size=4, max_size=4),
+       st.integers(0, 2**32 - 1), st.sampled_from((1, 9)))
+def test_minor_gcd_on_pairs_is_its_own_gates_or_the_pair_criterion(twists, seed, bound):
+    # past its gates, minor-gcd hands a pair to two-by-two, whose gates then
+    # all hold: it is never inconclusive there
+    d, e = sorted(twists[:2]), sorted(twists[2:])
+    rng = random.Random(seed)
+    P = Presentation(tuple(d), tuple(e),
+                     [[forms.random_form(ei - dj, rng, bound) if ei >= dj else Form.zero(0)
+                       for dj in d] for ei in e])
+    assume(is_injective(P))
+    verdict = minor_gcd_criterion(P)
+    if verdict.kind == "inconclusive":
+        assert verdict.reason in _MINOR_GCD_GATES
+    elif verdict.reason == "slope ratio is not an integer":
+        assert two_by_two_criterion(P).kind == "stable"
+    else:
+        assert verdict == two_by_two_criterion(P)
 
 
 # The wedge quadrics of [[f11, f12], [f21, f22]] in (u, v) vanish where
