@@ -76,17 +76,6 @@ class QMatrix:
         m = len(rows[0]) if rows else 0
         return cls(n, m, rows)
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows,
-                       [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def __eq__(self, other):
         return (isinstance(other, QMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -107,26 +96,11 @@ class QMatrix:
                             orow[j] += a * brow[j]
         return out
 
-    def mat_vec(self, v):
-        if len(v) != self.cols:
-            raise LinalgError("vector length mismatch")
-        return [sum(self.data[i][j] * v[j] for j in range(self.cols))
-                for i in range(self.rows)]
-
     def hstack(self, other: "QMatrix") -> "QMatrix":
         if other.rows != self.rows:
             raise LinalgError("row mismatch in hstack")
         return QMatrix(self.rows, self.cols + other.cols,
                        [self.data[i] + other.data[i] for i in range(self.rows)])
-
-    def vstack(self, other: "QMatrix") -> "QMatrix":
-        if other.cols != self.cols:
-            raise LinalgError("col mismatch in vstack")
-        return QMatrix(self.rows + other.rows, self.cols,
-                       [row[:] for row in self.data] + [row[:] for row in other.data])
-
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
 
     def _rref(self):
         """(integer rows, pivot columns, d): the RREF is rows / d."""

@@ -18,7 +18,7 @@ from numbers import Real
 from operator import mul
 
 from .forms import (Form, ParseError, format_form, monomial_values, parse_form, quoted,
-                    random_form, random_ints, space_dim)
+                    space_dim)
 from .linalg import QMatrix
 
 
@@ -289,68 +289,3 @@ def dual(P: Presentation) -> Presentation:
 def twist(P: Presentation, k: int) -> Presentation:
     return Presentation(tuple(d + k for d in P.source),
                         tuple(e + k for e in P.target), P.matrix, _checked=True)
-
-
-# ---------------------------------------------------------------------------
-# the symmetry group action (used by tests)
-# ---------------------------------------------------------------------------
-
-def random_invertible(n: int, rng) -> QMatrix:
-    """Random invertible n x n matrix with integer entries in [-4, 4]."""
-    while True:
-        m = QMatrix(n, n, [random_ints(rng, n, 4) for _ in range(n)])
-        if m.det() != 0:
-            return m
-
-
-def _random_auto(twists, rng):
-    """Random invertible degree-compatible endomorphism of a twist list, as a
-    form matrix g with g[a][b]: O(t_b) -> O(t_a) of degree t_a - t_b."""
-    n = len(twists)
-    g = [[Form.zero(0) for _ in range(n)] for _ in range(n)]
-    groups = {}
-    for idx, t in enumerate(twists):
-        groups.setdefault(t, []).append(idx)
-    for t, idxs in groups.items():
-        block = random_invertible(len(idxs), rng)
-        for a, ia in enumerate(idxs):
-            for b, ib in enumerate(idxs):
-                g[ia][ib] = Form.constant(block.data[a][b])
-    for a, ta in enumerate(twists):
-        for b, tb in enumerate(twists):
-            if ta > tb:
-                g[a][b] = random_form(ta - tb, rng, 4)
-    return g
-
-
-def _compose(forms_a, forms_b):
-    """Product of two form matrices."""
-    rows = len(forms_a)
-    inner = len(forms_b)
-    cols = len(forms_b[0]) if inner else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                term = forms_a[i][k] * forms_b[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def random_equivalence(P: Presentation, rng) -> Presentation:
-    """Left/right multiply by random invertible degree-compatible transformations."""
-    gB = _random_auto(P.target, rng)
-    gA = _random_auto(P.source, rng)
-    matrix = _compose(_compose(gB, [list(r) for r in P.matrix]), gA)
-    fixed = []
-    for i, e in enumerate(P.target):
-        row = []
-        for j, d in enumerate(P.source):
-            f = matrix[i][j]
-            row.append(Form.zero(0) if f.is_zero() else f)
-        fixed.append(row)
-    return Presentation(P.source, P.target, fixed)

@@ -214,9 +214,10 @@ def pencil_block_failure(block) -> str | None:
     if m1.is_zero() or m2.is_zero():
         return "a mixed minor vanishes"
     x, y, z = Form.monomial(1, 0, 0), Form.monomial(0, 1, 0), Form.monomial(0, 0, 1)
+    # multiplication by det != 0 is injective on linear forms, so the three
+    # rows det*X, det*Y, det*Z have rank 3
     rows = [list((det * v).coeffs) for v in (x, y, z)]
-    base_rank = QMatrix.from_rows(rows).rank()
-    if QMatrix.from_rows(rows + [list(m1.coeffs), list(m2.coeffs)]).rank() == base_rank + 2:
+    if QMatrix.from_rows(rows + [list(m1.coeffs), list(m2.coeffs)]).rank() == 5:
         return None
     return "mixed minors dependent modulo the pencil determinant"
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from planesheaves.forms import Form, block_mult_map, format_form, mult_map, parse_form, space_dim
 from planesheaves.linalg import QMatrix
 from planesheaves.points import PointConfig, evaluation_matrix
-from planesheaves.presentation import Presentation, random_equivalence
+from planesheaves.presentation import Presentation
+from helpers import random_equivalence
 
 
 def assert_exact(values):
@@ -79,8 +80,6 @@ def test_eliminations_return_exact_entries(m, rhs):
         assert_exact(x)
     if m.rows == m.cols:
         assert_exact([m.det()])
-    assert_exact(cells(m.transpose() @ m))
-    assert_exact(m.mat_vec([1] * m.cols))
 
 
 _COORDS = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=4))

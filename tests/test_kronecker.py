@@ -16,9 +16,8 @@ from planesheaves.kronecker import (CERTIFICATE_PRIME, Destabilizer,
                                     semistability_certificate,
                                     verify_certificate, verify_destabilizer)
 from planesheaves.linalg import QMatrix, from_columns
-from planesheaves.presentation import random_equivalence
 from planesheaves.strata import generate, get_row, side_condition
-from helpers import random_form
+from helpers import mat_vec, random_equivalence, random_form
 
 
 def module(rows):
@@ -353,7 +352,7 @@ def _fraction_wong_sequence(K, blocks):
             return corank, None
         S = _span_rref([[x[j * cols + b] for j in range(K.p)]
                         for x in preimage for b in range(cols)], K.p)
-        image = _span_rref([sl.mat_vec(s) for sl in K.coefficient_slices() for s in S], K.q)
+        image = _span_rref([mat_vec(sl, s) for sl in K.coefficient_slices() for s in S], K.q)
         if len(image) == len(R):
             p_prime, q_prime = len(S), K.q - len(image)
             assert Fraction(p_prime, K.p) + Fraction(q_prime, K.q) > 1

@@ -6,10 +6,11 @@ import pytest
 
 from planesheaves import linalg
 from planesheaves.linalg import LinalgError, QMatrix
+from helpers import mat_vec
 
 
 def test_identity_rank_and_kernel():
-    m = QMatrix.identity(3)
+    m = QMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert m.rank() == 3
     assert m.kernel_basis() == []
 
@@ -20,7 +21,7 @@ def test_rank_one_kernel():
     (v,) = m.kernel_basis()
     # kernel spanned by (-2, 1)
     assert v[0] * 1 == -2 * v[1]
-    assert m.mat_vec(v) == [0, 0]
+    assert mat_vec(m, v) == [0, 0]
 
 
 def test_planted_rank():
@@ -62,7 +63,7 @@ def test_mod_rank_cross_check():
         cols = rng.randint(2, 8)
         m = QMatrix(rows, cols, [[Fraction(rng.randint(-50, 50), rng.randint(1, 9))
                                   for _ in range(cols)] for _ in range(rows)])
-        if m.rank() == _rank_mod(m, p) == _rank_mod(m.transpose(), p):
+        if m.rank() == _rank_mod(m, p) == _rank_mod(QMatrix.from_rows(zip(*m.data)), p):
             agree += 1
     assert agree >= trials * 99 // 100
 
@@ -71,7 +72,7 @@ def test_kernel_members_annihilate():
     rng = random.Random(3)
     m = QMatrix(5, 9, [[rng.randint(-4, 4) for _ in range(9)] for _ in range(5)])
     for v in m.kernel_basis():
-        assert m.mat_vec(v) == [0] * 5
+        assert mat_vec(m, v) == [0] * 5
     assert m.rank() + len(m.kernel_basis()) == 9
 
 
@@ -337,7 +338,7 @@ def test_rank_along_the_shorter_side():
                 row[i] = a * row[j]
         m = QMatrix(r, c, rows)
         tall += r > c
-        assert m.rank() == fraction_rank(rows) == m.transpose().rank(), (r, c)
+        assert m.rank() == fraction_rank(rows) == QMatrix.from_rows(zip(*m.data)).rank(), (r, c)
     assert tall > 50
 
 
@@ -424,6 +425,6 @@ def test_mod_rank_of_either_orientation_agrees_with_rank():
             if rng.random() < 0.3:
                 row[:] = [Fraction(x, rng.randint(1, 9)) for x in row]
         m = QMatrix(rows, cols, data)
-        assert _rank_mod(m, p) == m.rank() == _rank_mod(m.transpose(), p)
+        assert _rank_mod(m, p) == m.rank() == _rank_mod(QMatrix.from_rows(zip(*m.data)), p)
         if all(type(x) is int for row in m.data for x in row):
             assert linalg.mod_rank(m.data, p) == m.rank()

@@ -150,7 +150,7 @@ def test_ideal_slice_examples():
     target = [Form.monomial(1, 1, 0), Form.monomial(1, 0, 1), Form.monomial(0, 1, 1)]
     m1 = QMatrix.from_rows([list(f.coeffs) for f in basis])
     m2 = QMatrix.from_rows([list(f.coeffs) for f in target])
-    assert m1.rank() == 3 and m1.vstack(m2).rank() == 3
+    assert m1.rank() == 3 and QMatrix.from_rows(m1.data + m2.data).rank() == 3
 
     rng = random.Random(4)
     five = config_satisfying(CLAIMS["len5_general"].predicates, 5, rng)
@@ -173,7 +173,7 @@ def test_ideal_slice_is_primitive_and_spans_the_kernel():
                 assert all(type(c) is int for c in f.coeffs) and gcd(*f.coeffs) == 1
             if forms:
                 m = QMatrix.from_rows([f.coeffs for f in forms])
-                assert m.rank() == len(forms) == m.vstack(QMatrix.from_rows(kernel)).rank()
+                assert m.rank() == len(forms) == QMatrix.from_rows(m.data + kernel).rank()
 
 
 def test_independent_conditions_dimension():

@@ -11,10 +11,9 @@ from planesheaves.presentation import (InconsistentPresentationError,
                                        Presentation, PresentationError,
                                        derive_seed, dual, h0_omega, h0_twist,
                                        h1_omega, h1_twist, hilbert,
-                                       is_injective, profile,
-                                       random_equivalence, twist)
+                                       is_injective, profile, twist)
 from planesheaves.strata import REGISTRY, classify, generate
-from helpers import random_form
+from helpers import random_equivalence, random_form
 
 SEXTIC = "X^6 + Y^6 + Z^6 + X*Y*Z^4 + 2*X^2*Y^2*Z^2"
 

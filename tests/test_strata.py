@@ -11,7 +11,7 @@ from planesheaves.cli import main
 from planesheaves.forms import Form, monomials, random_form, space_dim
 from planesheaves.linalg import QMatrix
 from planesheaves.presentation import (Presentation, derive_seed, dual, hilbert,
-                                       is_injective, profile, random_equivalence, twist)
+                                       is_injective, profile, twist)
 from planesheaves.strata import (REGISTRY, ClassifyError, MODULI_DIM,
                                  StrataError, StratumRow, _SIDE_CONDITIONS,
                                  apply_recipe,
@@ -19,6 +19,7 @@ from planesheaves.strata import (REGISTRY, ClassifyError, MODULI_DIM,
                                  generic_stabilizer_dim, get_row,
                                  normalize_chi, rows_for_chi, side_condition,
                                  verify_row)
+from helpers import random_equivalence
 
 SEXTIC = "X^6 + Y^6 + Z^6 + X*Y*Z^4 + 2*X^2*Y^2*Z^2"
 
@@ -253,6 +254,46 @@ def test_side_condition_corpus():
     assert len(failing) == 22
     assert failing.isdisjoint({(3, "X_0"), (3, "X_7"),
                                (1, "X_1"), (2, "X_0"), (2, "X_2"), (2, "X_4")})
+
+
+# Direct sums of two curves, of degrees a and 6 - a, each with a pair of
+# twists: the sum is semistable iff its summands have equal slope, that is
+# iff k1 - k2 = a - 3.  The semistable ones get these labels, by a.
+DIRECT_SUM_LABELS = {1: (0, "X_4"), 2: (3, "X_4"), 3: (0, "X_2"), 4: (3, "X_4"), 5: (0, "X_4")}
+# classify assumes semistability, so it labels some sums that are not
+# semistable and exits 0.  The counts by label may fall, never rise.
+SILENT_LABEL_CAPS = {(0, "X_4"): 8, (1, "X_4"): 20, (1, "X_5"): 32,
+                     (2, "X_6"): 16, (3, "X_4"): 10, (3, "X_7"): 24}
+
+
+def test_direct_sums_get_their_known_labels_and_no_more_silent_ones():
+    rng = random.Random(11)
+    labelled = refused = 0
+    silent = {}
+    for a in range(1, 6):
+        for k1 in range(-2, 4):
+            for k2 in range(-2, 4):
+                c1 = random_form(a, rng, 9)
+                c2 = random_form(6 - a, rng, 9)
+                P = Presentation([-a + k1, -(6 - a) + k2], [k1, k2],
+                                 [[c1, Form.zero(0)], [Form.zero(0), c2]])
+                if k1 - k2 == a - 3:
+                    label = classify(P)
+                    assert (label.chi, label.id) == DIRECT_SUM_LABELS[a], (a, k1, k2)
+                    labelled += 1
+                    continue
+                try:
+                    label = classify(P)
+                except ClassifyError:
+                    refused += 1
+                    continue
+                key = (label.chi, label.id)
+                silent[key] = silent.get(key, 0) + 1
+    assert labelled == 24
+    assert refused + sum(silent.values()) == 156
+    assert set(silent) <= set(SILENT_LABEL_CAPS)
+    assert all(n <= SILENT_LABEL_CAPS[key] for key, n in silent.items()), silent
+    assert sum(silent.values()) <= 110
 
 
 def test_side_condition_names_a_nonzero_forced_zero_cell():
