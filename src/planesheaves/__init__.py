@@ -4,8 +4,8 @@ Sheaves are presented as cokernels of injective maps between direct sums of
 line bundles, written as matrices of homogeneous forms over the rationals.
 The package computes Hilbert data and cohomology profiles exactly, classifies
 multiplicity-6 presentations into the registry strata, decides Kronecker
-semistability by closed forms or modular certificates, and computes minimal
-free resolutions of reduced point configurations.
+semistability on blow-ups (a modular certificate or an exact destabilizer),
+and computes minimal free resolutions of reduced point configurations.
 """
 
 from .forms import (Form, FormError, ParseError, conic_is_irreducible, divides,
@@ -18,8 +18,7 @@ from .presentation import (CohomologyProfile, HilbertData, Presentation,
                            twist)
 from .kronecker import (Destabilizer, KroneckerModule, KroneckerVerdict,
                         SemistabilityCertificate, dim_kronecker_moduli,
-                        is_semistable, minors_semistable,
-                        semistability_certificate, verify_certificate,
+                        is_semistable, minors_semistable, verify_certificate,
                         verify_destabilizer)
 from .stability import (BoundsQuery, StabilityVerdict, bounds_check,
                         minor_gcd_criterion, pencil_block_criterion, slope,

@@ -150,6 +150,7 @@ def cmd_kron_check(args):
 
 def cmd_stability(args):
     P = _load_presentation(args.input)
+    hilbert(P)
     if not is_injective(P):
         raise CliError(EXIT_PRECONDITION, "the presentation map is not injective")
     if args.criterion == "auto":

@@ -6,11 +6,10 @@ condition: for every q' x p' zero submatrix of any representative,
 p'/p + q'/q <= 1.  Violations are certified exactly by a pair of subspaces
 (S, T) with K(S) contained in T ⊗ V*.
 
-Both verdicts are proofs.  Closed forms decide p <= 1, q <= 1 and the
-semistable pencils of shape (2, 3), (3, 2).  Every other module is decided
-on blow-ups: with g = gcd(p, q) and m = 1, 2, ..., integer matrices T_X,
-T_Y, T_Z of size (m p/g) x (m q/g) give the square matrix
-B = K_X ⊗ T_X + K_Y ⊗ T_Y + K_Z ⊗ T_Z.
+Both verdicts are proofs, and every module, rows, columns and pencils
+included, is decided on blow-ups: with g = gcd(p, q) and m = 1, 2, ...,
+integer matrices T_X, T_Y, T_Z of size (m p/g) x (m q/g) give the square
+matrix B = K_X ⊗ T_X + K_Y ⊗ T_Y + K_Z ⊗ T_Z.
 
 * Semistable: B has nonzero determinant modulo the word-size prime
   `linalg.CERTIFICATE_PRIME` = 32749.  A destabilizer (S, T) would map
@@ -39,14 +38,16 @@ the blow-up space, the limit lies in im B (IKQS 2015).  A blow-up with
 m < pq/g always reaches that rank (Derksen-Makam 2017), and each variable
 of det B has degree at most q < 19, so a draw with entries in [-9, 9]
 reaches it with positive probability.  So the loop ends with probability
-one: m grows to pq/g - 1 and then fresh draws are made at that size.  The
-verdict never depends on the draw, only the running time does.  A draw
-whose B is nonsingular over Q but singular modulo the prime is a proof
-without a certificate.  Before the reduction modulo the prime each source
-column is scaled by the lcm of its denominators (`linalg.integer_rows` on
-the columns), a change of basis that keeps semistability.  The scale is one
-per column, not one for the whole module: a column whose denominator the
-prime divides then leaves the other columns nonzero modulo the prime.
+one: m grows to pq/g - 1 (to 1 for a 1 x 1 module) and then fresh draws
+are made at that size.  The verdict never depends on the draw, only the
+running time does.  A draw whose B is nonsingular over Q but singular
+modulo the prime is a proof without a certificate, the one `semistable`
+verdict that carries none.  Before the reduction modulo the prime each
+source column is scaled by the lcm of its denominators
+(`linalg.integer_rows` on the columns), a change of basis that keeps
+semistability.  The scale is one per column, not one for the whole module:
+a column whose denominator the prime divides then leaves the other columns
+nonzero modulo the prime.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .forms import (Form, coefficient_matrix, form_det, linearly_independent, parse_form,
-                    random_ints)
+from .forms import Form, form_det, linearly_independent, parse_form, random_ints
 from .linalg import (CERTIFICATE_PRIME, QMatrix, from_columns, integer_echelon, integer_rows,
                      mod_nonsingular, null_vectors)
 from .presentation import Presentation, derive_seed
@@ -234,19 +234,10 @@ def _draw(rng, rows: int, cols: int):
     return tuple(tuple(tuple(random_ints(rng, cols, 9)) for _ in range(rows)) for _ in range(3))
 
 
-def semistability_certificate(K: KroneckerModule, seed: int = 0):
-    """One random draw of (p/g) x (q/g) blocks T_X, T_Y, T_Z with entries in
-    [-9, 9]: the certificate if it verifies, else None (which proves
-    nothing).  It is the first draw `is_semistable` makes."""
-    g = gcd(K.p, K.q)
-    rng = random.Random(derive_seed("kron-certificate", seed))
-    cert = SemistabilityCertificate(_draw(rng, K.p // g, K.q // g))
-    return cert if verify_certificate(K, cert) else None
-
-
 def minors_semistable(K: KroneckerModule) -> bool:
     """Closed form for shapes (p, q) = (2, 3) and (3, 2): semistable iff the
-    three maximal minors are linearly independent forms."""
+    three maximal minors are linearly independent forms.  `is_semistable`
+    does not call it; it is an independent reference for that verdict."""
     if (K.p, K.q) == (3, 2):
         return minors_semistable(K.transpose())
     if (K.p, K.q) != (2, 3):
@@ -283,28 +274,6 @@ def _witness(K: KroneckerModule, basis, integer) -> Destabilizer | None:
     T = _rref_basis([[sum(map(mul, row, s)) for row in sl] for sl in slices for s in basis], K.q)
     D = Destabilizer(len(S), K.q - len(T), from_columns(S, K.p), from_columns(T, K.q))
     return D if verify_destabilizer(K, D) else None
-
-
-def _exact_small_cases(K: KroneckerModule) -> KroneckerVerdict | None:
-    p, q = K.p, K.q
-    if p == 1:
-        span = coefficient_matrix(row[0] for row in K.entries)
-        if span.rank() == q and q <= 3:
-            return KroneckerVerdict("semistable")
-        D = _witness(K, [[1]], _integer_slices(K))
-        if D is None:
-            raise RuntimeError("internal: dependent column without witness")
-        return KroneckerVerdict("unstable", D)
-    if q == 1:
-        integer = _integer_slices(K)
-        rows = QMatrix.from_rows(sl[0] for sl in integer[0])
-        if rows.rank() == p and p <= 3:
-            return KroneckerVerdict("semistable")
-        D = _witness(K, rows.integer_kernel_basis(), integer)
-        if D is None:
-            raise RuntimeError("internal: dependent row entries without witness")
-        return KroneckerVerdict("unstable", D)
-    return None
 
 
 def _primitive_basis(vectors, length: int):
@@ -364,9 +333,12 @@ def _second_wong_sequence(K: KroneckerModule, blocks, integer, B):
         R = image
 
 
-def _decide_on_blow_ups(K: KroneckerModule, seed: int) -> KroneckerVerdict:
+def is_semistable(K: KroneckerModule, seed: int = 0) -> KroneckerVerdict:
+    """Exact verdict from blow-ups (see the module docstring): a certificate
+    or a destabilizer, whose seed changes only the certificate and the
+    running time."""
     g = gcd(K.p, K.q)
-    cap = K.p * K.q // g - 1          # >= 1, since p, q >= 2
+    cap = max(K.p * K.q // g - 1, 1)   # a 1 x 1 module has pq/g - 1 = 0
     rng = random.Random(derive_seed("kron-certificate", seed))
     integer = _integer_slices(K)
     m = 1
@@ -383,16 +355,3 @@ def _decide_on_blow_ups(K: KroneckerModule, seed: int) -> KroneckerVerdict:
         if corank == 0:
             return KroneckerVerdict("semistable")   # the prime divides det B
         m = min(m + 1, cap)
-
-
-def is_semistable(K: KroneckerModule, seed: int = 0) -> KroneckerVerdict:
-    """Exact verdict: closed forms for p <= 1, q <= 1 and the semistable
-    pencils (2,3), (3,2); otherwise a certificate or a destabilizer from a
-    blow-up (see the module docstring), whose seed changes only the
-    certificate and the running time."""
-    verdict = _exact_small_cases(K)
-    if verdict is not None:
-        return verdict
-    if (K.p, K.q) in ((2, 3), (3, 2)) and minors_semistable(K):
-        return KroneckerVerdict("semistable")
-    return _decide_on_blow_ups(K, seed)

@@ -136,6 +136,17 @@ def test_hilbert_of_a_map_that_is_not_square_keeps_its_message(capsys):
     assert captured.out == "" and "not one-dimensional" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["classify"], ["hilbert"], ["stability", "--criterion", "auto"],
+                                  *(["stability", "--criterion", c] for c in CRITERIA)])
+def test_multiplicity_zero_is_refused_by_every_sheaf_command(argv, capsys):
+    # the identity O -> O is injective, but its cokernel is zero, not a sheaf
+    # of dimension 1, so no criterion may print a verdict for it
+    blob = {"source": [0], "target": [0], "matrix": [["1"]]}
+    assert main([*argv, "--input", json.dumps(blob)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "multiplicity 0 is not positive" in captured.err
+
+
 def test_classify_not_in_table(capsys):
     lines = ["X", "Y", "Z", "X + Y", "Y + Z", "X + Z"]
     ks = [-3, -3, -3, 0, 0, 0]
@@ -181,20 +192,20 @@ def test_kron_check(capsys):
 
 
 def test_kron_check_prints_a_certificate_only_when_one_exists(capsys):
-    pencil = json.dumps({"source": [-1, -1], "target": [0, 0, 0],
-                         "matrix": [["X", "Y"], ["Y", "Z"], ["Z", "X"]]})
-    code, out = run(capsys, "kron-check", "--input", pencil)
-    assert code == 0 and "certificate" not in json.loads(out)
-    rows = [["X", "Y", "Z", "X + Y"], ["Y", "Z", "X", "Y - Z"], ["Z", "X + Z", "Y", "X"]]
-    block = json.dumps({"source": [-1] * 4, "target": [0] * 3, "matrix": rows})
-    code, out = run(capsys, "kron-check", "--input", block)
-    data = json.loads(out)
-    assert code == 0 and data["kind"] == "semistable"
-    assert data["certificate"]["prime"] == CERTIFICATE_PRIME
-    cert = SemistabilityCertificate(
-        tuple(tuple(tuple(r) for r in T) for T in data["certificate"]["blocks"]),
-        data["certificate"]["prime"])
-    assert verify_certificate(KroneckerModule.from_text(rows), cert)
+    # a semistable pencil is certified like any other block
+    pencil = [["X", "Y"], ["Y", "Z"], ["Z", "X"]]
+    block = [["X", "Y", "Z", "X + Y"], ["Y", "Z", "X", "Y - Z"], ["Z", "X + Z", "Y", "X"]]
+    for rows in (pencil, block):
+        blob = json.dumps({"source": [-1] * len(rows[0]), "target": [0] * len(rows),
+                           "matrix": rows})
+        code, out = run(capsys, "kron-check", "--input", blob)
+        data = json.loads(out)
+        assert code == 0 and data["kind"] == "semistable"
+        assert data["certificate"]["prime"] == CERTIFICATE_PRIME
+        cert = SemistabilityCertificate(
+            tuple(tuple(tuple(r) for r in T) for T in data["certificate"]["blocks"]),
+            data["certificate"]["prime"])
+        assert verify_certificate(KroneckerModule.from_text(rows), cert)
 
 
 def test_kron_check_unstable_pencil_off_the_coordinates(capsys):

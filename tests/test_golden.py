@@ -1,15 +1,18 @@
 """Golden outputs: sha256 of CLI stdout for fixed commands and seeds.
 
-The `gen`, `dims` and `kron-check` hashes were recorded before the modular
-semistability certificate and the integer injectivity test landed, so they
-show that both changes leave that output byte-identical.  The
+The `gen`, `dims` and `kron-check planted` hashes were recorded before the
+modular semistability certificate and the integer injectivity test landed,
+so they show that both changes leave that output byte-identical.  The
 `verify-tables`, `points resolve` and `points claim` hashes were recorded
 before the lazy Bareiss scaling and the shorter-side rank landed; they reach
 `rref`, `kernel_basis` and `solve`, which the first set does not.  The
 `kron-check certified` hash was recorded when the certificate prime became
 32749; the output before differs only in its `"prime"` line
-(2305843009213693951, that is 2^61 - 1).  A deliberate change of output
-must update the table below and say why.
+(2305843009213693951, that is 2^61 - 1).  The `kron-check pencil` hash was
+recorded when the pencil closed form left `is_semistable`: the verdict
+became the blow-up's, and the output before differs only by the
+`"certificate"` it now carries.  A deliberate change of output must update
+the table below and say why.
 """
 
 import hashlib
@@ -66,7 +69,7 @@ GOLDEN = {
     "gen chi0 X_3D": "98f3e46f07306439c958ad59bd02d88dac28720073056605c9f19a4da27f62cb",
     "gen chi0 X_4": "d1399b150e785051dc0917332dd28c2fcfe03eba92fad08c9b57290f39df8baa",
     "dims": "c108de9799532b0f43e6d2396520d8343079bdaa4431d74d36d9c4c62b3bac24",
-    "kron-check pencil": "330f4049fd789fcc6943dbf755d336ba9af7270dddbad69d25346d043ef41303",
+    "kron-check pencil": "6a722ee0d6a2447034b74978698c55b517761c1f532e3f4e482a1035b7dad034",
     "kron-check planted": "40202d9587a42d68642ed9c914e48f552965592e3b3d50a2303b90ce14e05a6a",
     "kron-check certified": "8ae1352712748b8758f4ce9347019a859b815eee518466a9fcf82a746aec389c",
     # the JSON holds counts and failures only, so a passing run reads the

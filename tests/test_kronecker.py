@@ -7,13 +7,12 @@ from math import gcd
 import pytest
 
 import planesheaves.kronecker as kronecker
-from planesheaves.forms import Form
+from planesheaves.forms import Form, linearly_independent
 from planesheaves.kronecker import (CERTIFICATE_PRIME, Destabilizer,
                                     KroneckerError, KroneckerModule,
                                     SemistabilityCertificate,
                                     dim_kronecker_moduli, is_semistable,
                                     minors_semistable,
-                                    semistability_certificate,
                                     verify_certificate, verify_destabilizer)
 from planesheaves.linalg import QMatrix, from_columns
 from planesheaves.strata import generate, get_row, side_condition
@@ -183,6 +182,82 @@ def test_every_returned_witness_verifies():
         assert verify_destabilizer(K, verdict.witness)
 
 
+def assert_checked(K, verdict):
+    """A semistable verdict carries a certificate and an unstable one a
+    witness, and the exact checker accepts it."""
+    if verdict.kind == "semistable":
+        assert verify_certificate(K, verdict.certificate)
+    else:
+        assert verdict.kind == "unstable" and verify_destabilizer(K, verdict.witness)
+
+
+@pytest.mark.parametrize("entry,kind", [("X", "semistable"), ("0", "unstable")])
+def test_one_by_one_modules_end_with_a_checked_verdict_at_every_seed(entry, kind):
+    # pq/g - 1 = 0 for a 1 x 1 module: a draw that vanishes is redrawn at
+    # m = 1 (seeds 2, 38, 57, ... draw T_X = 0 for X) instead of shrinking m
+    K = module([[entry]])
+    for seed in range(200):
+        verdict = is_semistable(K, seed)
+        assert verdict.kind == kind, seed
+        assert_checked(K, verdict)
+
+
+def lines_with_dependencies(n, rng):
+    """n random linear forms, then, at random, one of them replaced by zero,
+    by a rational multiple or by a sum of two others, or all of them scaled
+    by rationals."""
+    fs = [random_form(1, rng) for _ in range(n)]
+    k = rng.randrange(n)
+    variant = rng.choice(["as drawn", "zero", "multiple", "sum", "rational"])
+    if variant == "zero":
+        fs[k] = Form.zero(1)
+    elif variant == "multiple":
+        fs[k] = fs[rng.randrange(n)].scale(Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
+    elif variant == "sum" and n >= 3:
+        fs[k] = fs[(k + 1) % n] + fs[(k + 2) % n]
+    elif variant == "rational":
+        fs = [f.scale(Fraction(rng.randint(1, 9), rng.randint(1, 13))) for f in fs]
+    return fs
+
+
+def test_rows_and_columns_agree_with_their_closed_form():
+    # a row or column is semistable iff its entries are linearly independent
+    rng = random.Random(140)
+    kinds = Counter()
+    for n in range(1, 7):
+        for _ in range(12):
+            fs = lines_with_dependencies(n, rng)
+            expected = "semistable" if linearly_independent(fs) else "unstable"
+            for K in (KroneckerModule([fs]), KroneckerModule([[f] for f in fs])):
+                verdict = is_semistable(K)
+                assert verdict.kind == expected, [str(f) for f in fs]
+                assert_checked(K, verdict)
+                kinds[n <= 3, verdict.kind] += 1
+    assert kinds[True, "semistable"] and kinds[True, "unstable"]
+
+
+def test_pencils_agree_with_the_minors_criterion():
+    rng = random.Random(200)
+    kinds = Counter()
+    for draw in range(60):
+        p, q = ((2, 3), (3, 2))[draw % 2]
+        if draw % 3 == 0:
+            K = random_module(p, q, rng)
+        else:
+            # sparse entries, or one column a multiple of another
+            rows = [[random_form(1, rng) if rng.random() < 0.6 else Form.zero(1)
+                     for _ in range(p)] for _ in range(q)]
+            if draw % 3 == 2:
+                c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                rows = [[row[1].scale(c)] + row[1:] for row in rows]
+            K = KroneckerModule(rows)
+        verdict = is_semistable(K)
+        assert (verdict.kind == "semistable") == minors_semistable(K)
+        assert_checked(K, verdict)
+        kinds[verdict.kind] += 1
+    assert kinds["semistable"] and kinds["unstable"]
+
+
 # -- semistability certificate -------------------------------------------------
 
 # the planted shapes (p, q, p', q') of acceptance criterion 7
@@ -208,7 +283,7 @@ def test_no_certificate_for_a_planted_unstable_module():
             K = plant_zero_block(p, q, pp, qq, rng)
             for M in (K, K.transpose()):
                 for seed in range(3):
-                    if semistability_certificate(M, seed) is not None:
+                    if is_semistable(M, seed).certificate is not None:
                         issued += 1
     assert issued == 0
 
@@ -258,11 +333,12 @@ def test_certificate_falls_through_without_a_reduction_mod_p():
     K = module([["1/%d*X" % CERTIFICATE_PRIME, "Y", "Z", "X + Y"],
                 ["Y", "Z", "X", "Y - Z"],
                 ["Z", "X + Z", "Y", "X"]])
-    cert = semistability_certificate(K)
-    assert cert is not None and verify_certificate(K, cert)
     verdict = is_semistable(K)
     assert verdict.kind == "semistable"
-    assert verdict.certificate == cert
+    cert = verdict.certificate
+    assert cert is not None and verify_certificate(K, cert)
+    # the first draw, the 4 x 3 blow-up at m = 1, certifies
+    assert all(len(T) == 4 and len(T[0]) == 3 for T in cert.blocks)
 
 
 def test_semistable_without_a_semistable_reduction_mod_p():
@@ -271,22 +347,22 @@ def test_semistable_without_a_semistable_reduction_mod_p():
     # the blown-up matrix is nonsingular over Q, which proves semistability
     P = CERTIFICATE_PRIME
     K = module([["1/%d*X" % P, "1/%d*Y" % P], ["Y", "X"]])
-    assert all(semistability_certificate(K, seed) is None for seed in range(3))
-    verdict = is_semistable(K)
-    assert verdict.kind == "semistable" and verdict.certificate is None
+    for seed in range(3):
+        verdict = is_semistable(K, seed)
+        assert verdict.kind == "semistable" and verdict.certificate is None
     assert is_semistable(module([["X", "Y"], ["Y", "X"]])).certificate is not None
 
 
 def test_skew_symmetric_3x3_has_no_certificate_of_this_size():
     # semistable (no destabilizer), but every t_X K_X + t_Y K_Y + t_Z K_Z is
     # skew-symmetric of odd size, so singular: the 1 x 1 blow-up never
-    # certifies it, the 2 x 2 blow-up does
+    # certifies it, so every seed certifies at the 2 x 2 blow-up, m = 2
     K = module([["0", "X", "Y"], ["-X", "0", "Z"], ["-Y", "-Z", "0"]])
-    assert all(semistability_certificate(K, seed) is None for seed in range(5))
-    verdict = is_semistable(K)
-    assert verdict.kind == "semistable"
-    assert all(len(T) == 2 and len(T[0]) == 2 for T in verdict.certificate.blocks)
-    assert verify_certificate(K, verdict.certificate)
+    for seed in range(5):
+        verdict = is_semistable(K, seed)
+        assert verdict.kind == "semistable"
+        assert all(len(T) == 2 and len(T[0]) == 2 for T in verdict.certificate.blocks)
+        assert verify_certificate(K, verdict.certificate)
 
 
 # an unstable 2 x 3 pencil whose destabilizer is aligned with no coordinate

@@ -115,7 +115,8 @@ def test_every_row_needs_no_normalization():
 def test_registry_file_is_what_we_loaded():
     with resources.files("planesheaves.data").joinpath("strata_registry.json").open() as fh:
         raw = json.load(fh)
-    assert raw["moduli_dimension"] == MODULI_DIM == 37
+    # the rows are the whole file: MODULI_DIM is the one copy of the dimension
+    assert set(raw) == {"rows"} and MODULI_DIM == 37
     assert len(raw["rows"]) == 28
 
 
