@@ -1,14 +1,18 @@
 """Reduced point configurations in the plane.
 
-Point ideals stay in integers: an ideal slice is the kernel of an
-evaluation matrix taken as primitive integer vectors
-(`QMatrix.integer_kernel_basis`), and the products of a slice by X, Y
-and Z are the columns of its `block_mult_map`.  Colinearity is decided
-by counting the points on the line p x q through each pair; the curve
-predicates are ranks of evaluation matrices.  Minimal free resolutions
-are counted, not eliminated: the Hilbert function and the generator
-degrees, read off the slices up to degree r_Z and their products by X, Y
-and Z, fix the syzygy degrees (Hilbert-Burch).  A configuration is
+Point ideals stay in integers: the evaluation matrices are taken at int
+coordinates of each point, and an ideal slice is the kernel of one taken
+as primitive integer vectors (`QMatrix.integer_kernel_basis`).
+Colinearity is decided by counting the points on the line p x q through
+each pair; the curve predicates take one elimination of an evaluation
+matrix each, and `subset_on_curve_exists` answers every subset from the
+left kernel of one matrix.  Minimal free resolutions are counted, not
+eliminated: the slices up to degree r_Z give the Hilbert function, and
+the generator degrees are read off their sections by the line Z = 0,
+binary forms in X and Y whose products by X and Y are shifted coefficient
+vectors of at most 7 entries; the Hilbert function then fixes the syzygy
+degrees (Hilbert-Burch).  A configuration with a point on Z = 0 is first
+moved off that line by a change of coordinates of determinant 1.  It is
 resolved exactly when it has at most 15 points and r_Z <= 5; see
 `minimal_resolution`.  Coordinates read from JSON have at most MAX_DIGITS
 digits in numerator and denominator.
@@ -21,10 +25,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
+from math import lcm
 
-from .forms import (MAX_DIGITS, Form, ParseError, block_mult_map, divides, monomial_values,
-                    quoted, space_dim)
-from .linalg import QMatrix
+from .forms import (MAX_DIGITS, Form, ParseError, block_mult_map, divides, monomial_index,
+                    monomial_values, quoted, space_dim)
+from .linalg import QMatrix, from_columns
 from .presentation import Presentation
 
 
@@ -83,16 +88,25 @@ def _coordinate(c) -> Fraction:
     return Fraction(int(sign + num), int(den))
 
 
-class PointConfig:
-    """Pairwise distinct projective points, last nonzero coordinate scaled to 1."""
+def _integer_point(p):
+    """The point times the lcm of its denominators: the same projective
+    point, with int coordinates."""
+    scale = lcm(*(c.denominator for c in p))
+    return p if scale == 1 else tuple(c.numerator * (scale // c.denominator) for c in p)
 
-    __slots__ = ("points",)
+
+class PointConfig:
+    """Pairwise distinct projective points, last nonzero coordinate scaled to
+    1, and the same points with int coordinates for `evaluation_matrix`."""
+
+    __slots__ = ("points", "_integer_points")
 
     def __init__(self, points):
         pts = tuple(_normalize(p) for p in points)
         if len(set(pts)) != len(pts):
             raise PointError("duplicate points in configuration")
         self.points = pts
+        self._integer_points = tuple(_integer_point(p) for p in pts)
 
     def __len__(self):
         return len(self.points)
@@ -145,14 +159,23 @@ def colinear_subset_exists(cfg: PointConfig, k: int) -> bool:
 
 
 def evaluation_matrix(cfg: PointConfig, t: int) -> QMatrix:
-    """Rows are the degree-t monomials evaluated at each point."""
-    return QMatrix(len(cfg), space_dim(t), [monomial_values(t, p) for p in cfg.points])
+    """Rows are the degree-t monomials evaluated at each point, taken with
+    int coordinates.  That scales each row by a nonzero factor, which
+    changes no rank, kernel or RREF, and keeps Fractions out of the
+    monomial powers."""
+    return QMatrix(len(cfg), space_dim(t),
+                   [monomial_values(t, p) for p in cfg._integer_points])
+
+
+def _ideal_dim(cfg: PointConfig, k: int) -> int:
+    """dim I_k = dim S_k - rank E_k, the degree-k forms through the points."""
+    return space_dim(k) - evaluation_matrix(cfg, k).rank()
 
 
 def contained_in_curve_of_degree(cfg: PointConfig, k: int) -> bool:
     if k < 1:
         raise PointError("curve degree must be positive")
-    return evaluation_matrix(cfg, k).rank() < space_dim(k)
+    return _ideal_dim(cfg, k) > 0
 
 
 def ideal_slice(cfg: PointConfig, t: int):
@@ -165,14 +188,25 @@ def ideal_slice(cfg: PointConfig, t: int):
 
 def subset_on_curve_exists(cfg: PointConfig, size: int, degree: int) -> bool:
     """True iff some `size` of the points lie on a curve of the given degree:
-    their rows of one evaluation matrix have rank below dim S_degree."""
-    if len(cfg) < size:
+    their rows E_S of the evaluation matrix E have rank below dim S_degree.
+
+    One kernel serves every subset.  The rows of W, a basis of the left
+    kernel of E, span the relations among the rows of E, and the relations
+    among the rows in S are those combinations of W that vanish at every
+    point outside S.  So rank E_S = |S| - dim W + rank W_out, where W_out
+    is W restricted to the points outside S."""
+    if size < 0:
+        raise PointError("subset size must be non-negative")
+    n = len(cfg)
+    if n < size:
         return False
     if degree < 1:
         raise PointError("curve degree must be positive")
     values = evaluation_matrix(cfg, degree)
-    return any(QMatrix(size, values.cols, [values.data[i] for i in sub]).rank() < values.cols
-               for sub in combinations(range(len(cfg)), size))
+    w = from_columns(values.data, values.cols).integer_kernel_basis()
+    bound = values.cols - size + len(w)      # rank E_S < dim S_degree iff rank W_out < bound
+    return any(QMatrix(len(w), n - size, [[v[i] for i in out] for v in w]).rank() < bound
+               for out in combinations(range(n), n - size))
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +227,54 @@ class BettiShape:
 DEGREE_CAP = 8
 
 
+def _line_missing(points):
+    """The first (a, b), searched outward from (0, 0) ring by ring, for which
+    the line aX + bY + Z = 0 misses every point.  A point excludes at most
+    one line of pairs (a, b), so the search ends."""
+    for r in count():
+        for a in range(-r, r + 1):
+            for b in range(-r, r + 1):
+                if max(abs(a), abs(b)) == r and all(a * x + b * y + z for x, y, z in points):
+                    return a, b
+
+
+def _section(f: Form) -> list:
+    """The coefficients of f(X, Y, 0) on X^t, X^(t-1) Y, ..., Y^t."""
+    t = f.degree
+    idx = monomial_index(t)
+    return [f.coeffs[idx[(t - k, k, 0)]] for k in range(t + 1)]
+
+
 def minimal_resolution(cfg: PointConfig) -> BettiShape:
     """Generator and syzygy degrees of the minimal free resolution
     0 -> (+) S(-b) -> (+) S(-a) -> I_Z -> 0 of the point ideal.
 
     Only dimensions are computed.  For t = 0, 1, ... the ideal slice I_t gives
-    the Hilbert function H_Z(t) = dim S_t - dim I_t, and the generators new in
-    degree t number dim I_t - rank(S_1 * I_{t-1}).  The walk stops at
+    the Hilbert function H_Z(t) = dim S_t - dim I_t.  The walk stops at
     t = r_Z + 1, where r_Z = min{t : H_Z(t) = n} is the regularity index: no
     generator lies above r_Z + 1, and there H_Z(t) = n already gives
-    dim I_t = dim S_t - n, so the last slice taken is I_(r_Z).  By Hilbert-Burch the Hilbert-series
-    numerator 1 - sum s^a + sum s^b is the third difference
-    c_t = H(t) - 3H(t-1) + 3H(t-2) - H(t-3) (H = 0 below 0, H = n from r_Z
-    on), so the syzygies in degree t number c_t - [t = 0] + (generators in
-    degree t); the last one sits in degree r_Z + 2.
+    dim I_t = dim S_t - n, so the last slice taken is I_(r_Z).  By
+    Hilbert-Burch the Hilbert-series numerator 1 - sum s^a + sum s^b is the
+    third difference c_t = H(t) - 3H(t-1) + 3H(t-2) - H(t-3) (H = 0 below
+    0, H = n from r_Z on), so the syzygies in degree t number
+    c_t - [t = 0] + (generators in degree t); the last one sits in degree
+    r_Z + 2.
+
+    The generators are counted on the section by the line Z = 0.  If Z
+    vanishes at no point, Z is a non-zero-divisor on S/I_Z: Zf in I_Z
+    forces f in I_Z, so I_Z meets ZS in Z I_Z.  The section
+    J = (I_Z + ZS)/ZS is then I_Z/Z I_Z, an ideal of R = k[X, Y] with
+    dim J_t = dim I_t - dim I_(t-1), and I_Z/m I_Z = J/m_R J (Eisenbud, The
+    Geometry of Syzygies, ch. 1 and 3).  So the generators new in degree t
+    number (dim I_t - dim I_(t-1)) - rank R_1 J_(t-1).  J_(t-1) is spanned
+    by the sections g = f(X, Y, 0) of a basis of I_(t-1), and R_1 J_(t-1)
+    by X g and Y g: on X^t, X^(t-1) Y, ..., Y^t these are g + [0] and
+    [0] + g, so each rank has t + 1 <= 7 rows.  If some point lies on
+    Z = 0, the configuration is first replaced by its image
+    (x, y, ax + by + z) for the first line aX + bY + Z that misses every
+    point (`_line_missing`).  That change of coordinates has determinant 1
+    and maps the ideal by a graded automorphism of S, so the Hilbert
+    function and the graded Betti numbers are the same.
 
     A configuration is accepted exactly when it has at most 15 points and
     r_Z <= 5, so that every syzygy lies below DEGREE_CAP; otherwise
@@ -218,23 +286,30 @@ def minimal_resolution(cfg: PointConfig) -> BettiShape:
     n = len(cfg)
     if n > 15:
         raise PointError("configurations above 15 points exceed the degree cap")
+    a, b = _line_missing(cfg.points)
+    if (a, b) != (0, 0):
+        cfg = PointConfig([(x, y, a * x + b * y + z) for x, y, z in cfg.points])
     hilb = []            # H_Z(t) for t = 0 .. r_Z + 1
     gens = []            # generator degrees, ascending
-    prev_slice = []
+    sections = []        # the sections of the basis of I_(t-1)
     for t in count():
         last = t > 0 and hilb[t - 1] == n      # t = r_Z + 1, where H_Z(t) = n
         cur = None if last else ideal_slice(cfg, t)
         hilb.append(n if last else space_dim(t) - len(cur))
-        # columns X*f, Y*f and Z*f for each f in I_(t-1), none below the first generator
-        shifted = (block_mult_map([prev_slice], [t], [1] * len(prev_slice)).rank()
-                   if prev_slice else 0)
-        gens.extend([t] * (space_dim(t) - hilb[t] - shifted))
+        # columns X*g = g + [0] and Y*g = [0] + g, none below the first generator
+        shifted = (QMatrix(t + 1, 2 * len(sections),
+                           [[g[k] if k < t else 0 for g in sections]
+                            + [g[k - 1] if k else 0 for g in sections]
+                            for k in range(t + 1)]).rank()
+                   if sections else 0)
+        # dim J_t = dim I_t - dim I_(t-1), one section per basis form of I_(t-1)
+        gens.extend([t] * (space_dim(t) - hilb[t] - len(sections) - shifted))
         if last:
             break
         if hilb[t] < n and t + 3 >= DEGREE_CAP:
             raise PointError("regularity index above %d: the last syzygy reaches "
                              "the degree cap %d" % (DEGREE_CAP - 3, DEGREE_CAP))
-        prev_slice = cur
+        sections = [_section(f) for f in cur]
 
     padded = [0, 0, 0] + hilb + [n]      # H(-3) .. H(r_Z + 2)
     syz = []
@@ -277,7 +352,7 @@ CLAIMS = {
          _pred_no_colinear(4))),
     "len9_unique_cubic": PointClaim(
         9, BettiShape((3, 4, 4, 4), (5, 5, 5)),
-        (("unique_cubic", lambda cfg: len(ideal_slice(cfg, 3)) == 1),)),
+        (("unique_cubic", lambda cfg: _ideal_dim(cfg, 3) == 1),)),
     "len1": PointClaim(1, BettiShape((1, 1), (2,)), ()),
     "len2": PointClaim(2, BettiShape((1, 2), (3,)), ()),
     "len3_general": PointClaim(

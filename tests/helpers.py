@@ -1,9 +1,13 @@
-"""Shared random builders for the test suite (all seeded, all exact)."""
+"""Shared random builders for the test suite (all seeded, all exact), and
+the reference computations that faster paths of the package are checked
+against."""
+
+from itertools import count
 
 from planesheaves import forms
-from planesheaves.forms import Form
+from planesheaves.forms import Form, block_mult_map, space_dim
 from planesheaves.linalg import QMatrix
-from planesheaves.points import PointConfig
+from planesheaves.points import DEGREE_CAP, BettiShape, PointConfig, PointError, ideal_slice
 from planesheaves.presentation import Presentation
 
 
@@ -36,6 +40,42 @@ def config_satisfying(claim_predicates, n, rng, box=9, tries=200):
         if all(pred(cfg) for _, pred in claim_predicates):
             return cfg
     raise AssertionError("could not draw a generic configuration")
+
+
+def walk_resolution(cfg):
+    """`points.minimal_resolution` as it was before the generators were
+    counted on the section Z = 0: the generators new in degree t number
+    dim I_t - rank(S_1 * I_(t-1)), the products X*f, Y*f and Z*f of the
+    slice I_(t-1) ranked as the columns of one `block_mult_map`, in the
+    original coordinates.  The reference for the section count."""
+    n = len(cfg)
+    if n > 15:
+        raise PointError("configurations above 15 points exceed the degree cap")
+    hilb = []
+    gens = []
+    prev_slice = []
+    for t in count():
+        last = t > 0 and hilb[t - 1] == n
+        cur = None if last else ideal_slice(cfg, t)
+        hilb.append(n if last else space_dim(t) - len(cur))
+        shifted = (block_mult_map([prev_slice], [t], [1] * len(prev_slice)).rank()
+                   if prev_slice else 0)
+        gens.extend([t] * (space_dim(t) - hilb[t] - shifted))
+        if last:
+            break
+        if hilb[t] < n and t + 3 >= DEGREE_CAP:
+            raise PointError("regularity index above %d: the last syzygy reaches "
+                             "the degree cap %d" % (DEGREE_CAP - 3, DEGREE_CAP))
+        prev_slice = cur
+    padded = [0, 0, 0] + hilb + [n]
+    syz = []
+    for t in range(len(hilb) + 1):
+        h3, h2, h1, h0 = padded[t:t + 4]
+        b = (h0 - 3 * h1 + 3 * h2 - h3) - (t == 0) + gens.count(t)
+        if b < 0:
+            raise PointError("Hilbert function gives %d syzygies in degree %d" % (b, t))
+        syz.extend([t] * b)
+    return BettiShape(tuple(gens), tuple(syz))
 
 
 def mat_vec(m, v):

@@ -4,10 +4,10 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from planesheaves import points
-from planesheaves.forms import Form, space_dim
+from planesheaves.forms import Form, monomial_values, space_dim
 from planesheaves.linalg import QMatrix
 from planesheaves.points import (CLAIMS, BettiShape, GenericityError,
                                  PointConfig, PointError,
@@ -18,7 +18,7 @@ from planesheaves.points import (CLAIMS, BettiShape, GenericityError,
                                  minimal_resolution, verify_point_claim)
 from planesheaves.presentation import profile
 from planesheaves.strata import classify
-from helpers import config_satisfying, random_affine_config
+from helpers import config_satisfying, random_affine_config, random_invertible, walk_resolution
 
 TRIANGLE = PointConfig([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
@@ -142,6 +142,12 @@ def test_subset_on_curve_needs_a_curve_only_when_there_are_enough_points():
         points.subset_on_curve_exists(TRIANGLE, 3, 0)
 
 
+def test_subset_on_curve_refuses_a_negative_size():
+    for degree in (1, 2, 3):
+        with pytest.raises(PointError, match="subset size must be non-negative"):
+            points.subset_on_curve_exists(TRIANGLE, -1, degree)
+
+
 def test_ideal_slice_examples():
     basis = ideal_slice(TRIANGLE, 2)
     assert len(basis) == 3
@@ -174,6 +180,15 @@ def test_ideal_slice_is_primitive_and_spans_the_kernel():
             if forms:
                 m = QMatrix.from_rows([f.coeffs for f in forms])
                 assert m.rank() == len(forms) == QMatrix.from_rows(m.data + kernel).rank()
+
+
+def test_evaluation_rows_are_ints_with_the_row_space_of_the_point_values():
+    cfg = PointConfig([(Fraction(1, 2), 3, 1), (1, 0, 0), (2, -1, 0),
+                       (Fraction(-2, 3), Fraction(1, 6), 1)])
+    for t in range(5):
+        m = evaluation_matrix(cfg, t)
+        assert all(type(c) is int for row in m.data for c in row)
+        assert m.rref() == QMatrix.from_rows([monomial_values(t, p) for p in cfg.points]).rref()
 
 
 def test_independent_conditions_dimension():
@@ -244,6 +259,118 @@ def test_walk_stops_after_regularity_index(monkeypatch, cfg, last):
     monkeypatch.setattr(points, "ideal_slice", recording_slice)
     minimal_resolution(cfg)
     assert seen == list(range(last))
+
+
+def _planted_points(rng, kind, n, whole):
+    """n distinct projective points.  "anywhere" draws each with fractional
+    x and y and z in {0, 1}; the other kinds plant all of them (`whole`) or
+    some of them on a line, on the line Z = 0, on the conic X^2 = Y Z
+    (which meets Z = 0 at (0:1:0)) or on a grid, and draw the rest anywhere."""
+    def anywhere():
+        x, y = (Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(2))
+        return x, y, rng.choice((0, 1, 1, 1))
+
+    if kind == "line":
+        dx, dy = rng.choice(((1, 0), (0, 1), (1, 1), (2, -1), (1, 3)))
+        x0, y0 = rng.randint(-4, 4), rng.randint(-4, 4)
+        plant = [(x0 + k * dx, y0 + k * dy, 1) for k in range(-9, 10)]
+    elif kind == "infinity":
+        plant = [(0, 1, 0)] + [(1, k, 0) for k in range(-9, 10)]
+    elif kind == "conic":
+        plant = [(0, 1, 0)] + [(t, t * t, 1) for t in range(-9, 10)]
+    elif kind == "grid":
+        w = rng.randint(1, 4)
+        plant = [(i % w, i // w, 1) for i in range(20)]
+    else:
+        plant = []
+    planted = rng.sample(plant, min(len(plant), n if whole else rng.randint(0, n)))
+    seen = {PointConfig([p]).points[0] for p in planted}
+    while len(seen) < n:
+        p = anywhere()
+        if any(p):
+            seen.add(PointConfig([p]).points[0])
+    return sorted(seen)
+
+
+def _outcome(resolve, cfg):
+    """The Betti shape a resolver gives, or the message of its PointError."""
+    try:
+        return resolve(cfg)
+    except PointError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(("anywhere", "line", "infinity", "conic", "grid")),
+       st.integers(1, 17), st.booleans())
+@example(0, "infinity", 7, True)       # on Z = 0 with r_Z = 6, refused
+@example(0, "line", 9, True)           # r_Z = 8, refused
+@example(0, "anywhere", 16, False)     # above 15 points, refused
+@example(0, "conic", 11, True)         # r_Z = 5, accepted
+def test_section_count_agrees_with_the_walk(seed, kind, n, whole):
+    cfg = PointConfig(_planted_points(random.Random(seed), kind, n, whole))
+    assert _outcome(minimal_resolution, cfg) == _outcome(walk_resolution, cfg)
+    if all(z for _, _, z in cfg.points):
+        assert points._line_missing(cfg.points) == (0, 0)
+
+
+def test_generators_are_counted_without_block_mult_map(monkeypatch):
+    # every rank of the generator count is a section product of t + 1 <= 7 rows
+    sizes = []
+
+    class RecordingMatrix(QMatrix):
+        def rank(self):
+            sizes.append(self.rows)
+            return super().rank()
+
+    def refuse(*args):
+        raise AssertionError("block_mult_map called")
+
+    monkeypatch.setattr(points, "block_mult_map", refuse)
+    monkeypatch.setattr(points, "QMatrix", RecordingMatrix)
+    rng = random.Random(24)
+    for cfg in (TRIANGLE, colinear_points(6, rng), random_affine_config(15, rng),
+                PointConfig(_planted_points(rng, "infinity", 5, True))):
+        assert minimal_resolution(cfg) == walk_resolution(cfg)
+    assert sizes and max(sizes) <= 7
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 10))
+def test_points_on_z_resolve_as_their_image_off_it(seed, n):
+    rng = random.Random(seed)
+    cfg = PointConfig(_planted_points(rng, "infinity", n, False))
+    assume(any(z == 0 for _, _, z in cfg.points))
+    a, b = points._line_missing(cfg.points)
+    assert (a, b) != (0, 0)
+    assert all(a * x + b * y + z for x, y, z in cfg.points)
+    while True:
+        m = random_invertible(3, rng)
+        image = [tuple(sum(c * v for c, v in zip(row, p)) for row in m.data) for p in cfg.points]
+        if all(z for _, _, z in image):
+            break
+    image = PointConfig(image)
+    assert points._line_missing(image.points) == (0, 0)
+    assert _outcome(minimal_resolution, cfg) == _outcome(minimal_resolution, image)
+
+
+def test_unique_cubic_counts_the_cubics_through_nine_points():
+    unique = dict(CLAIMS["len9_unique_cubic"].predicates)["unique_cubic"]
+    rng = random.Random(23)
+    configs = [random_affine_config(9, rng) for _ in range(12)]
+    # a 3 x 3 grid lies on two cubics, products of three parallel lines each
+    configs += [PointConfig([(x0 + i * dx, y0 + j * dy, 1) for i in range(3) for j in range(3)])
+                for x0, y0, dx, dy in ((0, 0, 1, 1), (-2, 3, 2, 5), (1, -1, 3, 1))]
+    # five points on a line put the line in every cubic through them
+    configs += [PointConfig(sorted(set(colinear_points(5, rng).points)
+                                   | {(k, k * k + 7, 1) for k in range(4)}))]
+    configs += [PointConfig(_planted_points(rng, kind, 9, False))
+                for kind in ("infinity", "conic", "grid") for _ in range(3)]
+    counts = [len(ideal_slice(cfg, 3)) for cfg in configs]
+    for cfg, k in zip(configs, counts):
+        assert unique(cfg) == (k == 1), cfg.to_json()
+    assert {1, 2} <= set(counts)
 
 
 def criterion_6_configs():
