@@ -19,12 +19,18 @@ text, so by the round trip it is the grammar's reading.  Any other text is
 checked with one compiled regular expression, then read by string splits;
 the caps and the error messages are the grammar's.
 
-Questions about factors are linear algebra on multiplication matrices
-(``mult_map``), run by the one exact core in ``linalg``: ``form_gcd`` takes
-one rank, one kernel and one solve, ``divides`` one solve.  Where a
-product of monomials sits in the basis (``product_table``), the values of
-the monomials at a point (``monomial_values``) and determinants of
-matrices of forms (``form_det``) are worked out here and nowhere else.
+Questions about factors are put first to a word-size certificate on a
+line: ``form_gcd`` and ``divides`` restrict both forms to Z = 0, then to a
+few seeded lines, modulo ``linalg.CERTIFICATE_PRIME``.  Coprime
+restrictions of full degree prove the forms coprime (Bezout), and a
+restriction of f of full degree that does not divide that of g proves
+that f does not divide g (Gauss's lemma).  What no line certifies is
+linear algebra on multiplication matrices (``mult_map``), run by the one
+exact core in ``linalg``: ``form_gcd`` takes one rank, one kernel and one
+solve, ``divides`` one solve.  Where a product of monomials sits in the
+basis (``product_table``, kept only for small degrees), the values of the
+monomials at a point (``monomial_values``) and determinants of matrices
+of forms (``form_det``) are worked out here and nowhere else.
 
 Coefficients are ints, and Fractions only where a coefficient has a
 denominator; any other number given to ``Form`` becomes a Fraction
@@ -33,11 +39,12 @@ denominator; any other number given to ``Form`` becomes a Fraction
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import SCALAR_TYPES, QMatrix
+from .linalg import CERTIFICATE_PRIME, SCALAR_TYPES, QMatrix, integer_rows
 
 VARIABLES = ("X", "Y", "Z")
 
@@ -83,13 +90,28 @@ def monomial_index(degree: int):
     return {m: i for i, m in enumerate(monomials(degree))}
 
 
-@lru_cache(maxsize=None)
+# Largest product degree s + k whose `product_table` is kept after the call.
+# Every registry, stabilizer and point-ideal table has degree at most 8; a
+# larger table, such as the 3240 x 861 one of a degree-40 gcd, is built for
+# each call and dropped with its matrix.
+_KEPT_TABLE_DEGREE = 12
+
+
 def product_table(s: int, k: int):
     """For each degree-s monomial, the index in degree s + k of its product
     with each degree-k monomial."""
+    if s + k <= _KEPT_TABLE_DEGREE:
+        return _kept_product_table(s, k)
+    return _product_table(s, k)
+
+
+def _product_table(s: int, k: int):
     idx = monomial_index(s + k)
     return tuple(tuple(idx[(a + u, b + v, c + w)] for (u, v, w) in monomials(k))
                  for (a, b, c) in monomials(s))
+
+
+_kept_product_table = lru_cache(maxsize=None)(_product_table)
 
 
 def monomial_values(degree: int, point) -> list:
@@ -433,18 +455,41 @@ def format_form(f: Form) -> str:
 
 
 # ---------------------------------------------------------------------------
-# plane forms: gcd and divisibility from multiplication matrices
+# plane forms: gcd and divisibility, certified on a line first
 # ---------------------------------------------------------------------------
+
+# The lines that the certificates try after Z = 0: each through two integer
+# points in -99..99, the draws of random_ints(random.Random(_LINE_SEED), 3, 99).
+_LINE_DRAWS = 4
+_LINE_SEED = 1
+
 
 def form_gcd(f: Form, g: Form) -> Form:
     """Greatest common divisor, monic in the graded-lex leading term.
 
-    Write f = h*f' and g = h*g' with d = deg h.  The map (a, b) -> a*f + b*g
-    from the forms of degrees (deg g - 1, deg f - 1) has the kernel
-    (c*g', -c*f') over the forms c of degree d - 1, so its nullity is
-    d(d + 1)/2, and it is injective iff f and g are coprime (Macaulay's
-    resultant matrix).  At degrees (deg g - d, deg f - d) the kernel is the
-    line of c*(g', -f') with c a constant; then h solves (c*f')*h = f.
+    First a certificate that f and g are coprime, on a line (Bezout).  Let F
+    and G be f and g scaled to integer coefficients, P and Q integer points,
+    and u(t) = F(P + tQ), v(t) = G(P + tQ) modulo p = CERTIFICATE_PRIME.
+    Suppose u and v keep the degrees m and n of f and g, so F(Q) and G(Q)
+    are nonzero mod p, and gcd(u, v) = 1 in F_p[t].  The Sylvester matrix
+    of u and v is that of the integer polynomials F(P + tQ) and G(P + tQ)
+    reduced mod p, so their resultant is nonzero mod p, hence nonzero: f
+    and g have no common zero P + tQ, and Q is a zero of neither, so they
+    have no common zero on the line through P and Q.  A common factor of
+    positive degree would have one, since every plane curve meets every
+    line; so f and g are coprime, and 1 is returned.  (If P and Q were
+    dependent, u and v would share a root once both have positive degree,
+    so no certificate would arise.)  The line Z = 0 is tried first, where
+    u(t) = F(t, 1, 0) reads the coefficient of X^a*Y^(m-a) as that of t^a,
+    then _LINE_DRAWS seeded lines.
+
+    Otherwise the exact answer.  Write f = h*f' and g = h*g' with
+    d = deg h.  The map (a, b) -> a*f + b*g from the forms of degrees
+    (deg g - 1, deg f - 1) has the kernel (c*g', -c*f') over the forms c of
+    degree d - 1, so its nullity is d(d + 1)/2, and it is injective iff f
+    and g are coprime (Macaulay's resultant matrix).  At degrees
+    (deg g - d, deg f - d) the kernel is the line of c*(g', -f') with c a
+    constant; then h solves (c*f')*h = f.
     """
     if f.is_zero() and g.is_zero():
         raise FormError("gcd undefined for two zero forms")
@@ -452,6 +497,9 @@ def form_gcd(f: Form, g: Form) -> Form:
         return g.monic()
     if g.is_zero():
         return f.monic()
+    for u, v in _restrictions(f, g):
+        if u[-1] and v[-1] and len(_univariate_gcd(u, v)) == 1:
+            return Form.constant(1)
     m, n = f.degree, g.degree
     sylvester = mult_map(f, n - 1).hstack(mult_map(g, m - 1))
     nullity = sylvester.cols - sylvester.rank()
@@ -467,14 +515,92 @@ def form_gcd(f: Form, g: Form) -> Form:
 
 def divides(f: Form, g: Form) -> bool:
     """True iff g = f * h for some form h, i.e. g lies in the column space
-    of multiplication by f."""
+    of multiplication by f.
+
+    A "no" is first looked for on the lines of `form_gcd`, with u and v as
+    there and u of degree deg f (F(Q) nonzero mod p): if u does not divide
+    v in F_p[t], f does not divide g.  For suppose f divides g.  Write
+    F = c_F*F0 and G = c_G*G0 with c_F, c_G the contents, so F0 divides G0
+    over Q, and by Gauss's lemma G0 = F0*H0 with H0 integral; then
+    c_F*G = c_G*F*H0.  p does not divide c_F, which divides the
+    coefficient F(Q) of t^m in u, so restricting to the line and reducing
+    mod p gives v = (c_G/c_F)*u*H0(P + tQ): u divides v.  A "yes" is the
+    exact solve."""
     if f.is_zero():
         raise FormError("divisibility by the zero form is undefined")
     if g.is_zero():
         return True
     if g.degree < f.degree:
         return False
+    for u, v in _restrictions(f, g):
+        if u[-1] and _univariate_rem(v, u):
+            return False
     return mult_map(f, g.degree - f.degree).solve(g.coeffs) is not None
+
+
+def _restrictions(f: Form, g: Form):
+    """(u, v) for each line of the certificates in turn, Z = 0 first: the
+    restrictions t -> F(P + tQ), G(P + tQ) modulo CERTIFICATE_PRIME of f and
+    g scaled to integers, as coefficient lists, lowest degree first, of
+    length deg + 1 (the last entry, F(Q), may be 0)."""
+    p = CERTIFICATE_PRIME
+    (F, G), _ = integer_rows([f.coeffs, g.coeffs])
+    scaled = ((f.degree, [c % p for c in F]), (g.degree, [c % p for c in G]))
+    # on Z = 0 (P = (0, 1, 0), Q = (1, 0, 0)) the coefficient of X^a*Y^(m-a)
+    # sits at index (m - a)(m - a + 1)/2
+    yield tuple([r[(m - a) * (m - a + 1) // 2] for a in range(m + 1)] for m, r in scaled)
+    rng = random.Random(_LINE_SEED)
+    for _ in range(_LINE_DRAWS):
+        P, Q = random_ints(rng, 3, 99), random_ints(rng, 3, 99)
+        yield tuple(_on_line(m, r, P, Q) for m, r in scaled)
+
+
+def _on_line(m: int, residues, P, Q):
+    """Coefficients, lowest first, of t -> F(P + tQ) modulo CERTIFICATE_PRIME
+    for the residues of a degree-m form F: its values at t = 0..m,
+    interpolated by Newton's divided differences."""
+    p = CERTIFICATE_PRIME
+    terms = [(c, e) for c, e in zip(residues, monomials(m)) if c]
+    c = []
+    for t in range(m + 1):
+        x, y, z = [[pow(a + t * b, k, p) for k in range(m + 1)] for a, b in zip(P, Q)]
+        c.append(sum(r * x[a] * y[b] * z[e] for r, (a, b, e) in terms) % p)
+    for j in range(1, m + 1):
+        inv = pow(j, p - 2, p)
+        for i in range(m, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv % p
+    # Horner on the Newton form c[0] + t*(c[1] + (t - 1)*(c[2] + ...))
+    poly = []
+    for k in range(m, -1, -1):
+        poly = [(lo - k * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
+        poly[0] = (poly[0] + c[k]) % p
+    return poly
+
+
+def _univariate_rem(a, b):
+    """Remainder of a by b in F_p[t], p = CERTIFICATE_PRIME, coefficient
+    lists lowest first, b with a nonzero last entry; trailing zeros of the
+    remainder dropped."""
+    p = CERTIFICATE_PRIME
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], p - 2, p)
+    for i in range(len(a) - 1, db - 1, -1):
+        q = a[i] * inv % p
+        if q:
+            for j in range(db + 1):
+                a[i - db + j] = (a[i - db + j] - q * b[j]) % p
+    del a[db:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _univariate_gcd(a, b):
+    """A gcd in F_p[t] by Euclid, of lists with nonzero last entries."""
+    while b:
+        a, b = b, _univariate_rem(a, b)
+    return a
 
 
 def conic_is_irreducible(q: Form) -> bool:

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import dataclass
 from numbers import Real
 from operator import mul
 
-from .forms import (Form, ParseError, format_form, monomial_values, parse_form, quoted,
-                    space_dim)
-from .linalg import QMatrix
+from .forms import (Form, ParseError, form_det, format_form, monomial_values, parse_form,
+                    quoted, random_ints, space_dim)
+from .linalg import QMatrix, integer_echelon, integer_rows
 
 
 # Largest |twist| Presentation.from_text accepts.  Twists set the degrees of
@@ -206,31 +207,107 @@ def h1_twist(P: Presentation, t: int) -> int:
     return h1
 
 
+# The seeded integer points, in -99..99, at which `is_injective` looks for a
+# kernel vector before it walks the triangle, and the largest rank at such a
+# point for which it builds one: the vector takes rank + 1 determinants of
+# forms, each expanded into rank! products.
+_WITNESS_DRAWS = 3
+_WITNESS_SEED = 1
+_WITNESS_MAX_RANK = 5
+
+
 def is_injective(P: Presentation) -> bool:
     """Exact decision for a square presentation: the sheaf map is injective
     iff det P is not the zero form.
 
-    det P is zero or a form of degree r = sum(target) - sum(source), and a
-    form vanishes iff it vanishes on the chart Z = 1.  There det P is a
-    polynomial f(x, y) of total degree at most r, so it is zero iff it
-    vanishes on the triangle of integer points x, y >= 0, x + y <= r: f(x, 0)
-    has the r + 1 roots 0..r, so f = y g, and g(x, y + 1) has total degree
-    at most r - 1 and vanishes on the triangle of side r - 1; at r = 0, f is
-    a constant that vanishes at (0, 0).  The triangle's (r + 1)(r + 2)/2
-    points are walked x-major from (0, 0) to (r, 0); the first point where
-    the evaluated matrix has full rank proves injectivity, and False is
-    returned only after every point failed."""
+    Injective when the evaluated matrix has full rank at one point, since
+    det P is then nonzero there.  The first point tried is (0, 0, 1), where
+    each entry's value is its Z^d coefficient, the next ones seeded integer
+    points.
+
+    Not injective when a kernel vector is found.  Let the matrix have rank
+    rho < p at a seeded point x, with pivot columns C and pivot rows R, so
+    its minor on R x C is nonsingular.  Add the first column c' outside C,
+    and let A be the rho x (rho + 1) block of P on R and C + {c'}.  Its
+    Cramer vector v, v_j the determinant of A without column j with
+    alternating signs along C + {c'} and 0 off it, has a.v = det [a; A]
+    for every row a (Laplace along the first row).  So (P.v)_i is a
+    (rho + 1)-minor of P, zero for i in R (a repeated row), and
+    v_c' = +-det P[R, C] is a form that is nonzero at x.  When P.v = 0
+    holds exactly, v is a nonzero kernel vector over the field of
+    fractions, so det P = 0.  At a point where the rank is below the
+    generic rank some (rho + 1)-minor is not zero, the check fails and the
+    next point is drawn.
+
+    After _WITNESS_DRAWS points, or at a rank above _WITNESS_MAX_RANK, the
+    walk decides.  det P is zero or a form of degree
+    r = sum(target) - sum(source), and a form vanishes iff it vanishes on
+    the chart Z = 1.  There det P is a polynomial f(x, y) of total degree at
+    most r, so it is zero iff it vanishes on the triangle of integer points
+    x, y >= 0, x + y <= r: f(x, 0) has the r + 1 roots 0..r, so f = y g,
+    and g(x, y + 1) has total degree at most r - 1 and vanishes on the
+    triangle of side r - 1; at r = 0, f is a constant that vanishes at
+    (0, 0).  The triangle's (r + 1)(r + 2)/2 points are walked x-major from
+    (0, 0) to (r, 0); the first point where the evaluated matrix has full
+    rank proves injectivity, and False is returned only after every point
+    failed."""
     p = len(P.source)
     if p != len(P.target):
         raise PresentationError("injectivity is decided for square presentations only")
-    r = sum(P.target) - sum(P.source)
+    if QMatrix(p, p, [[f.coeffs[-1] for f in row] for row in P.matrix]).rank() == p:
+        return True
+    at = _evaluator(P)
+    rng = random.Random(_WITNESS_SEED)
+    for _ in range(_WITNESS_DRAWS):
+        values = at(tuple(random_ints(rng, 3, 99)))
+        cols, _ = integer_echelon(integer_rows(values)[0], p)
+        if len(cols) == p:
+            return True
+        if len(cols) <= _WITNESS_MAX_RANK and _annihilates(P, _cramer_vector(P, values, cols)):
+            return False
+    return _walk(P)
+
+
+def _evaluator(P: Presentation):
+    """The function that evaluates the matrix of P at a point, as rows of
+    ints, or of Fractions where a coefficient or coordinate has one."""
     cells = [[(f.degree, f.coeffs) for f in row] for row in P.matrix]
     degrees = {d for row in cells for d, _ in row}
+
+    def at(point):
+        table = {d: monomial_values(d, point) for d in degrees}
+        return [[sum(map(mul, coeffs, table[d])) for d, coeffs in row] for row in cells]
+    return at
+
+
+def _cramer_vector(P: Presentation, values, cols):
+    """The Cramer vector of `is_injective` for the matrix values of P at a
+    point, of rank rho = len(cols) < p with pivot columns cols."""
+    p = len(P.source)
+    rows, _ = integer_echelon(integer_rows(zip(*values))[0], p)
+    support = sorted([*cols, min(set(range(p)).difference(cols))])
+    block = [[P.matrix[i][j] for j in support] for i in rows]
+    v = [Form.zero(0)] * p
+    for k, j in enumerate(support):
+        minor = form_det([row[:k] + row[k + 1:] for row in block])
+        v[j] = -minor if k % 2 else minor
+    return v
+
+
+def _annihilates(P: Presentation, v) -> bool:
+    """Whether v is a nonzero vector of forms with P.v = 0, checked exactly."""
+    return not all(x.is_zero() for x in v) and all(
+        sum(map(mul, row, v), Form.zero(0)).is_zero() for row in P.matrix)
+
+
+def _walk(P: Presentation) -> bool:
+    """The triangle walk of `is_injective`."""
+    p = len(P.source)
+    r = sum(P.target) - sum(P.source)
+    at = _evaluator(P)
     for x in range(r + 1):
         for y in range(r + 1 - x):
-            table = {d: monomial_values(d, (x, y, 1)) for d in degrees}
-            values = [[sum(map(mul, coeffs, table[d])) for d, coeffs in row] for row in cells]
-            if QMatrix(p, p, values).rank() == p:
+            if QMatrix(p, p, at((x, y, 1))).rank() == p:
                 return True
     return False
 

@@ -5,7 +5,7 @@ against."""
 from itertools import count
 
 from planesheaves import forms
-from planesheaves.forms import Form, block_mult_map, space_dim
+from planesheaves.forms import Form, FormError, block_mult_map, mult_map, space_dim
 from planesheaves.linalg import QMatrix
 from planesheaves.points import DEGREE_CAP, BettiShape, PointConfig, PointError, ideal_slice
 from planesheaves.presentation import Presentation
@@ -76,6 +76,39 @@ def walk_resolution(cfg):
             raise PointError("Hilbert function gives %d syzygies in degree %d" % (b, t))
         syz.extend([t] * b)
     return BettiShape(tuple(gens), tuple(syz))
+
+
+def macaulay_gcd(f, g):
+    """`forms.form_gcd` without its line certificate: the degree d of the
+    gcd from the nullity d(d + 1)/2 of the Macaulay resultant matrix, then
+    the cofactor from one kernel and the gcd from one solve.  The reference
+    for the certificate."""
+    if f.is_zero() and g.is_zero():
+        raise FormError("gcd undefined for two zero forms")
+    if f.is_zero() or g.is_zero():
+        return (g if f.is_zero() else f).monic()
+    m, n = f.degree, g.degree
+    sylvester = mult_map(f, n - 1).hstack(mult_map(g, m - 1))
+    nullity = sylvester.cols - sylvester.rank()
+    d = 0
+    while space_dim(d - 1) < nullity:
+        d += 1
+    if d == 0:
+        return Form.constant(1)
+    (v,) = mult_map(f, n - d).hstack(mult_map(g, m - d)).kernel_basis()
+    cofactor = Form(m - d, v[space_dim(n - d):])
+    return Form(d, mult_map(cofactor, d).solve(f.coeffs)).monic()
+
+
+def solve_divides(f, g):
+    """`forms.divides` without its line certificate: whether g is in the
+    column space of multiplication by f, by one solve.  The reference for
+    the certificate."""
+    if g.is_zero():
+        return True
+    if g.degree < f.degree:
+        return False
+    return mult_map(f, g.degree - f.degree).solve(g.coeffs) is not None
 
 
 def mat_vec(m, v):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import planesheaves
-from planesheaves import cli, strata
+from planesheaves import cli, forms, presentation, strata
 from planesheaves.cli import main
 from planesheaves.forms import MAX_DIGITS, Form, FormError, format_form, monomials, space_dim
 from planesheaves.kronecker import (CERTIFICATE_PRIME, Destabilizer, KroneckerError,
@@ -127,6 +128,48 @@ def test_hilbert_refuses_a_map_that_is_not_injective(blob, capsys):
     assert main(["hilbert", "--input", json.dumps(blob)]) == 4
     captured = capsys.readouterr()
     assert captured.out == "" and "not injective" in captured.err
+
+
+# twists +-20 with X^40, Y^40 and Z^40 entries: r = 120 and r = 80, so the
+# triangle walk has 7381 and 3321 points; it took 16.6 s and 5.7 s
+LARGE_NOT_INJECTIVE = [
+    {"source": [-20, -20, -20], "target": [20, 20, 20],
+     "matrix": [["X^40", "X^40", "Y^40"], ["Y^40", "Y^40", "Z^40"], ["Z^40", "Z^40", "X^40"]]},
+    {"source": [-20, -20], "target": [20, 20], "matrix": [["X^40", "X^40"], ["Y^40", "Y^40"]]},
+]
+
+
+@pytest.mark.parametrize("blob", LARGE_NOT_INJECTIVE)
+def test_a_large_map_that_is_not_injective_is_refused_at_one_point(blob, capsys, monkeypatch):
+    points = set()
+
+    def recording(degree, point):
+        points.add(point)
+        return forms.monomial_values(degree, point)
+    monkeypatch.setattr(presentation, "monomial_values", recording)
+    assert not is_injective(Presentation.from_json(blob))
+    assert len(points) == 1
+    assert main(["hilbert", "--input", json.dumps(blob)]) == 4
+    assert "not injective" in capsys.readouterr().err
+    assert len(points) == 1
+
+
+def test_a_dense_degree_20_pair_is_stable_without_a_matrix_or_a_point(capsys, monkeypatch):
+    # two-by-two takes the gcd of the degree-20 entries of column 2; its
+    # Macaulay matrix took 66 s, and the line Z = 0 certifies the pair coprime
+    rng = random.Random(1)
+    source, target = [-21, -20], [0, 0]
+    matrix = [[format_form(forms.random_form(e - d, rng, 9)) for d in source] for e in target]
+
+    def refuse(*_):
+        raise AssertionError("a multiplication matrix was built or a point evaluated")
+    monkeypatch.setattr(forms, "mult_map", refuse)
+    # the matrix of Z^d coefficients, the walk's first point, is nonsingular
+    monkeypatch.setattr(presentation, "monomial_values", refuse)
+    code, out = run(capsys, "stability", "--input",
+                    json.dumps({"source": source, "target": target, "matrix": matrix}))
+    assert code == 0
+    assert json.loads(out)["kind"] == "stable"
 
 
 def test_hilbert_of_a_map_that_is_not_square_keeps_its_message(capsys):

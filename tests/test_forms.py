@@ -2,6 +2,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +14,9 @@ from planesheaves.forms import (MAX_DIGITS, Form, FormError, ParseError,
                                 form_mul, format_form, linearly_independent,
                                 monomials, mult_map, parse_form, product_table,
                                 random_ints, space_dim)
-from planesheaves.linalg import QMatrix
+from planesheaves.linalg import CERTIFICATE_PRIME, QMatrix
 from planesheaves.strata import REGISTRY, generate
-from helpers import random_form, random_nonzero_form
+from helpers import macaulay_gcd, random_form, random_nonzero_form, solve_divides
 
 X = Form.monomial(1, 0, 0)
 Y = Form.monomial(0, 1, 0)
@@ -181,6 +182,113 @@ def test_gcd_and_divides_agree_with_sympy():
                 continue
             remainder = sympy.div(to_sympy(b), to_sympy(a), *gens)[1]
             assert divides(a, b) == (remainder == 0)
+
+
+class _ExactPath(Exception):
+    pass
+
+
+def _by_certificate(call, *args):
+    """call(*args) answered by a line certificate alone, with mult_map
+    refused; None when the answer needed the exact path."""
+    def refuse(*_):
+        raise _ExactPath
+    with mock.patch.object(forms, "mult_map", refuse):
+        try:
+            return call(*args)
+        except _ExactPath:
+            return None
+
+
+def _random_pair(rng, fractions):
+    """Nonzero forms of degrees 0-6, with Fraction coefficients if asked."""
+    f, g = (random_nonzero_form(rng.randint(0, 6), rng) for _ in range(2))
+    if fractions:
+        f, g = (h.scale(Fraction(rng.randint(1, 9), rng.randint(1, 40))) for h in (f, g))
+    return f, g
+
+
+def _assert_certificates_agree(f, g):
+    """form_gcd and divides agree with the references, and whatever a
+    certificate answers alone is the reference's answer."""
+    exact = macaulay_gcd(f, g)
+    assert form_gcd(f, g) == exact
+    assert _by_certificate(form_gcd, f, g) in (None, exact)
+    for a, b in ((f, g), (g, f)):
+        assert divides(a, b) == solve_divides(a, b)
+        assert _by_certificate(divides, a, b) in (None, False)
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_line_certificates_agree_with_the_exact_references(fractions):
+    rng = random.Random(61 + fractions)
+    certified = not_dividing = 0
+    for _ in range(80):
+        f, g = _random_pair(rng, fractions)
+        _assert_certificates_agree(f, g)
+        certified += _by_certificate(form_gcd, f, g) is not None
+        not_dividing += _by_certificate(divides, f, g) is False
+    # random pairs are coprime, and f divides g only when f is a constant:
+    # almost every answer is given without the exact path
+    assert certified == 80
+    assert not_dividing >= 60
+
+
+def test_planted_common_factors_are_never_certified_coprime():
+    rng = random.Random(67)
+    for h, f, g in _planted_pairs(rng, 60):
+        if f.is_zero() or g.is_zero():
+            continue
+        _assert_certificates_agree(f, g)
+        if macaulay_gcd(f, g).degree > 0:
+            assert _by_certificate(form_gcd, f, g) is None
+        if h.degree > 0:
+            assert _by_certificate(divides, h, f) is None
+
+
+@pytest.mark.parametrize("f,g", [
+    # a common zero (0, 1, 0) on Z = 0 but no common factor
+    (X, X + Z),
+    (X * Y, X * X + Y * Z),
+    # restrictions to Z = 0 that lose degree
+    (Z * (X + Y), X * X - Y * Z),
+    (Y * Y * Y, X * X + Z * Z),
+    (Y * Y, Y * Z + X * X),
+    # an X^m coefficient divisible by the prime
+    (Form.from_dict(2, {(2, 0, 0): CERTIFICATE_PRIME, (0, 2, 0): 1, (0, 0, 2): 1}), X + Y),
+    (Form.from_dict(1, {(1, 0, 0): 2 * CERTIFICATE_PRIME, (0, 1, 0): 1}), X * X + Z * Z),
+])
+def test_pairs_that_defeat_the_line_z_0_are_certified_on_another_line(f, g):
+    u, v = next(forms._restrictions(f, g))
+    assert not (u[-1] and v[-1] and len(forms._univariate_gcd(u, v)) == 1)
+    _assert_certificates_agree(f, g)
+    assert _by_certificate(form_gcd, f, g) == Form.constant(1)
+
+
+@pytest.mark.parametrize("f", [
+    Form.from_dict(1, {(1, 0, 0): CERTIFICATE_PRIME, (0, 1, 0): 1}),
+    # the prime divides the content: every restriction is 0 modulo the prime
+    Form.from_dict(1, {(1, 0, 0): CERTIFICATE_PRIME, (0, 1, 0): CERTIFICATE_PRIME}),
+])
+def test_a_multiple_of_a_form_whose_leading_coefficient_the_prime_divides(f):
+    for g in (f * (X + Z), f * f, f * Form.constant(Fraction(1, CERTIFICATE_PRIME))):
+        assert divides(f, g) and solve_divides(f, g)
+        assert _by_certificate(divides, f, g) is None
+    assert not divides(f, X * X + Y * Z) and not solve_divides(f, X * X + Y * Z)
+
+
+def test_a_degree_40_pair_is_certified_coprime_without_a_multiplication_matrix():
+    f = parse_form("X^40 + Y^40")
+    g = parse_form("X^40 - Y^40 + Z^40")
+    assert _by_certificate(form_gcd, f, g) == Form.constant(1)
+    assert _by_certificate(divides, f, g) is False
+
+
+def test_product_tables_of_large_degree_are_not_kept():
+    # one degree-40 gcd used to leave the 3240 x 861 table in the cache
+    assert product_table(30, 10) == product_table(30, 10)
+    assert product_table(30, 10) is not product_table(30, 10)
+    assert product_table(2, 3) is product_table(2, 3)
 
 
 def test_conic_irreducible():

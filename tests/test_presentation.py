@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planesheaves import presentation
 from planesheaves.forms import Form, block_mult_map, form_mul, space_dim
-from planesheaves.linalg import QMatrix
+from planesheaves.linalg import QMatrix, integer_echelon, integer_rows
 from planesheaves.points import PointConfig, evaluation_matrix
 from planesheaves.presentation import (InconsistentPresentationError,
                                        Presentation, PresentationError,
@@ -177,6 +179,72 @@ def test_integer_injectivity_matches_the_fraction_evaluation():
                 singular += 1
     assert injective == 28 * 2 * 4
     assert singular == 2 * (3 * 28 - sum(len(row.source) == 1 for row in REGISTRY))
+
+
+class _Walked(Exception):
+    pass
+
+
+def _without_walk(P):
+    """is_injective(P) with the triangle walk refused: None when the point
+    at (0, 0, 1) and the seeded points did not decide."""
+    with mock.patch.object(presentation, "_walk", side_effect=_Walked):
+        try:
+            return is_injective(P)
+        except _Walked:
+            return None
+
+
+def _planted_kernels(rng):
+    """Square maps with a planted kernel vector: two equal columns, and a
+    column that is a form combination of two others."""
+    d, e = (-3, -3, -2), (1, 1, 2)
+    cols = [[random_form(ei - dj, rng) for ei in e] for dj in d]
+    equal = [cols[0], cols[0], cols[2]]
+    # column 0 = b * column 1 + c * column 2, deg b = d1 - d0, deg c = d2 - d0
+    b, c = random_form(d[1] - d[0], rng), random_form(d[2] - d[0], rng)
+    combined = [[b * f1 + c * f2 for f1, f2 in zip(cols[1], cols[2])], cols[1], cols[2]]
+    return [Presentation(d, e, [list(r) for r in zip(*m)]) for m in (equal, combined)]
+
+
+def test_witness_and_walk_agree_on_the_injectivity_corpora():
+    rng = random.Random(8)
+    det = Form(1, [1, 0, 0])
+    for i in range(1, 6):
+        det = form_mul(det, Form(1, [1, 0, -i]))
+    injective = [Presentation([-6], [0], [[det]])]
+    singular = [Presentation([-6], [0], [[Form.zero(6)]])] + _planted_kernels(rng)
+    for row in REGISTRY:
+        for seed in (1, 2):
+            P = generate(row.chi, row.id, seed=seed)
+            injective += [P, dual(P), random_equivalence(P, rng), _rescaled(P, rng)]
+            singular += _singular(P, rng)
+    for Q in injective:
+        assert presentation._walk(Q) and is_injective(Q)
+        assert _without_walk(Q) in (None, True)
+    for Q in singular:
+        assert not presentation._walk(Q)
+        assert _without_walk(Q) is False
+    assert len(singular) == 3 + 2 * (3 * 28 - sum(len(row.source) == 1 for row in REGISTRY))
+
+
+def test_a_mutated_kernel_vector_is_rejected():
+    for P in _planted_kernels(random.Random(4)):
+        values = presentation._evaluator(P)((2, -5, 7))
+        cols, _ = integer_echelon(integer_rows(values)[0], 3)
+        assert len(cols) == 2
+        v = presentation._cramer_vector(P, values, cols)
+        assert presentation._annihilates(P, v)
+        assert presentation._annihilates(P, [x.scale(Fraction(-2, 3)) for x in v])
+        assert not presentation._annihilates(P, [Form.zero(0)] * 3)
+        for j, x in enumerate(v):
+            if x.is_zero():
+                continue
+            for n in (0, len(x.coeffs) - 1):
+                bumped = list(x.coeffs)
+                bumped[n] += 1
+                mutated = v[:j] + [Form(x.degree, bumped)] + v[j + 1:]
+                assert not presentation._annihilates(P, mutated)
 
 
 # -- twisted cohomology -----------------------------------------------------
