@@ -13,11 +13,15 @@ Whitespace (what ``str.split`` splits on) may separate any two tokens; n/m
 is one token, and n and m are numerals of 1 to MAX_DIGITS Unicode decimal
 digits, read as ``int`` reads them.  ``format_form`` prints text that
 ``parse_form`` reads back to the same form.  ``parse_form`` reads printed
-text by looking up each monomial spelling in the table ``format_form``
-prints from, and keeps that form only if it prints back to the very same
-text, so by the round trip it is the grammar's reading.  Any other text is
-checked with one compiled regular expression, then read by string splits;
-the caps and the error messages are the grammar's.
+text term by term: each term must be the canonical spelling of one nonzero
+coefficient (``str`` of a positive int or Fraction, left out when it is 1
+before a monomial) times one monomial looked up in the table
+``format_form`` prints from, the monomials must strictly follow the basis
+order, and the separators must be the printer's.  Text built that way is
+what ``format_form`` prints for the form read, so by the round trip it is
+the grammar's reading.  Any other text is checked with one compiled
+regular expression, then read by string splits; the caps and the error
+messages are the grammar's.
 
 Questions about factors are put first to a word-size certificate on a
 line: ``form_gcd`` and ``divides`` restrict both forms to Z = 0, then to a
@@ -42,7 +46,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .linalg import CERTIFICATE_PRIME, SCALAR_TYPES, QMatrix, integer_rows
 
@@ -75,7 +79,28 @@ def space_dim(k: int) -> int:
     return (k + 1) * (k + 2) // 2 if k >= 0 else 0
 
 
-@lru_cache(maxsize=None)
+# Largest degree whose basis tables (`monomials`, `monomial_index`, the
+# monomial spellings) and largest product degree s + k whose `product_table`
+# are kept after the call.  Every registry, stabilizer and point-ideal table
+# has degree at most 8; a larger table, such as the 3240 x 861 one of a
+# degree-40 gcd or the 7381 monomials of degree 120 in a kernel check, is
+# built for each call and dropped with its caller.
+_KEPT_TABLE_DEGREE = 12
+
+
+def _kept_for_small_degrees(build):
+    """build, its tables kept for degrees up to _KEPT_TABLE_DEGREE and built
+    again on each call above."""
+    kept = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def table(degree: int):
+        return kept(degree) if degree <= _KEPT_TABLE_DEGREE else build(degree)
+
+    return table
+
+
+@_kept_for_small_degrees
 def monomials(degree: int):
     """Exponent triples of the given degree in graded-lex order, X > Y > Z."""
     if degree < 0:
@@ -85,16 +110,9 @@ def monomials(degree: int):
                  for b in range(degree - a, -1, -1))
 
 
-@lru_cache(maxsize=None)
+@_kept_for_small_degrees
 def monomial_index(degree: int):
     return {m: i for i, m in enumerate(monomials(degree))}
-
-
-# Largest product degree s + k whose `product_table` is kept after the call.
-# Every registry, stabilizer and point-ideal table has degree at most 8; a
-# larger table, such as the 3240 x 861 one of a degree-40 gcd, is built for
-# each call and dropped with its matrix.
-_KEPT_TABLE_DEGREE = 12
 
 
 def product_table(s: int, k: int):
@@ -221,12 +239,14 @@ def form_mul(f: Form, g: Form) -> Form:
     deg = f.degree + g.degree
     if f.is_zero() or g.is_zero():
         return Form.zero(deg)
-    idx = monomial_index(deg)
     coeffs = [0] * space_dim(deg)
-    gterms = g.terms()
-    for (a1, b1, c1), x in f.terms():
-        for (a2, b2, c2), y in gterms:
-            coeffs[idx[(a1 + a2, b1 + b2, c1 + c2)]] += x * y
+    # X^a*Y^b*Z^c sits at (b + c)(b + c + 1)/2 + c in the basis of its
+    # degree, so no basis table of the product degree is built
+    gterms = [(b, c, y) for (_, b, c), y in g.terms()]
+    for (_, b1, c1), x in f.terms():
+        for b2, c2, y in gterms:
+            b, c = b1 + b2, c1 + c2
+            coeffs[(b + c) * (b + c + 1) // 2 + c] += x * y
     return Form(deg, coeffs)
 
 
@@ -320,9 +340,14 @@ def parse_form(text: str) -> Form:
     Rejects inhomogeneous input, reporting the degrees found, and any
     coefficient whose numerator or denominator has more than MAX_DIGITS
     digits.  The zero form is read in degree 0.
+
+    Text as ``format_form`` prints it is read term by term, checking each
+    term as it is read (``_read_printed``); a printed coefficient is one
+    numeral, or two around "/", so a numeral within the digit cap keeps
+    the coefficient within it.  Everything else, a numeral past the cap
+    included, is read by the grammar, which gives the same form.
     """
-    # no coefficient of text this short can pass the digit cap
-    if type(text) is str and len(text) <= MAX_DIGITS // 2:
+    if type(text) is str:
         form = _read_printed(text)
         if form is not None:
             return form
@@ -330,11 +355,17 @@ def parse_form(text: str) -> Form:
 
 
 def _read_printed(text: str):
-    """The form that ``format_form`` prints as text, read by splitting the
-    terms and looking up each monomial spelling; None unless the form read
-    prints back to text itself.  Reading text back from its print is the
-    round-trip contract, so the form is the one ``_parse_grammar`` returns,
-    with the same coefficient types."""
+    """The form that ``format_form`` prints as text, read term by term; None
+    unless each term is the print of one nonzero coefficient times one basis
+    monomial, the monomials strictly follow the basis order and the terms
+    are joined as ``format_form`` joins them.  Text built that way is the
+    print of the form read, so by the round trip that form is the one
+    ``_parse_grammar`` returns, with the same coefficient types."""
+    if text == "0":
+        return Form.zero(0)
+    # the printer joins a negative term with " - ", never with " + -"
+    if " + -" in text:
+        return None
     terms = text.replace(" - ", " + -").split(" + ")
     try:
         first = terms[0].lstrip("-")
@@ -345,23 +376,34 @@ def _read_printed(text: str):
             return None
         index = _spelling_index(d)
         coeffs = [0] * len(index)
+        last = -1
         for term in terms:
-            sign = 1
-            if term[:1] == "-":
-                sign, term = -1, term[1:]
-            i = index.get(term)
+            negative = term[:1] == "-"
+            if negative:
+                term = term[1:]
+            i = index.get(term) if term else None
             if i is not None:
-                coeffs[i] = sign
-                continue
-            head, _, mono = term.partition("*")
-            i = index.get(mono)
-            if i is None:
+                c = 1
+            else:
+                # a coefficient, then "*" exactly when a monomial follows
+                head, star, mono = term.partition("*")
+                i = index.get(mono)
+                if i is None or star and not mono:
+                    return None
+                # a longer numeral is past the digit cap, which the grammar names
+                if len(head) > MAX_DIGITS and max(map(len, head.split("/"))) > MAX_DIGITS:
+                    return None
+                c = Fraction(head) if "/" in head else int(head)
+                # the printer's spelling of a coefficient it prints
+                if str(c) != head or c <= 0 or (c == 1 and mono):
+                    return None
+            if i <= last:
                 return None
-            coeffs[i] = sign * (Fraction(head) if "/" in head else int(head))
+            coeffs[i] = -c if negative else c
+            last = i
     except (ValueError, ZeroDivisionError):
         return None
-    form = Form(d, coeffs)
-    return form if format_form(form) == text else None
+    return Form(d, coeffs)
 
 
 def _parse_grammar(text: str) -> Form:
@@ -420,7 +462,7 @@ def _parse_grammar(text: str) -> Form:
     return Form(d, coeffs)
 
 
-@lru_cache(maxsize=None)
+@_kept_for_small_degrees
 def _monomial_spellings(degree: int):
     """Text of each monomial of the degree in basis order, "" for 1."""
     return tuple("*".join(name if e == 1 else "%s^%d" % (name, e)
@@ -428,7 +470,7 @@ def _monomial_spellings(degree: int):
                  for expo in monomials(degree))
 
 
-@lru_cache(maxsize=None)
+@_kept_for_small_degrees
 def _spelling_index(degree: int):
     """Position in the basis of each monomial spelling of the degree."""
     return {text: i for i, text in enumerate(_monomial_spellings(degree))}

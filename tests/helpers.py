@@ -2,10 +2,12 @@
 the reference computations that faster paths of the package are checked
 against."""
 
+from fractions import Fraction
 from itertools import count
 
 from planesheaves import forms
-from planesheaves.forms import Form, FormError, block_mult_map, mult_map, space_dim
+from planesheaves.forms import (MAX_DEGREE, VARIABLES, Form, FormError, block_mult_map,
+                                format_form, mult_map, space_dim)
 from planesheaves.linalg import QMatrix
 from planesheaves.points import DEGREE_CAP, BettiShape, PointConfig, PointError, ideal_slice
 from planesheaves.presentation import Presentation
@@ -109,6 +111,40 @@ def solve_divides(f, g):
     if g.degree < f.degree:
         return False
     return mult_map(f, g.degree - f.degree).solve(g.coeffs) is not None
+
+
+def printed_back_reading(text):
+    """`forms._read_printed` as it was before each term was checked as it
+    was read: the terms split, each monomial spelling looked up in the table
+    `format_form` prints from, and the form kept only if it prints back to
+    the very same text.  The reference for the term-by-term reader."""
+    terms = text.replace(" - ", " + -").split(" + ")
+    try:
+        first = terms[0].lstrip("-")
+        if first[:1] not in VARIABLES:
+            first = first.partition("*")[2]
+        d = sum(int(f[2:]) if f[1:] else 1 for f in first.split("*")) if first else 0
+        if not 0 <= d <= MAX_DEGREE:
+            return None
+        index = forms._spelling_index(d)
+        coeffs = [0] * len(index)
+        for term in terms:
+            sign = 1
+            if term[:1] == "-":
+                sign, term = -1, term[1:]
+            i = index.get(term)
+            if i is not None:
+                coeffs[i] = sign
+                continue
+            head, _, mono = term.partition("*")
+            i = index.get(mono)
+            if i is None:
+                return None
+            coeffs[i] = sign * (Fraction(head) if "/" in head else int(head))
+    except (ValueError, ZeroDivisionError):
+        return None
+    form = Form(d, coeffs)
+    return form if format_form(form) == text else None
 
 
 def mat_vec(m, v):

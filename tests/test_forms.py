@@ -1,6 +1,7 @@
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -15,8 +16,10 @@ from planesheaves.forms import (MAX_DIGITS, Form, FormError, ParseError,
                                 monomials, mult_map, parse_form, product_table,
                                 random_ints, space_dim)
 from planesheaves.linalg import CERTIFICATE_PRIME, QMatrix
+from planesheaves.presentation import Presentation, is_injective
 from planesheaves.strata import REGISTRY, generate
-from helpers import macaulay_gcd, random_form, random_nonzero_form, solve_divides
+from helpers import (macaulay_gcd, printed_back_reading, random_form, random_nonzero_form,
+                     solve_divides)
 
 X = Form.monomial(1, 0, 0)
 Y = Form.monomial(0, 1, 0)
@@ -592,8 +595,18 @@ def test_fixed_spellings_read_as_the_grammar():
                  "1/2", "-1/2", "X^41", "X^1", "X*Y*Z^-1", "", "X + ", " + X", "3_0*X",
                  "1e3*X", "1.5*X", "X**Y", "X^", "Q", "Q^2 + X^2", "X^99999999999", "-X",
                  format_form(Form(1, (10 ** 600, -Fraction(1, 7), 1))),
-                 " + ".join(["X"] * 200)):
+                 " + ".join(["X"] * 200),
+                 # near-canonical traps: a star without a monomial or the other
+                 # way round, separators the printer never writes, zero and unit
+                 # coefficients spelt out, a padded numeral, a trailing factor
+                 "9*", "-9*", "X*", "*X", "3*X*", "X + Y*", "X + -Y", "X - +Y", "1/2*",
+                 "0*X", "X + 0*Y", "-0*X", "1/1*X", "01*X", "-1*X", "X*1", "2*1"):
         assert_reads_as_the_grammar(text)
+    # a numeral past the digit cap goes to the grammar, which names the cap
+    numeral = "1" * (MAX_DIGITS + 1) + "*X"
+    with pytest.raises(ParseError, match="numeral of more than %d digits" % MAX_DIGITS):
+        parse_form(numeral)
+    assert_reads_as_the_grammar(numeral)
     assert parse_form("0").degree == 0 and parse_form("-X").degree == 1
     # only text longer than MAX_DIGITS // 2 can build a coefficient past the
     # digit cap; the grammar reads it and names the cap
@@ -613,3 +626,74 @@ def test_printed_and_mutated_text_read_as_the_grammar(f, data):
     assert_reads_as_the_grammar(_respell(text, data.draw))
     for mutated in _mutations(text):
         assert_reads_as_the_grammar(mutated)
+
+
+# What an edit inserts or writes over a character: the printer's separators
+# and others, signs, stars, carets and slashes, whitespace, numerals
+# canonical and not, variables, a trailing factor and a digit that is not
+# ASCII.
+_EDIT_TOKENS = (" + ", " - ", " + -", "+", "-", "*", "^", "/", " ", "\t", "0", "1", "2",
+                "9", "01", "1/1", "2/4", "X", "Y", "Z", "*1", "\u0663")
+
+
+def _printed_and_edited(n, seed):
+    """n seeded texts: prints of forms of degree 0 to 12 with int, unit, zero
+    and Fraction coefficients; two thirds of them with one or two edits (an
+    _EDIT_TOKENS token inserted or written over a character, or a character
+    deleted) and one in twenty with its terms shuffled."""
+    rng = random.Random(seed)
+    coefficient = (lambda: rng.choice((1, -1)), lambda: rng.randint(-99, 99),
+                   lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 12)))
+    for _ in range(n):
+        degree = rng.randint(0, 12)
+        density = rng.random()
+        text = format_form(Form(degree, [rng.choice(coefficient)() if rng.random() < density
+                                         else 0 for _ in range(space_dim(degree))]))
+        roll = rng.random()
+        if roll < 0.05:
+            terms = text.replace(" - ", " + -").split(" + ")
+            rng.shuffle(terms)
+            text = " + ".join(terms).replace(" + -", " - ")
+        elif roll < 0.05 + 2 / 3:
+            for _ in range(rng.randint(1, 2)):
+                at = rng.randrange(len(text) + 1)
+                edit = rng.randrange(3)
+                token = rng.choice(_EDIT_TOKENS) if edit < 2 else ""
+                text = text[:at] + token + text[at + (edit > 0):]
+        yield text
+
+
+def test_the_term_by_term_reader_agrees_with_the_print_back_reader():
+    accepted = 0
+    for text in _printed_and_edited(3000, 32):
+        want = printed_back_reading(text)
+        got = forms._read_printed(text)
+        assert (got is None) == (want is None), text
+        if want is not None:
+            assert got == want, text
+            assert list(map(type, got.coeffs)) == list(map(type, want.coeffs)), text
+            accepted += 1
+        assert_reads_as_the_grammar(text)
+    # the unedited prints, about 30% of the corpus, and a few edited texts
+    assert 750 < accepted < 1500
+    # a print longer than the 500 characters the lookup once stopped at
+    long = format_form(Form(12, [Fraction(k - 45, 7) for k in range(space_dim(12))]))
+    assert len(long) > 500
+    with mock.patch.object(forms, "_parse_grammar", side_effect=AssertionError):
+        assert parse_form(long) == printed_back_reading(long) is not None
+
+
+def test_large_degree_basis_tables_are_not_kept():
+    # a kernel check of the 3 x 3 X^40 map multiplies forms up to degree 120,
+    # whose basis tables used to stay in the caches: 1.5 MB
+    matrix = [["X^40", "X^40", "Y^40"], ["Y^40", "Y^40", "Z^40"], ["Z^40", "Z^40", "X^40"]]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert not is_injective(Presentation.from_text([-20] * 3, [20] * 3, matrix))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 0.2 * 2 ** 20
+    assert monomials(12) is monomials(12)
+    assert monomials(13) == monomials(13) and monomials(13) is not monomials(13)
