@@ -17,12 +17,16 @@ row_j * p_k / p_j, p_0 = 1, p_1, ... the pivots (telescoping), so a row is
 brought up to date only when it is combined or chosen as pivot.  `rank`
 eliminates along the shorter side: a tall matrix is eliminated through its
 columns, each scaled by the lcm of its denominators, since row rank equals
-column rank.  One prime-field elimination, modulo the word-size
-`CERTIFICATE_PRIME`, serves the stabilizer certificate of `strata`
-(`mod_rank` on one integer row per unknown) and the Kronecker
-semistability certificate (`mod_nonsingular` on the blown-up matrix, which
-stops at the first column without a pivot).  Both take int rows as they
-are, unreduced, since the elimination reduces every entry it reads.
+column rank.  The stabilizer certificate of `strata` tries GF(2) first:
+`gf2_rank` eliminates rows packed into one int each (bit j is entry j
+mod 2) by one XOR per step, and an odd minor is nonzero over Q.  Only when
+that rank falls short does the one prime-field elimination, modulo the
+word-size `CERTIFICATE_PRIME`, run (`mod_rank` on one integer row per
+unknown), and then the exact rank.  The same elimination serves the
+Kronecker semistability certificate (`mod_nonsingular` on the blown-up
+matrix, which stops at the first column without a pivot).  Both take int
+rows as they are, unreduced, since the elimination reduces every entry it
+reads.
 Rationals enter every integer routine one way: scaled by the lcm of their
 denominators, a row at a time (`integer_rows`) or, where the caller knows
 the system, by one scalar for all of it.  A rank modulo p only bounds the
@@ -290,7 +294,7 @@ def _mod_pivot_flags(rows, p: int):
         rows[rank], rows[piv] = rows[piv], rows[rank]
         # entries left of column c are zero mod p in the pivot row and below
         # it, and only the nonzero entries of the pivot row change a row below
-        inv = pow(rows[rank][c], p - 2, p)
+        inv = pow(rows[rank][c], -1, p)
         tail = [(j, v * inv % p) for j, v in enumerate(rows[rank][c:], c) if v % p]
         for i in range(rank + 1, len(rows)):
             row = rows[i]
@@ -310,6 +314,25 @@ def mod_rank(rows, p: int) -> int:
     A rank found modulo p is a lower bound for the rank over Q, so full rank
     modulo p proves full rank over Q."""
     return sum(_mod_pivot_flags(rows, p))
+
+
+def gf2_rank(masks) -> int:
+    """Rank over GF(2) of rows packed as ints, bit j of a row its entry j
+    mod 2.  Each row is reduced by the basis row of its lowest set bit until
+    it is zero or its lowest bit heads no basis row; a basis row clears its
+    own lowest bit and touches only higher ones, so a row takes at most one
+    XOR per bit.  A rank mod 2 is a lower bound for the rank over Q, as a
+    minor that is odd is nonzero."""
+    basis = {}
+    for x in masks:
+        while x:
+            low = x & -x
+            b = basis.get(low)
+            if b is None:
+                basis[low] = x
+                break
+            x ^= b
+    return len(basis)
 
 
 def mod_nonsingular(rows, p: int) -> bool:

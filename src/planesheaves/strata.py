@@ -31,7 +31,7 @@ from math import lcm
 from .forms import (Form, coefficient_matrix, divides, form_gcd, linearly_independent,
                     product_table, random_form, space_dim)
 from .kronecker import KroneckerModule, is_semistable
-from .linalg import CERTIFICATE_PRIME, QMatrix, mod_rank
+from .linalg import CERTIFICATE_PRIME, QMatrix, gf2_rank, mod_rank
 from .presentation import (CohomologyProfile, InconsistentPresentationError, Presentation,
                            derive_seed, dual, hilbert, is_injective, profile, twist)
 from .stability import CRITERIA, BoundsQuery, bounds_check, pencil_block_failure
@@ -338,20 +338,24 @@ class DimAudit:
         return out
 
 
-def _stabilizer_rows(P: Presentation):
-    """The map (gA, gB) -> gB . phi - phi . gA as one row per unknown.
+def _stabilizer_layout(P: Presentation):
+    """The map (gA, gB) -> gB . phi - phi . gA laid out for one row per
+    unknown: (ncols, terms, blocks).
 
     The unknowns are the monomials m of the blocks gA[a][b]: O(d_b) -> O(d_a)
     and gB[a][b]: O(e_b) -> O(e_a) of nonnegative degree; the columns are the
     monomials of the cells (i, j) of the equation that some unknown reaches.
     gB[a][b] = m puts m * phi[b][j] into cell (a, j) and gA[a][b] = m puts
-    -phi[i][a] * m into cell (i, b), at the columns of `product_table`.
-    The products of the terms of one entry by one monomial are distinct, so
-    each entry is written at most once.
+    -phi[i][a] * m into cell (i, b), at the columns of `product_table`.  Each
+    block is (its number of monomials, its sign, and the (column offset,
+    product table, i, j) of each cell that it reaches through phi[i][j]);
+    terms[i][j] lists the (index, coefficient) of the nonzero terms of
+    phi[i][j].  The products of the terms of one entry by one monomial are
+    distinct, so each entry of a row is written at most once.
 
-    The system written is that of L . phi, L the lcm of the denominators of
+    The system laid out is that of L . phi, L the lcm of the denominators of
     the coefficients of phi: a nonzero scalar, so the solution space is the
-    same, and every entry is an int."""
+    same, and every coefficient is an int."""
     d, e = P.source, P.target
     terms = [[[(n, c) for n, c in enumerate(f.coeffs) if c] for f in row] for row in P.matrix]
     # by type, not by L > 1: a Fraction of denominator 1 must become an int too
@@ -366,26 +370,51 @@ def _stabilizer_rows(P: Presentation):
                     or any(terms[i][k] for k in range(len(d)) if d[k] >= d[j])):
                 offset[i, j] = ncols
                 ncols += space_dim(e[i] - d[j])
-    negated = [[[(n, -c) for n, c in ts] for ts in row] for row in terms]
-    rows = []
+    blocks = []
     for sign, t in ((-1, d), (1, e)):
         for b in range(len(t)):
             for a in range(len(t)):
                 s = t[a] - t[b]
-                if s < 0:
-                    continue
-                # (column offset, product table, signed terms) of each cell reached
-                reached = ([(offset[a, j], product_table(s, e[b] - d[j]), ts)
-                            for j, ts in enumerate(terms[b]) if ts] if sign > 0
-                           else [(offset[i, b], product_table(s, e[i] - d[a]), neg[a])
-                                 for i, neg in enumerate(negated) if neg[a]])
-                for m in range(space_dim(s)):
-                    row = [0] * ncols
-                    for o, table, ts in reached:
-                        cols = table[m]
-                        for n, c in ts:
-                            row[o + cols[n]] = c
-                    rows.append(row)
+                if s >= 0:
+                    blocks.append((space_dim(s), sign,
+                                   [(offset[a, j], product_table(s, e[b] - d[j]), b, j)
+                                    for j in range(len(d)) if terms[b][j]] if sign > 0
+                                   else [(offset[i, b], product_table(s, e[i] - d[a]), i, a)
+                                         for i in range(len(e)) if terms[i][a]]))
+    return ncols, terms, blocks
+
+
+def _stabilizer_masks(terms, blocks):
+    """The laid-out rows modulo 2, one int per unknown whose bit j is its
+    entry j mod 2, written from the odd coefficients alone."""
+    odd = [[[n for n, c in ts if c & 1] for ts in row] for row in terms]
+    masks = []
+    for count, _, reached in blocks:
+        cells = [(o, table, odd[i][j]) for o, table, i, j in reached if odd[i][j]]
+        for m in range(count):
+            x = 0
+            for o, table, ns in cells:
+                cols = table[m]
+                for n in ns:
+                    x |= 1 << (o + cols[n])
+            masks.append(x)
+    return masks
+
+
+def _stabilizer_rows(ncols, terms, blocks):
+    """The laid-out rows, one list of ints per unknown."""
+    negated = [[[(n, -c) for n, c in ts] for ts in row] for row in terms]
+    rows = []
+    for count, sign, reached in blocks:
+        entries = terms if sign > 0 else negated
+        cells = [(o, table, entries[i][j]) for o, table, i, j in reached]
+        for m in range(count):
+            row = [0] * ncols
+            for o, table, ts in cells:
+                cols = table[m]
+                for n, c in ts:
+                    row[o + cols[n]] = c
+            rows.append(row)
     return rows
 
 
@@ -394,8 +423,9 @@ def generic_stabilizer_dim(P: Presentation) -> int:
     as the solution space of gB . phi = phi . gA minus the global scalar.
 
     The unknowns are the blocks gA[a][b]: O(d_b) -> O(d_a) and
-    gB[a][b]: O(e_b) -> O(e_a) of nonnegative degree; the certificate and the
-    exact rank take the same rows, one per unknown (`_stabilizer_rows`).
+    gB[a][b]: O(e_b) -> O(e_a) of nonnegative degree; the certificates and
+    the exact rank take the same system, one row per unknown
+    (`_stabilizer_layout`).
 
     Theorem: if phi is injective with cokernel F, the solution space K has
     dimension dim End(F) + hom, hom = dim Hom(B, A) = sum of
@@ -405,25 +435,31 @@ def generic_stabilizer_dim(P: Presentation) -> int:
     h -> (h phi, phi h) is injective because phi is.  So the stabilizer has
     dimension hom + dim End(F) - 1 >= hom, with equality iff F is simple.
 
-    Certificate: the rank of the system modulo a prime is at most its rank
-    over Q (a nonzero minor mod p is nonzero over Q), which by the theorem is
-    at most nvars - 1 - hom.  So when `is_injective` proves phi injective and
-    the rank modulo CERTIFICATE_PRIME reaches nvars - 1 - hom, the stabilizer
-    is exactly hom.  The rows are those of L . phi, L a scalar, all ints, so
-    `mod_rank` takes them as they are.  Otherwise (phi not injective, or the
-    modular rank falls short because F is not simple, the prime is unlucky
-    or it divides L, which zeroes the entries it does not divide) the exact
-    rank decides."""
+    Certificates: the rank of the system modulo a prime is at most its rank
+    over Q (a minor that is nonzero mod p is nonzero over Q; mod 2, a minor
+    that is odd), which by the theorem is at most nvars - 1 - hom.  So when
+    `is_injective` proves phi injective and a modular rank reaches
+    nvars - 1 - hom, the stabilizer is exactly hom.  The rows are those of
+    L . phi, L a scalar, all ints.  The rank over GF(2) is tried first, on
+    one int per row written from the odd coefficients (`_stabilizer_masks`,
+    `gf2_rank`); only when it falls short are the int rows built, for the
+    rank modulo CERTIFICATE_PRIME, which `mod_rank` takes as they are.  When
+    that falls short too (phi not injective, F not simple, both primes
+    unlucky, or each divides L, which zeroes the entries it does not
+    divide) the exact rank decides."""
     d, e = P.source, P.target
-    rows = _stabilizer_rows(P)
-    nvars = len(rows)
+    ncols, terms, blocks = _stabilizer_layout(P)
+    nvars = sum(count for count, _, _ in blocks)
     if not nvars:
         return 0
     hom = sum(space_dim(dj - ei) for ei in e for dj in d if dj >= ei)
-    if len(d) == len(e) and is_injective(P) \
-            and mod_rank(rows, CERTIFICATE_PRIME) == nvars - 1 - hom:
+    bound = nvars - 1 - hom if len(d) == len(e) and is_injective(P) else None
+    if bound is not None and gf2_rank(_stabilizer_masks(terms, blocks)) == bound:
         return hom
-    return nvars - QMatrix(nvars, len(rows[0]), rows).rank() - 1
+    rows = _stabilizer_rows(ncols, terms, blocks)
+    if bound is not None and mod_rank(rows, CERTIFICATE_PRIME) == bound:
+        return hom
+    return nvars - QMatrix(nvars, ncols, rows).rank() - 1
 
 
 def dim_audit(row: StratumRow, seed: int = 0) -> DimAudit:

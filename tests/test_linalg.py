@@ -405,6 +405,37 @@ def test_mod_rank_and_mod_nonsingular_take_ints_unreduced():
         assert linalg.mod_nonsingular(rows, p) == linalg.mod_nonsingular(residues, p)
 
 
+def _parity_masks(rows):
+    """Each int row packed into one int, bit j its entry j mod 2."""
+    return [sum(1 << j for j, x in enumerate(row) if x & 1) for row in rows]
+
+
+def test_gf2_rank_is_mod_rank_2_and_bounds_the_rank():
+    """The elimination over GF(2) of packed rows against `mod_rank` modulo 2
+    and the exact rank, on random int rows of either sign with zero rows,
+    one-column and empty inputs, and on the stabilizer-shaped systems."""
+    rng = random.Random(67)
+    cases = [[], [[]], [[0]], [[3]], [[-2]], [[0, 0], [0, 0]]]
+    for _ in range(300):
+        r, c = rng.randint(1, 12), rng.choice((1, rng.randint(1, 12)))
+        rows = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(c)] for _ in range(r)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(r)] = [0] * c
+        if r >= 3 and rng.random() < 0.4:
+            i, j, k = rng.sample(range(r), 3)
+            rows[i] = [x + y for x, y in zip(rows[j], rows[k])]
+        cases.append(rows)
+    cases += [rows for rows, _ in stabilizer_like_systems(71)]
+    short = 0
+    for rows in cases:
+        got = linalg.gf2_rank(_parity_masks(rows))
+        exact = QMatrix.from_rows(rows).rank()
+        assert got == linalg.mod_rank(rows, 2) <= exact, rows
+        short += got < exact
+    assert short > 20
+    assert any(len(rows[0]) == 1 for rows in cases if rows)
+
+
 def test_mod_rank_of_either_orientation_agrees_with_rank():
     """Tall and wide products of planted rank, with int rows, Fraction rows
     and mixed rows, modulo a word-size prime: the same rank as the exact

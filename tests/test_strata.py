@@ -7,6 +7,7 @@ from importlib import resources
 
 import pytest
 
+from planesheaves import strata
 from planesheaves.cli import main
 from planesheaves.forms import Form, monomials, random_form, space_dim
 from planesheaves.linalg import QMatrix
@@ -503,6 +504,33 @@ def test_certified_stabilizer_equals_the_exact_one_on_every_row(monkeypatch):
                 monkeypatch.undo()
 
 
+def _stages(monkeypatch):
+    """The certificate stages run from here on, in order: "2" for the rank
+    over GF(2), "32749" for the rank modulo CERTIFICATE_PRIME, "exact" for
+    an exact rank of a system larger than is_injective's evaluation matrix."""
+    ran = []
+    for name, stage in (("gf2_rank", "2"), ("mod_rank", "32749")):
+        def spy(*args, _rank=getattr(strata, name), _stage=stage):
+            ran.append(_stage)
+            return _rank(*args)
+        monkeypatch.setattr(strata, name, spy)
+    shapes = _system_ranks(monkeypatch)
+    return ran, shapes
+
+
+def _exact_ran(P, shapes):
+    return any(shape != (len(P.target), len(P.source)) for shape in shapes)
+
+
+def _scaled_corner(P, q):
+    """P with the coefficients of its (0, 0) entry divided by q, so the scale
+    L of its stabilizer system is q and every other entry is a multiple of q."""
+    return Presentation(P.source, P.target,
+                        [[Form(f.degree, [Fraction(c, q) for c in f.coeffs]) if (i, j) == (0, 0)
+                          else f for j, f in enumerate(row)]
+                         for i, row in enumerate(P.matrix)])
+
+
 def _fallback_cases():
     cubic1, cubic2 = "X^3 + Y^3 + Z^3", "X^3 + 2*Y^3 - Z^3 + X*Y*Z"
     two_curves = Presentation.from_text([-3, -3], [0, 0], [[cubic1, "0"], ["0", cubic2]])
@@ -511,28 +539,48 @@ def _fallback_cases():
     too_wide = Presentation.from_text([-1, -1], [0], [["X", "Y"]])
     P = generate(3, "X_5", seed=4)
     p = 32749
-    scaled = Presentation(P.source, P.target,
-                          [[Form(f.degree, [Fraction(c, p) for c in f.coeffs]) if (i, j) == (0, 0)
-                            else f for j, f in enumerate(row)]
-                           for i, row in enumerate(P.matrix)])
-    # O_C1 + O_C2 has End = k^2, O_C + O_C has End = M_2(k)
-    return [("O_C1 + O_C2", two_curves, 1), ("O_C + O_C", one_curve_twice, 3),
-            ("not injective", not_injective, None), ("more source summands", too_wide, None),
-            ("denominator 32749", scaled, _hom(P))]
+    # O_C1 + O_C2 has End = k^2, O_C + O_C has End = M_2(k); an odd scale
+    # leaves GF(2) its certificate, an even one zeroes every entry but the
+    # corner mod 2, and 2p zeroes them modulo both primes
+    return [("O_C1 + O_C2", two_curves, 1, ("2", "32749", "exact")),
+            ("O_C + O_C", one_curve_twice, 3, ("2", "32749", "exact")),
+            ("not injective", not_injective, None, ("exact",)),
+            ("more source summands", too_wide, None, ("exact",)),
+            ("denominator 32749", _scaled_corner(P, p), _hom(P), ("2",)),
+            ("denominator 2", _scaled_corner(P, 2), _hom(P), ("2", "32749")),
+            ("denominator 65498", _scaled_corner(P, 2 * p), _hom(P), ("2", "32749", "exact"))]
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(7))
 def test_stabilizer_falls_back_to_the_exact_rank(case, monkeypatch):
-    name, P, expected = _fallback_cases()[case]
+    """Each certificate stage, pinned: GF(2) first, then the word-size
+    prime, then the exact rank, and the same dimension whichever decides."""
+    name, P, expected, stages = _fallback_cases()[case]
     exact = _exact_stabilizer_dim(P)
     if expected is not None:
         assert exact == expected, name
     elif len(P.source) <= len(P.target):
         assert not is_injective(P)
-    shapes = _system_ranks(monkeypatch)
+    ran, shapes = _stages(monkeypatch)
     assert generic_stabilizer_dim(P) == exact, name
-    # the stabilizer system itself went to the exact elimination
-    assert any(shape != (len(P.target), len(P.source)) for shape in shapes), name
+    assert tuple(ran) + (("exact",) if _exact_ran(P, shapes) else ()) == stages, name
+
+
+def test_gf2_certifies_almost_every_generated_sample(monkeypatch):
+    """Of the 560 generated samples (28 rows x seeds 0-19), the rank over
+    GF(2) certifies at least 550, and CERTIFICATE_PRIME every other one,
+    so neither the fast path nor its fallback goes unused without notice."""
+    ran, shapes = _stages(monkeypatch)
+    by_gf2 = 0
+    for seed in range(20):
+        for row in REGISTRY:
+            P = generate(row.chi, row.id, seed=seed)
+            del ran[:], shapes[:]
+            assert generic_stabilizer_dim(P) == _hom(P), (row.chi, row.id, seed)
+            assert not _exact_ran(P, shapes), (row.chi, row.id, seed)
+            assert ran in (["2"], ["2", "32749"]), (row.chi, row.id, seed)
+            by_gf2 += ran == ["2"]
+    assert by_gf2 >= 550
 
 
 # -- verify_row -----------------------------------------------------------------------
