@@ -8,9 +8,9 @@ semistability on blow-ups (a modular certificate or an exact destabilizer),
 and computes minimal free resolutions of reduced point configurations.
 """
 
-from .forms import (Form, FormError, ParseError, conic_is_irreducible, divides,
-                    form_gcd, form_mul, format_form, linearly_independent,
-                    monomials, mult_map, parse_form, space_dim)
+from .forms import (Form, FormError, ParseError, divides, form_gcd, form_mul,
+                    format_form, linearly_independent, monomials, mult_map,
+                    parse_form, space_dim)
 from .linalg import QMatrix
 from .presentation import (CohomologyProfile, HilbertData, Presentation,
                            PresentationError, dual, h0_omega, h0_twist,

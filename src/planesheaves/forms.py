@@ -31,10 +31,10 @@ restriction of f of full degree that does not divide that of g proves
 that f does not divide g (Gauss's lemma).  What no line certifies is
 linear algebra on multiplication matrices (``mult_map``), run by the one
 exact core in ``linalg``: ``form_gcd`` takes one rank, one kernel and one
-solve, ``divides`` one solve.  Where a product of monomials sits in the
-basis (``product_table``, kept only for small degrees), the values of the
-monomials at a point (``monomial_values``) and determinants of matrices
-of forms (``form_det``) are worked out here and nowhere else.
+solve, ``divides`` one solve.  Where a monomial sits in the basis of its
+degree (``position``, a closed form, so products need no table), the values
+of the monomials at a point (``monomial_values``) and determinants of
+matrices of forms (``form_det``) are worked out here and nowhere else.
 
 Coefficients are ints, and Fractions only where a coefficient has a
 denominator; any other number given to ``Form`` becomes a Fraction
@@ -79,12 +79,18 @@ def space_dim(k: int) -> int:
     return (k + 1) * (k + 2) // 2 if k >= 0 else 0
 
 
-# Largest degree whose basis tables (`monomials`, `monomial_index`, the
-# monomial spellings) and largest product degree s + k whose `product_table`
+def position(b: int, c: int) -> int:
+    """Index of X^a*Y^b*Z^c in the basis of its degree a + b + c, for every
+    degree: the (b + c)(b + c + 1)/2 monomials with fewer factors Y or Z come
+    first, then the c of the same b + c with fewer factors Z."""
+    return (b + c) * (b + c + 1) // 2 + c
+
+
+# Largest degree whose basis tables (`monomials` and the monomial spellings)
 # are kept after the call.  Every registry, stabilizer and point-ideal table
-# has degree at most 8; a larger table, such as the 3240 x 861 one of a
-# degree-40 gcd or the 7381 monomials of degree 120 in a kernel check, is
-# built for each call and dropped with its caller.
+# has degree at most 8; a larger table, such as the 7381 monomials of degree
+# 120 in a kernel check, is built for each call and dropped with its caller.
+# Where a monomial sits needs no table: `position`.
 _KEPT_TABLE_DEGREE = 12
 
 
@@ -108,28 +114,6 @@ def monomials(degree: int):
     return tuple((a, b, degree - a - b)
                  for a in range(degree, -1, -1)
                  for b in range(degree - a, -1, -1))
-
-
-@_kept_for_small_degrees
-def monomial_index(degree: int):
-    return {m: i for i, m in enumerate(monomials(degree))}
-
-
-def product_table(s: int, k: int):
-    """For each degree-s monomial, the index in degree s + k of its product
-    with each degree-k monomial."""
-    if s + k <= _KEPT_TABLE_DEGREE:
-        return _kept_product_table(s, k)
-    return _product_table(s, k)
-
-
-def _product_table(s: int, k: int):
-    idx = monomial_index(s + k)
-    return tuple(tuple(idx[(a + u, b + v, c + w)] for (u, v, w) in monomials(k))
-                 for (a, b, c) in monomials(s))
-
-
-_kept_product_table = lru_cache(maxsize=None)(_product_table)
 
 
 def monomial_values(degree: int, point) -> list:
@@ -159,10 +143,11 @@ class Form:
 
     @classmethod
     def from_dict(cls, degree: int, terms) -> "Form":
-        idx = monomial_index(degree)
         coeffs = [0] * space_dim(degree)
-        for mono, c in terms.items():
-            coeffs[idx[mono]] = c
+        for (a, b, c), x in terms.items():
+            if a + b + c != degree or min(a, b, c) < 0:
+                raise FormError("monomial %r is not of degree %d" % ((a, b, c), degree))
+            coeffs[position(b, c)] = x
         return cls(degree, coeffs)
 
     @classmethod
@@ -240,8 +225,7 @@ def form_mul(f: Form, g: Form) -> Form:
     if f.is_zero() or g.is_zero():
         return Form.zero(deg)
     coeffs = [0] * space_dim(deg)
-    # X^a*Y^b*Z^c sits at (b + c)(b + c + 1)/2 + c in the basis of its
-    # degree, so no basis table of the product degree is built
+    # `position`, inlined: no basis table of the product degree is built
     gterms = [(b, c, y) for (_, b, c), y in g.terms()]
     for (_, b1, c1), x in f.terms():
         for b2, c2, y in gterms:
@@ -455,10 +439,9 @@ def _parse_grammar(text: str) -> Form:
     if len(degrees) > 1:
         raise ParseError("inhomogeneous polynomial: degrees %s" % sorted(degrees))
     d = degrees.pop()
-    index = monomial_index(d)
     coeffs = [0] * space_dim(d)
-    for key, c in acc.items():
-        coeffs[index[key]] = c
+    for (_, b, c), x in acc.items():
+        coeffs[position(b, c)] = x
     return Form(d, coeffs)
 
 
@@ -588,9 +571,9 @@ def _restrictions(f: Form, g: Form):
     p = CERTIFICATE_PRIME
     (F, G), _ = integer_rows([f.coeffs, g.coeffs])
     scaled = ((f.degree, [c % p for c in F]), (g.degree, [c % p for c in G]))
-    # on Z = 0 (P = (0, 1, 0), Q = (1, 0, 0)) the coefficient of X^a*Y^(m-a)
-    # sits at index (m - a)(m - a + 1)/2
-    yield tuple([r[(m - a) * (m - a + 1) // 2] for a in range(m + 1)] for m, r in scaled)
+    # on Z = 0 (P = (0, 1, 0), Q = (1, 0, 0)) u(t) reads the coefficient of
+    # X^a*Y^(m-a) as that of t^a
+    yield tuple([r[position(m - a, 0)] for a in range(m + 1)] for m, r in scaled)
     rng = random.Random(_LINE_SEED)
     for _ in range(_LINE_DRAWS):
         P, Q = random_ints(rng, 3, 99), random_ints(rng, 3, 99)
@@ -645,25 +628,6 @@ def _univariate_gcd(a, b):
     return a
 
 
-def conic_is_irreducible(q: Form) -> bool:
-    """A plane conic is irreducible over the closure iff its Gram determinant is nonzero."""
-    if q.degree != 2:
-        raise FormError("conic test requires a degree-2 form")
-    idx = monomial_index(2)
-    c = q.coeffs
-
-    def at(a, b, cc):
-        return c[idx[(a, b, cc)]]
-
-    half = Fraction(1, 2)
-    gram = QMatrix(3, 3, [
-        [at(2, 0, 0), half * at(1, 1, 0), half * at(1, 0, 1)],
-        [half * at(1, 1, 0), at(0, 2, 0), half * at(0, 1, 1)],
-        [half * at(1, 0, 1), half * at(0, 1, 1), at(0, 0, 2)],
-    ])
-    return gram.det() != 0
-
-
 def coefficient_matrix(forms) -> QMatrix:
     """Rows are the coefficient vectors of the given same-degree forms."""
     forms = list(forms)
@@ -699,10 +663,10 @@ def block_mult_map(entries, row_deg, col_deg) -> QMatrix:
 
     Block (i, j) is mult_map(entries[i][j], col_deg[j]), from the degree
     col_deg[j] forms to the degree row_deg[i] forms; a zero entry gives a
-    zero block.  The terms are written straight into the output, at the rows
-    `product_table` gives: for a fixed source monomial m_j the products
-    m_f * m_j are distinct, so each cell is written at most once.  Raises
-    FormError if a nonzero entry has the wrong degree."""
+    zero block.  The terms are written straight into the output, each product
+    at its `position`: for a fixed source monomial m_j the products m_f * m_j
+    are distinct, so each cell is written at most once.  Raises FormError if
+    a nonzero entry has the wrong degree."""
     row_dims = [space_dim(k) for k in row_deg]
     col_dims = [space_dim(k) for k in col_deg]
     out = QMatrix(sum(row_dims), sum(col_dims))
@@ -715,10 +679,10 @@ def block_mult_map(entries, row_deg, col_deg) -> QMatrix:
                 if f.degree + s != t:
                     raise FormError("entry of degree %d maps degree %d into %d rows, not %d"
                                     % (f.degree, s, space_dim(s + f.degree), t_dim))
-                terms = [(n, coeff) for n, coeff in enumerate(f.coeffs) if coeff]
-                for j, products in enumerate(product_table(s, f.degree), c0):
-                    for n, coeff in terms:
-                        data[r0 + products[n]][j] = coeff
+                terms = [(b, c, coeff) for (_, b, c), coeff in f.terms()]
+                for j, (_, bj, cj) in enumerate(monomials(s), c0):
+                    for b, c, coeff in terms:
+                        data[r0 + position(bj + b, cj + c)][j] = coeff
             c0 += s_dim
         r0 += t_dim
     return out

@@ -247,7 +247,9 @@ def minors_semistable(K: KroneckerModule) -> bool:
 
 
 def dim_kronecker_moduli(n: int, p: int, q: int) -> int:
-    """Dimension n*p*q - p^2 - q^2 + 1 of the moduli of semistable modules."""
+    """Dimension n*p*q - p^2 - q^2 + 1 of the moduli of semistable modules.
+    No engine path needs it; `tests/test_kronecker.py` checks strata codims
+    against the 37-dimensional moduli space with it."""
     return n * p * q - p * p - q * q + 1
 
 

@@ -27,8 +27,8 @@ from fractions import Fraction
 from itertools import combinations, count
 from math import lcm
 
-from .forms import (MAX_DIGITS, Form, ParseError, block_mult_map, divides, monomial_index,
-                    monomial_values, quoted, space_dim)
+from .forms import (MAX_DIGITS, Form, ParseError, block_mult_map, divides,
+                    monomial_values, position, quoted, space_dim)
 from .linalg import QMatrix, from_columns
 from .presentation import Presentation
 
@@ -240,9 +240,7 @@ def _line_missing(points):
 
 def _section(f: Form) -> list:
     """The coefficients of f(X, Y, 0) on X^t, X^(t-1) Y, ..., Y^t."""
-    t = f.degree
-    idx = monomial_index(t)
-    return [f.coeffs[idx[(t - k, k, 0)]] for k in range(t + 1)]
+    return [f.coeffs[position(k, 0)] for k in range(f.degree + 1)]
 
 
 def minimal_resolution(cfg: PointConfig) -> BettiShape:

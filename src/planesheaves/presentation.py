@@ -336,7 +336,9 @@ def h0_omega(P: Presentation) -> int:
 
 def h1_omega(P: Presentation) -> int:
     """h^1(F ⊗ Ω¹(1)) from h^0(F ⊗ Ω¹(1)) and twist arithmetic, by the
-    six-term sequence of the Euler tensor sequence."""
+    six-term sequence of the Euler tensor sequence.  No engine path needs
+    it; acceptance criterion 4 (`tests/test_acceptance.py`) is stated with
+    it, as h0_omega - h1_omega = 2 chi - r on every registry sample."""
     value = (h0_omega(P) - 3 * h0_twist(P, 0) + h0_twist(P, 1)
              + 3 * h1_twist(P, 0) - h1_twist(P, 1))
     if value < 0:

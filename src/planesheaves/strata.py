@@ -14,9 +14,11 @@ clause is decided exactly, each Kronecker block by
 the generator accepts like `pass`.
 
 The classifier decides exactly that its input map is injective and raises
-otherwise.  It assumes that the sheaf is semistable: a non-semistable
-injective presentation whose profile happens to sit in the registry is
-classified silently.  Its label carries the profile that picked the row.
+otherwise.  At chi 1 it refutes a sheaf that is not simple, by dim End(F);
+at chi 0, 2 and 3 it assumes that the sheaf is semistable: a
+non-semistable injective presentation whose profile happens to sit in the
+registry is classified silently.  Its label carries the profile that picked
+the row.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from importlib import resources
 from math import lcm
 
 from .forms import (Form, coefficient_matrix, divides, form_gcd, linearly_independent,
-                    product_table, random_form, space_dim)
+                    monomials, random_form, space_dim)
 from .kronecker import KroneckerModule, is_semistable
 from .linalg import CERTIFICATE_PRIME, QMatrix, gf2_rank, mod_rank
 from .presentation import (CohomologyProfile, InconsistentPresentationError, Presentation,
@@ -49,6 +51,10 @@ class ClassifyError(StrataError):
 
 class GenerationError(StrataError):
     pass
+
+
+class NotSemistableError(StrataError):
+    """The presentation matches a row, but its sheaf is proved not semistable."""
 
 
 @dataclass(frozen=True)
@@ -148,8 +154,16 @@ def classify(P: Presentation) -> StratumLabel:
     The profile is that of P moved to chi in {0, 1, 2, 3} by the recipe of
     `normalize_chi`, and the label carries it.  Injectivity is decided
     exactly (`is_injective`): a map that is not injective raises
-    InconsistentPresentationError.  Semistability is assumed, not checked;
-    profiles outside the registry raise ClassifyError."""
+    InconsistentPresentationError.  Profiles outside the registry raise
+    ClassifyError.
+
+    At chi 1 the label needs End(F) = 1: a semistable sheaf of chi 1 and
+    multiplicity 6 is stable, since no subsheaf can have slope 1/6 exactly,
+    and a stable sheaf is simple (Huybrechts and Lehn, Cor. 1.2.8).  So
+    dim End(F) = dim K - hom > 1 (`generic_stabilizer_dim`, whose
+    certificates prove End(F) = 1 on the injective map) raises
+    NotSemistableError.  At the other chi semistability is assumed, not
+    checked."""
     hd = hilbert(P)
     chi_bar, recipe = normalize_chi(hd.r, hd.chi)
     if not is_injective(P):
@@ -162,6 +176,12 @@ def classify(P: Presentation) -> StratumLabel:
         raise ClassifyError(
             "profile not in table: chi=%d profile=%s" % (chi_bar, prof.as_tuple()))
     row = matches[0]
+    if chi_bar == 1:
+        solutions, hom = _stabilizer_solutions(P, injective=True)
+        if solutions - hom > 1:
+            raise NotSemistableError(
+                "not semistable: dim End(F) = %d, but a semistable sheaf of chi 1 is "
+                "stable, hence simple" % (solutions - hom))
     return StratumLabel(chi_bar, row.id, row.codim, prof)
 
 
@@ -343,25 +363,27 @@ def _stabilizer_layout(P: Presentation):
     unknown: (ncols, terms, blocks).
 
     The unknowns are the monomials m of the blocks gA[a][b]: O(d_b) -> O(d_a)
-    and gB[a][b]: O(e_b) -> O(e_a) of nonnegative degree; the columns are the
-    monomials of the cells (i, j) of the equation that some unknown reaches.
-    gB[a][b] = m puts m * phi[b][j] into cell (a, j) and gA[a][b] = m puts
-    -phi[i][a] * m into cell (i, b), at the columns of `product_table`.  Each
-    block is (its number of monomials, its sign, and the (column offset,
-    product table, i, j) of each cell that it reaches through phi[i][j]);
-    terms[i][j] lists the (index, coefficient) of the nonzero terms of
-    phi[i][j].  The products of the terms of one entry by one monomial are
-    distinct, so each entry of a row is written at most once.
+    and gB[a][b]: O(e_b) -> O(e_a) of nonnegative degree.  gB[a][b] = m puts
+    m * phi[b][j] into cell (a, j) and gA[a][b] = m puts -phi[i][a] * m into
+    cell (i, b).  A reached cell of degree t gets the (t + 1)^2 columns of
+    its exponent grid, X^a*Y^b*Z^c at b(t + 1) + c, so multiplying by
+    m = (., b_m, c_m) shifts the columns of an entry's terms by
+    b_m(t + 1) + c_m; columns that no monomial reaches stay zero, which
+    changes no rank.  Each block is (the basis of its monomials, its sign,
+    and the (column offset, grid width, i, j) of each cell that it reaches
+    through phi[i][j]); terms[i][j] lists the (b, c, coefficient) of the
+    nonzero terms of phi[i][j].
 
     The system laid out is that of L . phi, L the lcm of the denominators of
     the coefficients of phi: a nonzero scalar, so the solution space is the
     same, and every coefficient is an int."""
     d, e = P.source, P.target
-    terms = [[[(n, c) for n, c in enumerate(f.coeffs) if c] for f in row] for row in P.matrix]
+    terms = [[[(b, c, x) for (_, b, c), x in zip(monomials(f.degree), f.coeffs) if x]
+              for f in row] for row in P.matrix]
     # by type, not by L > 1: a Fraction of denominator 1 must become an int too
     if not all({int}.issuperset(map(type, f.coeffs)) for row in P.matrix for f in row):
-        L = lcm(*[c.denominator for row in terms for ts in row for _, c in ts])
-        terms = [[[(n, c.numerator * (L // c.denominator)) for n, c in ts] for ts in row]
+        L = lcm(*[x.denominator for row in terms for ts in row for _, _, x in ts])
+        terms = [[[(b, c, x.numerator * (L // x.denominator)) for b, c, x in ts] for ts in row]
                  for row in terms]
     offset, ncols = {}, 0
     for i in range(len(e)):
@@ -369,53 +391,74 @@ def _stabilizer_layout(P: Presentation):
             if (any(terms[k][j] for k in range(len(e)) if e[k] <= e[i])
                     or any(terms[i][k] for k in range(len(d)) if d[k] >= d[j])):
                 offset[i, j] = ncols
-                ncols += space_dim(e[i] - d[j])
+                ncols += (e[i] - d[j] + 1) ** 2
     blocks = []
     for sign, t in ((-1, d), (1, e)):
         for b in range(len(t)):
             for a in range(len(t)):
-                s = t[a] - t[b]
-                if s >= 0:
-                    blocks.append((space_dim(s), sign,
-                                   [(offset[a, j], product_table(s, e[b] - d[j]), b, j)
+                if t[a] >= t[b]:
+                    blocks.append((monomials(t[a] - t[b]), sign,
+                                   [(offset[a, j], e[a] - d[j] + 1, b, j)
                                     for j in range(len(d)) if terms[b][j]] if sign > 0
-                                   else [(offset[i, b], product_table(s, e[i] - d[a]), i, a)
+                                   else [(offset[i, b], e[i] - d[b] + 1, i, a)
                                          for i in range(len(e)) if terms[i][a]]))
     return ncols, terms, blocks
 
 
 def _stabilizer_masks(terms, blocks):
     """The laid-out rows modulo 2, one int per unknown whose bit j is its
-    entry j mod 2, written from the odd coefficients alone."""
-    odd = [[[n for n, c in ts if c & 1] for ts in row] for row in terms]
+    entry j mod 2: each reached cell ORs in the mask of the entry's odd terms
+    on the cell's grid, shifted by the unknown's monomial."""
+    odd = {}
     masks = []
-    for count, _, reached in blocks:
-        cells = [(o, table, odd[i][j]) for o, table, i, j in reached if odd[i][j]]
-        for m in range(count):
+    for basis, _, reached in blocks:
+        cells = []
+        for o, w, i, j in reached:
+            mask = odd.get((i, j, w))
+            if mask is None:
+                mask = odd[i, j, w] = sum(1 << (b * w + c) for b, c, x in terms[i][j] if x & 1)
+            if mask:
+                cells.append((o, w, mask))
+        for _, b, c in basis:
             x = 0
-            for o, table, ns in cells:
-                cols = table[m]
-                for n in ns:
-                    x |= 1 << (o + cols[n])
+            for o, w, mask in cells:
+                x |= mask << (o + b * w + c)
             masks.append(x)
     return masks
 
 
 def _stabilizer_rows(ncols, terms, blocks):
     """The laid-out rows, one list of ints per unknown."""
-    negated = [[[(n, -c) for n, c in ts] for ts in row] for row in terms]
     rows = []
-    for count, sign, reached in blocks:
-        entries = terms if sign > 0 else negated
-        cells = [(o, table, entries[i][j]) for o, table, i, j in reached]
-        for m in range(count):
+    for basis, sign, reached in blocks:
+        cells = [(o, w, [(b * w + c, sign * x) for b, c, x in terms[i][j]])
+                 for o, w, i, j in reached]
+        for _, b, c in basis:
             row = [0] * ncols
-            for o, table, ts in cells:
-                cols = table[m]
-                for n, c in ts:
-                    row[o + cols[n]] = c
+            for o, w, ts in cells:
+                o += b * w + c
+                for n, x in ts:
+                    row[o + n] = x
             rows.append(row)
     return rows
+
+
+def _stabilizer_solutions(P: Presentation, injective: bool):
+    """(dim K, hom): K the solution space of gB . phi = phi . gA, and
+    hom = dim Hom(B, A) = the sum of space_dim(d_j - e_i).  `injective` says
+    that phi is known to be injective, which makes the certificates of
+    `generic_stabilizer_dim` apply: a modular rank of nvars - 1 - hom proves
+    dim K = hom + 1.  Otherwise the exact rank decides."""
+    ncols, terms, blocks = _stabilizer_layout(P)
+    nvars = sum(len(basis) for basis, _, _ in blocks)
+    hom = sum(space_dim(dj - ei) for ei in P.target for dj in P.source)
+    bound = nvars - 1 - hom
+    if injective and gf2_rank(_stabilizer_masks(terms, blocks)) == bound:
+        return hom + 1, hom
+    rows = _stabilizer_rows(ncols, terms, blocks)
+    if injective and mod_rank(rows, CERTIFICATE_PRIME) == bound:
+        return hom + 1, hom
+    return nvars - QMatrix(nvars, ncols, rows).rank(), hom
 
 
 def generic_stabilizer_dim(P: Presentation) -> int:
@@ -435,31 +478,23 @@ def generic_stabilizer_dim(P: Presentation) -> int:
     h -> (h phi, phi h) is injective because phi is.  So the stabilizer has
     dimension hom + dim End(F) - 1 >= hom, with equality iff F is simple.
 
-    Certificates: the rank of the system modulo a prime is at most its rank
-    over Q (a minor that is nonzero mod p is nonzero over Q; mod 2, a minor
-    that is odd), which by the theorem is at most nvars - 1 - hom.  So when
-    `is_injective` proves phi injective and a modular rank reaches
-    nvars - 1 - hom, the stabilizer is exactly hom.  The rows are those of
-    L . phi, L a scalar, all ints.  The rank over GF(2) is tried first, on
-    one int per row written from the odd coefficients (`_stabilizer_masks`,
-    `gf2_rank`); only when it falls short are the int rows built, for the
-    rank modulo CERTIFICATE_PRIME, which `mod_rank` takes as they are.  When
-    that falls short too (phi not injective, F not simple, both primes
-    unlucky, or each divides L, which zeroes the entries it does not
-    divide) the exact rank decides."""
-    d, e = P.source, P.target
-    ncols, terms, blocks = _stabilizer_layout(P)
-    nvars = sum(count for count, _, _ in blocks)
-    if not nvars:
+    Certificates (`_stabilizer_solutions`, shared with `classify`): the rank
+    of the system modulo a prime is at most its rank over Q (a minor that
+    is nonzero mod p is nonzero over Q; mod 2, a minor that is odd), which
+    by the theorem is at most nvars - 1 - hom.  So when `is_injective`
+    proves phi injective and a modular rank reaches nvars - 1 - hom, the
+    stabilizer is exactly hom.  The rows are those of L . phi, L a scalar,
+    all ints.  The rank over GF(2) is tried first, on one int per row
+    written from the odd coefficients (`_stabilizer_masks`, `gf2_rank`);
+    only when it falls short are the int rows built, for the rank modulo
+    CERTIFICATE_PRIME, which `mod_rank` takes as they are.  When that falls
+    short too (phi not injective, F not simple, both primes unlucky, or each
+    divides L, which zeroes the entries it does not divide) the exact rank
+    decides."""
+    if not P.source and not P.target:
         return 0
-    hom = sum(space_dim(dj - ei) for ei in e for dj in d if dj >= ei)
-    bound = nvars - 1 - hom if len(d) == len(e) and is_injective(P) else None
-    if bound is not None and gf2_rank(_stabilizer_masks(terms, blocks)) == bound:
-        return hom
-    rows = _stabilizer_rows(ncols, terms, blocks)
-    if bound is not None and mod_rank(rows, CERTIFICATE_PRIME) == bound:
-        return hom
-    return nvars - QMatrix(nvars, ncols, rows).rank() - 1
+    injective = len(P.source) == len(P.target) and is_injective(P)
+    return _stabilizer_solutions(P, injective)[0] - 1
 
 
 def dim_audit(row: StratumRow, seed: int = 0) -> DimAudit:

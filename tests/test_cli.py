@@ -190,6 +190,16 @@ def test_multiplicity_zero_is_refused_by_every_sheaf_command(argv, capsys):
     assert captured.out == "" and "multiplicity 0 is not positive" in captured.err
 
 
+def test_classify_refuses_a_chi_1_sheaf_with_two_endomorphisms(capsys):
+    # O_L + O_Q(1): chi 1, and the line has slope 1 > 1/6, so it is not
+    # semistable; it used to be labelled chi 1 X_5
+    blob = json.dumps({"source": [-1, -4], "target": [0, 1],
+                       "matrix": [["X", "0"], ["0", "X^5 + Y^5 + Z^5"]]})
+    assert main(["classify", "--input", blob]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "End(F)" in captured.err
+
+
 def test_classify_not_in_table(capsys):
     lines = ["X", "Y", "Z", "X + Y", "Y + Z", "X + Z"]
     ks = [-3, -3, -3, 0, 0, 0]

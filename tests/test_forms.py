@@ -10,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from planesheaves import forms
 from planesheaves.forms import (MAX_DIGITS, Form, FormError, ParseError,
-                                block_mult_map,
-                                conic_is_irreducible, divides, form_det, form_gcd,
+                                block_mult_map, divides, form_det, form_gcd,
                                 form_mul, format_form, linearly_independent,
-                                monomials, mult_map, parse_form, product_table,
+                                monomials, mult_map, parse_form, position,
                                 random_ints, space_dim)
 from planesheaves.linalg import CERTIFICATE_PRIME, QMatrix
 from planesheaves.presentation import Presentation, is_injective
@@ -287,23 +286,20 @@ def test_a_degree_40_pair_is_certified_coprime_without_a_multiplication_matrix()
     assert _by_certificate(divides, f, g) is False
 
 
-def test_product_tables_of_large_degree_are_not_kept():
-    # one degree-40 gcd used to leave the 3240 x 861 table in the cache
-    assert product_table(30, 10) == product_table(30, 10)
-    assert product_table(30, 10) is not product_table(30, 10)
-    assert product_table(2, 3) is product_table(2, 3)
+def test_position_enumerates_every_basis_up_to_degree_40():
+    # one closed form for every degree, so no degree needs a kept table
+    for d in range(41):
+        assert [position(b, c) for _, b, c in monomials(d)] == list(range(space_dim(d)))
+    # position cannot see the degree, so Form.from_dict checks it
+    with pytest.raises(FormError):
+        Form.from_dict(2, {(0, 0, 1): 1})
 
 
 def test_conic_irreducible():
-    # Gram matrix of XZ - Y^2 has determinant 1/4 by direct expansion
+    # Gram matrix of XZ - Y^2, a smooth conic, has determinant 1/4 by direct expansion
     gram = QMatrix.from_rows([
         [0, 0, Fraction(1, 2)], [0, -1, 0], [Fraction(1, 2), 0, 0]])
     assert gram.det() == Fraction(1, 4)
-    assert conic_is_irreducible(X * Z - Y * Y)
-    assert not conic_is_irreducible(X * Y)
-    assert not conic_is_irreducible(X * X)
-    with pytest.raises(FormError):
-        conic_is_irreducible(X)
 
 
 def test_linear_independence():
@@ -395,11 +391,10 @@ def test_mult_map_columns_are_products():
 
 @pytest.mark.parametrize("s,k", [(0, 0), (0, 3), (1, 2), (2, 1), (3, 3), (4, 0)])
 def test_products_index_the_product_monomial(s, k):
-    table = product_table(s, k)
-    assert len(table) == space_dim(s)
-    for (a, b, c), indices in zip(monomials(s), table):
-        assert [monomials(s + k)[n] for n in indices] == \
-            [(a + u, b + v, c + w) for u, v, w in monomials(k)]
+    basis = monomials(s + k)
+    for a, b1, c1 in monomials(s):
+        for u, b2, c2 in monomials(k):
+            assert basis[position(b1 + b2, c1 + c2)] == (a + u, b1 + b2, c1 + c2)
 
 
 def test_form_det_evaluates_to_the_determinant_of_the_values():

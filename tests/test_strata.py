@@ -14,7 +14,8 @@ from planesheaves.linalg import QMatrix
 from planesheaves.presentation import (Presentation, derive_seed, dual, hilbert,
                                        is_injective, profile, twist)
 from planesheaves.strata import (REGISTRY, ClassifyError, MODULI_DIM,
-                                 StrataError, StratumRow, _SIDE_CONDITIONS,
+                                 NotSemistableError, StrataError, StratumRow,
+                                 _SIDE_CONDITIONS,
                                  apply_recipe,
                                  classify, dim_audit, generate,
                                  generic_stabilizer_dim, get_row,
@@ -190,6 +191,25 @@ def test_classify_profile_not_in_table():
         classify(P)
 
 
+def test_classify_refutes_a_chi_1_sheaf_that_is_not_simple():
+    # O_L + O_Q(1): chi 1, and the line has slope 1 > 1/6
+    P = Presentation.from_text([-1, -4], [0, 1], [["X", "0"], ["0", "X^5 + Y^5 + Z^5"]])
+    assert hilbert(P).chi == 1
+    with pytest.raises(NotSemistableError, match=r"End\(F\) = 2"):
+        classify(P)
+    assert not isinstance(NotSemistableError(), ClassifyError)
+
+
+def test_every_chi_1_sample_and_its_dual_keeps_its_label():
+    # semistable at chi 1 is stable, hence simple: no registry sample is refused
+    for seed in range(20):
+        for row in rows_for_chi(1):
+            P = generate(1, row.id, seed=seed)
+            for Q in (P, dual(P)):
+                label = classify(Q)
+                assert (label.chi, label.id) == (1, row.id), (row.id, seed)
+
+
 # -- side conditions -------------------------------------------------------------
 
 def test_side_condition_pass_and_fail():
@@ -262,15 +282,15 @@ def test_side_condition_corpus():
 # twists: the sum is semistable iff its summands have equal slope, that is
 # iff k1 - k2 = a - 3.  The semistable ones get these labels, by a.
 DIRECT_SUM_LABELS = {1: (0, "X_4"), 2: (3, "X_4"), 3: (0, "X_2"), 4: (3, "X_4"), 5: (0, "X_4")}
-# classify assumes semistability, so it labels some sums that are not
-# semistable and exits 0.  The counts by label may fall, never rise.
-SILENT_LABEL_CAPS = {(0, "X_4"): 8, (1, "X_4"): 20, (1, "X_5"): 32,
-                     (2, "X_6"): 16, (3, "X_4"): 10, (3, "X_7"): 24}
+# classify refutes a chi 1 sum by End(F) but assumes semistability at the
+# other chi, so it labels some sums that are not semistable and exits 0.  The
+# counts by label may fall, never rise.
+SILENT_LABEL_CAPS = {(0, "X_4"): 8, (2, "X_6"): 16, (3, "X_4"): 10, (3, "X_7"): 24}
 
 
 def test_direct_sums_get_their_known_labels_and_no_more_silent_ones():
     rng = random.Random(11)
-    labelled = refused = 0
+    labelled = refused = not_simple = 0
     silent = {}
     for a in range(1, 6):
         for k1 in range(-2, 4):
@@ -289,13 +309,17 @@ def test_direct_sums_get_their_known_labels_and_no_more_silent_ones():
                 except ClassifyError:
                     refused += 1
                     continue
+                except NotSemistableError:
+                    not_simple += 1
+                    continue
                 key = (label.chi, label.id)
                 silent[key] = silent.get(key, 0) + 1
     assert labelled == 24
-    assert refused + sum(silent.values()) == 156
+    assert (refused, not_simple) == (46, 52)
+    assert refused + not_simple + sum(silent.values()) == 156
     assert set(silent) <= set(SILENT_LABEL_CAPS)
     assert all(n <= SILENT_LABEL_CAPS[key] for key, n in silent.items()), silent
-    assert sum(silent.values()) <= 110
+    assert sum(silent.values()) <= 58
 
 
 def test_side_condition_names_a_nonzero_forced_zero_cell():
