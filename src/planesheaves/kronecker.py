@@ -31,7 +31,7 @@ matrix B = K_X ⊗ T_X + K_Y ⊗ T_Y + K_Z ⊗ T_Z.
   one fraction-free elimination of [B | I]: its right block E tests
   membership in im B and gives each preimage as an integer vector, each
   S_i and R_i is a primitive integer basis, and Fractions appear only in
-  the witness, the canonical RREF bases of S and K(S).
+  the witness, the canonical `QMatrix.rref` bases of S and K(S).
 
 The lemma the loop relies on: if rank B equals the non-commutative rank of
 the blow-up space, the limit lies in im B (IKQS 2015).  A blow-up with
@@ -71,7 +71,7 @@ class KroneckerError(ValueError):
 class KroneckerModule:
     """q x p matrix of degree-1 forms; p source copies, q target copies."""
 
-    __slots__ = ("p", "q", "entries", "_slices")
+    __slots__ = ("p", "q", "entries")
 
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -90,7 +90,6 @@ class KroneckerModule:
         self.p = p
         self.q = q
         self.entries = entries
-        self._slices = None
 
     @classmethod
     def from_text(cls, rows) -> "KroneckerModule":
@@ -98,16 +97,11 @@ class KroneckerModule:
                     for row in rows])
 
     def coefficient_slices(self):
-        """The three scalar matrices K_X, K_Y, K_Z, built once per module.
-
-        Callers share the returned matrices and must not mutate them.  X, Y
-        and Z are the coefficients 0, 1 and 2 of a degree-1 form."""
-        if self._slices is None:
-            self._slices = tuple(
-                QMatrix(self.q, self.p, [[0 if f.is_zero() else f.coeffs[k] for f in row]
-                                         for row in self.entries])
-                for k in range(3))
-        return self._slices
+        """K_X, K_Y, K_Z: the coefficients 0, 1 and 2 of the entries as three
+        scalar matrices, built on each call (a verdict reads them at most twice)."""
+        return tuple(QMatrix(self.q, self.p, [[0 if f.is_zero() else f.coeffs[k] for f in row]
+                                              for row in self.entries])
+                     for k in range(3))
 
     def transpose(self) -> "KroneckerModule":
         return KroneckerModule(tuple(tuple(self.entries[i][j] for i in range(self.q))
@@ -175,15 +169,9 @@ def verify_destabilizer(K: KroneckerModule, D: Destabilizer) -> bool:
     t_rank = D.target_basis.rank()
     if t_rank != q - D.q_prime:
         return False
-    for slice_ in K.coefficient_slices():
-        image = slice_ @ D.source_basis
-        if D.target_basis.cols == 0:
-            if any(any(x for x in row) for row in image.data):
-                return False
-        else:
-            if D.target_basis.hstack(image).rank() != t_rank:
-                return False
-    return True
+    # with no target columns, the rank of the stack is the rank of the image
+    return all(D.target_basis.hstack(slice_ @ D.source_basis).rank() == t_rank
+               for slice_ in K.coefficient_slices())
 
 
 def _integer_slices(K: KroneckerModule):
@@ -257,24 +245,21 @@ def dim_kronecker_moduli(n: int, p: int, q: int) -> int:
 # destabilizers
 # ---------------------------------------------------------------------------
 
-def _rref_basis(vectors, length: int):
-    """The RREF rows of the span of the given integer vectors (eliminated in
-    place), its canonical basis: an int where an entry has no denominator."""
-    pivots, d = integer_echelon(vectors, length, reduced=True)
-    return [[a // d if a % d == 0 else Fraction(a, d) for a in row]
-            for row in vectors[:len(pivots)]]
+def _rref_columns(vectors, length: int) -> QMatrix:
+    """The canonical basis of the span of the given vectors, the nonzero
+    rows of its `QMatrix.rref`, as the columns of a matrix."""
+    rref, pivots = QMatrix(len(vectors), length, vectors).rref()
+    return from_columns(rref.data[:len(pivots)], length)
 
 
-def _witness(K: KroneckerModule, basis, integer) -> Destabilizer | None:
-    """The destabilizer with S the span of the given integer p-vectors,
-    taken in the scaled source coordinates of ``integer``, the value of
-    `_integer_slices(K)`, and T = K(S), both as canonical RREF bases, if
-    `verify_destabilizer` accepts it (its first check is the slope
-    inequality); else None."""
-    slices, scales = integer
-    S = _rref_basis([[a * d for a, d in zip(s, scales)] for s in basis], K.p)
-    T = _rref_basis([[sum(map(mul, row, s)) for row in sl] for sl in slices for s in basis], K.q)
-    D = Destabilizer(len(S), K.q - len(T), from_columns(S, K.p), from_columns(T, K.q))
+def _witness(K: KroneckerModule, basis, image, scales) -> Destabilizer | None:
+    """The destabilizer (S, T) if `verify_destabilizer` accepts it, else
+    None: S spans the integer p-vectors ``basis`` in the source coordinates
+    scaled by ``scales`` (`_integer_slices`), T = K(S) spans ``image``, and
+    both are canonical RREF bases."""
+    S = _rref_columns([[a * d for a, d in zip(s, scales)] for s in basis], K.p)
+    T = _rref_columns(image, K.q)
+    D = Destabilizer(S.cols, K.q - T.cols, S, T)
     return D if verify_destabilizer(K, D) else None
 
 
@@ -328,7 +313,7 @@ def _second_wong_sequence(K: KroneckerModule, blocks, integer, B):
         image = _primitive_basis([[sum(map(mul, row, s)) for row in sl]
                                   for sl in slices for s in S], K.q)
         if len(image) == len(R):
-            D = _witness(K, S, integer)
+            D = _witness(K, S, image, integer[1])
             if D is None:
                 raise RuntimeError("internal: Wong limit without witness")
             return n - rank, D

@@ -356,7 +356,7 @@ def profile(P: Presentation) -> CohomologyProfile:
 
 
 # ---------------------------------------------------------------------------
-# duality and twisting
+# duality, twisting and the minimal presentation
 # ---------------------------------------------------------------------------
 
 def dual(P: Presentation) -> Presentation:
@@ -368,3 +368,31 @@ def dual(P: Presentation) -> Presentation:
 def twist(P: Presentation, k: int) -> Presentation:
     return Presentation(tuple(d + k for d in P.source),
                         tuple(e + k for e in P.target), P.matrix, _checked=True)
+
+
+def minimal_presentation(P: Presentation) -> Presentation:
+    """P with every unit pair cancelled: a presentation of the same sheaf in
+    which every constant cell, e_i = d_j, is zero.  Only those cells are scanned.
+
+    While a constant cell (i, j) holds a nonzero c, scale each other row k
+    with M[k][j] != 0 by c, subtract M[k][j] times row i, and then clear
+    row i by column operations: each step is invertible and of nonnegative
+    degree, so the cokernel is the same and the map stays injective.  The
+    summand O(d_j) -> O(e_i) of the unit c then splits off and is dropped,
+    and entry (k, l) becomes c M[k][l] - M[k][j] M[i][l], the Schur
+    complement times c, with no division, so integer coefficients stay
+    integers."""
+    source, target = list(P.source), list(P.target)
+    matrix = [list(row) for row in P.matrix]
+    while True:
+        unit = next(((i, j) for i, e in enumerate(target) for j, d in enumerate(source)
+                     if e == d and not matrix[i][j].is_zero()), None)
+        if unit is None:
+            return P if len(source) == len(P.source) else Presentation(
+                source, target, matrix, _checked=True)
+        i, j = unit
+        c = matrix[i][j].coeffs[0]
+        pivot = matrix.pop(i)
+        del target[i], source[j], pivot[j]
+        matrix = [row if a.is_zero() else [f.scale(c) - a * b for f, b in zip(row, pivot)]
+                  for row in matrix for a in (row.pop(j),)]

@@ -92,16 +92,17 @@ def _gcd_of_all(forms):
 
 
 def _pair_special_form(P: Presentation) -> bool:
-    """For a 2x2 presentation with e1-d1 = e2-d2: can the (1,1) entry be made
-    zero by the allowed triangular transformations?  Decided exactly."""
+    """For a 2x2 presentation with e1-d1 = e2-d2 that passes the gates of
+    `two_by_two_criterion`: can the (1,1) entry be made zero by the allowed
+    triangular transformations?  Decided exactly."""
     d1, d2 = P.source
     f11, f12 = P.matrix[0]
     f21, f22 = P.matrix[1]
     if d1 < d2:
         # a row scalar cannot mix rows downward; only the column operation
-        # col1 += u * col2 (deg u = d2 - d1) and scalars act on the slot
-        if f12.is_zero():
-            return f11.is_zero()
+        # col1 += u * col2 (deg u = d2 - d1) and scalars act on the slot.
+        # f12 != 0: else the caller's column gcd f22.monic() is constant only
+        # if e2 = d2, and equal gaps give e1 = d1 <= d2, against d2 < e1
         return divides(f12, f11)
     # d1 == d2 (hence e1 == e2): both sides act by full 2x2 scalars; the slot
     # can be cleared iff a*phi*c = 0 for some nonzero scalar vectors a, c,
@@ -272,13 +273,6 @@ class BoundsResult:
         return {"allowed": self.allowed, "rule": self.rule}
 
 
-def _h1_Fm1(q: BoundsQuery) -> int | None:
-    # h1(F(-1)) = h0(F(-1)) - chi(F(-1)) for one-dimensional sheaves
-    if q.h0_Fm1 is None:
-        return None
-    return q.h0_Fm1 - (q.chi - q.r)
-
-
 _FORBIDDEN_CASES = (
     # (rule, chi, predicate over (h0m1, h1, h11))
     ("forbidden_chi1_a", 1, lambda a, b, c: a is not None and a <= 1
@@ -307,8 +301,8 @@ def bounds_check(q: BoundsQuery) -> BoundsResult:
             if q.chi == chi and pred(a, b, c):
                 return BoundsResult(False, rule)
     if 0 <= q.chi < q.r and b is not None and b > 0 and c is not None and a is not None:
-        h1m1 = _h1_Fm1(q)
-        if not c > 2 * b - h1m1:
+        # h1(F(-1)) = h0(F(-1)) - chi(F(-1)) for one-dimensional sheaves
+        if not c > 2 * b - (a - (q.chi - q.r)):
             return BoundsResult(False, "h1_growth_bound")
     if q.chi == 1 and a is not None and a > 0 and b is not None:
         h0_F = b + q.chi

@@ -35,7 +35,8 @@ from .forms import (Form, coefficient_matrix, divides, form_gcd, linearly_indepe
 from .kronecker import KroneckerModule, is_semistable
 from .linalg import CERTIFICATE_PRIME, QMatrix, gf2_rank, mod_rank
 from .presentation import (CohomologyProfile, InconsistentPresentationError, Presentation,
-                           derive_seed, dual, hilbert, is_injective, profile, twist)
+                           derive_seed, dual, hilbert, is_injective, minimal_presentation,
+                           profile, twist)
 from .stability import CRITERIA, BoundsQuery, bounds_check, pencil_block_failure
 
 MODULI_DIM = 37   # r^2 + 1 for multiplicity 6
@@ -134,13 +135,9 @@ def normalize_chi(r: int, chi: int):
 
 
 def apply_recipe(P: Presentation, recipe) -> Presentation:
+    """The steps of a `normalize_chi` recipe, each a twist or a dualization."""
     for step in recipe:
-        if step["op"] == "twist":
-            P = twist(P, step["k"])
-        elif step["op"] == "dualize":
-            P = dual(P)
-        else:
-            raise StrataError("unknown recipe step %r" % step)
+        P = twist(P, step["k"]) if step["op"] == "twist" else dual(P)
     return P
 
 
@@ -162,8 +159,10 @@ def classify(P: Presentation) -> StratumLabel:
     and a stable sheaf is simple (Huybrechts and Lehn, Cor. 1.2.8).  So
     dim End(F) = dim K - hom > 1 (`generic_stabilizer_dim`, whose
     certificates prove End(F) = 1 on the injective map) raises
-    NotSemistableError.  At the other chi semistability is assumed, not
-    checked."""
+    NotSemistableError.  K is the system of `minimal_presentation(P)`, the
+    same sheaf with its unit pairs cancelled, so a unit summand
+    O(t) -> O(t) adds nothing to it.  At the other chi semistability is
+    assumed, not checked."""
     hd = hilbert(P)
     chi_bar, recipe = normalize_chi(hd.r, hd.chi)
     if not is_injective(P):
@@ -177,7 +176,7 @@ def classify(P: Presentation) -> StratumLabel:
             "profile not in table: chi=%d profile=%s" % (chi_bar, prof.as_tuple()))
     row = matches[0]
     if chi_bar == 1:
-        solutions, hom = _stabilizer_solutions(P, injective=True)
+        solutions, hom = _stabilizer_solutions(minimal_presentation(P), injective=True)
         if solutions - hom > 1:
             raise NotSemistableError(
                 "not semistable: dim End(F) = %d, but a semistable sheaf of chi 1 is "

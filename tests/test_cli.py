@@ -200,6 +200,16 @@ def test_classify_refuses_a_chi_1_sheaf_with_two_endomorphisms(capsys):
     assert captured.out == "" and "End(F)" in captured.err
 
 
+def test_classify_refuses_that_sheaf_with_a_unit_summand_of_large_twist(capsys):
+    # O(30) -> O(30) with entry 1 is cancelled before End(F) is computed
+    blob = json.dumps({"source": [-1, -4, 30], "target": [0, 1, 30],
+                       "matrix": [["X", "0", "0"], ["0", "X^5 + Y^5 + Z^5", "0"],
+                                  ["0", "0", "1"]]})
+    assert main(["classify", "--input", blob]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "End(F) = 2" in captured.err
+
+
 def test_classify_not_in_table(capsys):
     lines = ["X", "Y", "Z", "X + Y", "Y + Z", "X + Z"]
     ks = [-3, -3, -3, 0, 0, 0]

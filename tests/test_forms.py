@@ -286,6 +286,36 @@ def test_a_degree_40_pair_is_certified_coprime_without_a_multiplication_matrix()
     assert _by_certificate(divides, f, g) is False
 
 
+def _line_directions():
+    """The point Q of each certificate line, whose value F(Q) leads u(t):
+    (1, 0, 0) for Z = 0, then the second draw of each seeded pair."""
+    rng = random.Random(forms._LINE_SEED)
+    points = [(1, 0, 0)]
+    for _ in range(forms._LINE_DRAWS):
+        _, q = random_ints(rng, 3, 99), random_ints(rng, 3, 99)
+        points.append(tuple(q))
+    return points
+
+
+def test_forms_zero_at_every_line_direction_are_answered_by_the_exact_paths():
+    # f is the conic through the five directions and g a cubic through them
+    # that f does not divide: every restriction drops a degree, so no line
+    # certifies, and the Macaulay matrix and the solve answer
+    points = _line_directions()
+    (conic,) = QMatrix.from_rows([forms.monomial_values(2, q) for q in points]).kernel_basis()
+    f = Form(2, conic)
+    g = next(h for v in QMatrix.from_rows([forms.monomial_values(3, q) for q in points])
+             .kernel_basis() for h in (Form(3, v),) if not solve_divides(f, h))
+    assert all(not u[-1] and not v[-1] for u, v in forms._restrictions(f, g))
+    assert _by_certificate(form_gcd, f, g) is None and _by_certificate(divides, f, g) is None
+    assert form_gcd(f, g) == Form.constant(1) == macaulay_gcd(f, g)
+    assert not divides(f, g)
+    # a multiple of f: the Macaulay gcd of positive degree and the solve's "yes"
+    h = f * Form(1, [1, 2, 3])
+    assert _by_certificate(form_gcd, f, h) is None
+    assert form_gcd(f, h) == f.monic() and divides(f, h)
+
+
 def test_position_enumerates_every_basis_up_to_degree_40():
     # one closed form for every degree, so no degree needs a kept table
     for d in range(41):

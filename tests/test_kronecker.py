@@ -86,6 +86,39 @@ def test_verify_rejects_non_violating_fraction():
     assert not verify_destabilizer(K, Destabilizer(1, 1, S, T))
 
 
+def _identity_columns(n, rows):
+    """The n x len(rows) matrix whose k-th column is the unit vector e_rows[k]."""
+    return QMatrix(n, len(rows), [[int(i == r) for r in rows] for i in range(n)])
+
+
+# Destabilizers of the planted 4 x 3 module below (zero block in rows 0, 1
+# and columns 0, 1), each failing one check of verify_destabilizer: S is
+# 4 x p', T is 3 x (3 - q'), and the planted one is (2, 2, e0 e1, e2).
+@pytest.mark.parametrize("p_prime,q_prime,S,T", [
+    (2, 2, _identity_columns(3, [0, 1]), _identity_columns(3, [2])),      # S has 3 rows
+    (1, 2, _identity_columns(4, [0, 1]), _identity_columns(3, [2])),      # S has 2 columns
+    (2, 2, _identity_columns(4, [0, 1]), _identity_columns(4, [2])),      # T has 4 rows
+    (2, 1, _identity_columns(4, [0, 1]), _identity_columns(3, [2])),      # T has 1 column
+    (0, 2, _identity_columns(4, []), _identity_columns(3, [2])),          # p' = 0
+    (5, 2, QMatrix(4, 5), _identity_columns(3, [2])),                     # p' = 5 > p
+    (2, 0, _identity_columns(4, [0, 1]), _identity_columns(3, [0, 1, 2])),  # q' = 0
+    (1, 1, _identity_columns(4, [0]), _identity_columns(3, [1, 2])),      # 1/4 + 1/3 <= 1
+    (2, 2, _identity_columns(4, [0, 0]), _identity_columns(3, [2])),      # rank S = 1
+    (2, 2, _identity_columns(4, [0, 1]), QMatrix(3, 1)),                  # rank T = 0
+    (2, 2, _identity_columns(4, [0, 1]), _identity_columns(3, [0])),      # K(S) not in T
+])
+def test_verify_rejects_each_failed_check(p_prime, q_prime, S, T):
+    K = plant_zero_block(4, 3, 2, 2, random.Random(7))
+    assert verify_destabilizer(K, planted_witness(4, 3, 2, 2))
+    assert not verify_destabilizer(K, Destabilizer(p_prime, q_prime, S, T))
+
+
+def test_verify_rejects_an_image_outside_an_empty_target():
+    # T has no columns, so K(S) must be 0: the first column's image is not
+    K = module([["X", "0"], ["Y", "0"], ["Z", "0"]])
+    assert not verify_destabilizer(K, Destabilizer(1, 3, QMatrix(2, 1, [[1], [0]]), QMatrix(3, 0)))
+
+
 # -- minors criterion ---------------------------------------------------------
 
 def test_minors_standard_pencil():

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planesheaves import presentation
-from planesheaves.forms import Form, block_mult_map, form_mul, space_dim
+from planesheaves.forms import Form, block_mult_map, form_mul, random_ints, space_dim
 from planesheaves.linalg import QMatrix, integer_echelon, integer_rows
 from planesheaves.points import PointConfig, evaluation_matrix
 from planesheaves.presentation import (InconsistentPresentationError,
                                        Presentation, PresentationError,
                                        derive_seed, dual, h0_omega, h0_twist,
                                        h1_omega, h1_twist, hilbert,
-                                       is_injective, profile, twist)
+                                       is_injective, minimal_presentation,
+                                       profile, twist)
 from planesheaves.strata import REGISTRY, classify, generate
 from helpers import random_equivalence, random_form
 
@@ -228,6 +229,34 @@ def test_witness_and_walk_agree_on_the_injectivity_corpora():
     assert len(singular) == 3 + 2 * (3 * 28 - sum(len(row.source) == 1 for row in REGISTRY))
 
 
+def test_a_map_zero_at_every_drawn_point_is_proved_injective_by_the_walk():
+    # X times, for each seeded point (a, b, c), the line -cX + aZ through it:
+    # the entry vanishes at (0, 0, 1) and at every seeded point, and the
+    # Cramer vector of a 1 x 1 map of rank 0 is 1, which P does not kill
+    rng = random.Random(presentation._WITNESS_SEED)
+    entry = Form(1, [1, 0, 0])
+    for _ in range(presentation._WITNESS_DRAWS):
+        a, _, c = random_ints(rng, 3, 99)
+        entry = entry * Form(1, [-c, 0, a])
+    P = Presentation([-4], [0], [[entry]])
+    with mock.patch.object(presentation, "_walk", wraps=presentation._walk) as walk:
+        assert is_injective(P)
+    walk.assert_called_once_with(P)
+
+
+def test_a_map_of_rank_6_everywhere_is_refuted_by_the_walk():
+    # six nonzero lines and a zero on the diagonal: rank 6 at every seeded
+    # point, above _WITNESS_MAX_RANK, so no kernel vector is built and the
+    # walk tries all 36 points of the triangle x + y <= 7
+    lines = ["X", "Y", "Z", "X + Y", "Y + Z", "X + Z", "0"]
+    assert len(lines) - 1 > presentation._WITNESS_MAX_RANK
+    P = Presentation.from_text([-1] * 7, [0] * 7,
+                               [[lines[i] if i == j else "0" for j in range(7)] for i in range(7)])
+    with mock.patch.object(presentation, "_walk", wraps=presentation._walk) as walk:
+        assert not is_injective(P)
+    walk.assert_called_once_with(P)
+
+
 def test_a_mutated_kernel_vector_is_rejected():
     for P in _planted_kernels(random.Random(4)):
         values = presentation._evaluator(P)((2, -5, 7))
@@ -436,6 +465,31 @@ def test_json_roundtrip_bit_exact():
         Q = Presentation.from_json(json.loads(blob))
         assert Q == P
         assert json.dumps(Q.to_json(), sort_keys=True) == blob
+
+
+def test_minimal_presentation_leaves_a_generated_sample_alone():
+    # the forced zero cells of a row are its constant cells
+    for row in REGISTRY:
+        P = generate(row.chi, row.id, seed=1)
+        assert minimal_presentation(P) is P
+
+
+def test_minimal_presentation_cancels_each_unit_pair():
+    # c M[k][l] - M[k][j] M[i][l] with c = 2 at (0, 1): 2 * sextic - X^2 * X^4
+    P = Presentation.from_text([-4, 0], [0, 2], [["X^4", "2"], [SEXTIC, "X^2"]])
+    M = minimal_presentation(P)
+    assert (M.source, M.target) == ((-4,), (2,))
+    assert M.matrix == ((oc2().matrix[0][0].scale(2) - Form.monomial(6, 0, 0),),)
+    assert profile(M) == profile(P) and is_injective(M)
+    # the units of a copy mixed by the group action, a Fraction unit, and
+    # two unit pairs
+    rng = random.Random(3)
+    for Q in (random_equivalence(P, rng),
+              Presentation.from_text([-4, -1], [-1, 2], [["X^3", "1/3"], [SEXTIC, "X^3"]]),
+              Presentation.from_text([-4, 0, 0], [0, 0, 2],
+                                     [["X^4", "1", "0"], ["Y^4", "0", "1"], [SEXTIC, "X^2", "Y^2"]])):
+        M = minimal_presentation(Q)
+        assert len(M.source) == 1 and hilbert(M) == hilbert(Q) and is_injective(M)
 
 
 def test_nonminimal_presentation_accepted():

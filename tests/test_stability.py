@@ -268,6 +268,13 @@ def test_bounds_growth_rule():
     assert not result.allowed and result.rule == "h1_growth_bound"
 
 
+def test_bounds_section_rule():
+    # h0(F) = h1(F) + chi = 1 is not above 2 h0(F(-1)) = 2; no named case
+    # applies, and h1(F) = 0 leaves the growth bound out
+    result = bounds_check(BoundsQuery(6, 1, h0_Fm1=1, h1_F=0))
+    assert not result.allowed and result.rule == "h0_section_bound"
+
+
 def test_bounds_allowed_examples():
     assert bounds_check(BoundsQuery(6, 3, h0_Fm1=0, h1_F=0, h1_F1=0)).allowed
     assert bounds_check(BoundsQuery(6, 1, h0_Fm1=1, h1_F=3, h1_F1=1)).allowed

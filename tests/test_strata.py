@@ -12,7 +12,7 @@ from planesheaves.cli import main
 from planesheaves.forms import Form, monomials, random_form, space_dim
 from planesheaves.linalg import QMatrix
 from planesheaves.presentation import (Presentation, derive_seed, dual, hilbert,
-                                       is_injective, profile, twist)
+                                       is_injective, minimal_presentation, profile, twist)
 from planesheaves.strata import (REGISTRY, ClassifyError, MODULI_DIM,
                                  NotSemistableError, StrataError, StratumRow,
                                  _SIDE_CONDITIONS,
@@ -198,6 +198,45 @@ def test_classify_refutes_a_chi_1_sheaf_that_is_not_simple():
     with pytest.raises(NotSemistableError, match=r"End\(F\) = 2"):
         classify(P)
     assert not isinstance(NotSemistableError(), ClassifyError)
+
+
+# O_L + O_Q(1) plus a unit summand O(30) -> O(30): the same sheaf
+UNIT_SUMMAND = Presentation.from_text([-1, -4, 30], [0, 1, 30],
+                                      [["X", "0", "0"], ["0", "X^5 + Y^5 + Z^5", "0"],
+                                       ["0", "0", "1"]])
+
+
+def test_end_f_is_read_on_the_presentation_without_its_unit_pairs(monkeypatch):
+    # the system of the presentation as given has a (31^2)-column block per
+    # cell of the unit's row and column; End(F) sees only the two summands
+    seen = []
+    real = strata._stabilizer_solutions
+    monkeypatch.setattr(strata, "_stabilizer_solutions",
+                        lambda P, injective: seen.append(P) or real(P, injective))
+    with pytest.raises(NotSemistableError, match=r"End\(F\) = 2"):
+        classify(UNIT_SUMMAND)
+    assert [(P.source, P.target) for P in seen] == [((-4, -1), (0, 1))]
+
+
+def test_chi_1_samples_with_a_mixed_unit_summand_keep_their_labels():
+    # each chi 1 sample plus O(t) -> O(t), mixed by the group action so that
+    # the unit spreads over the constant cells
+    rng = random.Random(2)
+    labels = []
+    for row in rows_for_chi(1):
+        for seed in range(3):
+            P = generate(1, row.id, seed=seed)
+            zero = [Form.zero(0)] * len(P.source)
+            for t in (-1, 0, 2):
+                Q = random_equivalence(Presentation(
+                    P.source + (t,), P.target + (t,),
+                    [list(r) + [Form.zero(0)] for r in P.matrix] + [zero + [Form.constant(1)]]),
+                    rng)
+                label = classify(Q)
+                labels.append((label.chi, label.id) == (1, row.id))
+                M = minimal_presentation(Q)
+                assert (M.source, M.target) == (row.source, row.target)
+    assert labels == [True] * 54
 
 
 def test_every_chi_1_sample_and_its_dual_keeps_its_label():
