@@ -120,7 +120,16 @@ def monomial_values(degree: int, point) -> list:
     """The degree's basis monomials evaluated at the point, in basis order:
     ints when the coordinates are ints, else Fractions."""
     x, y, z = [v if type(v) in SCALAR_TYPES else Fraction(v) for v in point]
-    return [x**a * y**b * z**c for a, b, c in monomials(degree)]
+    # one power table per coordinate; the unit is a Fraction when a
+    # coordinate is, so then every value is
+    one = (x * y * z) ** 0
+    xs, ys, zs = [one], [one], [one]
+    for _ in range(degree):
+        xs.append(xs[-1] * x)
+        ys.append(ys[-1] * y)
+        zs.append(zs[-1] * z)
+    # X^(degree - s) Y^(s - c) Z^c sits at position(s - c, c)
+    return [xs[degree - s] * ys[s - c] * zs[c] for s in range(degree + 1) for c in range(s + 1)]
 
 
 class Form:

@@ -113,9 +113,12 @@ class QMatrix:
         return m, pivots, d
 
     def rref(self):
+        """(RREF, pivot columns): an entry is an int where d divides it, as
+        zeros and the pivots do, and a Fraction elsewhere."""
         m, pivots, d = self._rref()
         return QMatrix(self.rows, self.cols,
-                       [[Fraction(a, d) for a in row] for row in m]), pivots
+                       [[a // d if a % d == 0 else Fraction(a, d) for a in row]
+                        for row in m]), pivots
 
     def rank(self) -> int:
         if self.rows > self.cols:

@@ -6,14 +6,18 @@ as primitive integer vectors (`QMatrix.integer_kernel_basis`).
 Colinearity is decided by counting the points on the line p x q through
 each pair; the curve predicates take one elimination of an evaluation
 matrix each, and `subset_on_curve_exists` answers every subset from the
-left kernel of one matrix.  Minimal free resolutions are counted, not
-eliminated: the slices up to degree r_Z give the Hilbert function, and
-the generator degrees are read off their sections by the line Z = 0,
-binary forms in X and Y whose products by X and Y are shifted coefficient
-vectors of at most 7 entries; the Hilbert function then fixes the syzygy
-degrees (Hilbert-Burch).  A configuration with a point on Z = 0 is first
-moved off that line by a change of coordinates of determinant 1.  It is
-resolved exactly when it has at most 15 points and r_Z <= 5; see
+left kernel of one matrix.  Minimal free resolutions are counted from one
+reduced fraction-free elimination: with no point on the line Z = 0, the
+monomials X^(t-b) Y^b Z^(top-t) evaluated at the points, columns in the
+order of t, then b, have the ideal slice Z^(top-t) I_t as the kernel of
+their first dim S_t columns, so the pivots there count the Hilbert
+function, and the free columns of degree t give a basis of the section
+of I_t by Z = 0: binary forms in X and Y whose products by X and Y are
+shifted coefficient vectors of at most 7 entries.  The generator degrees
+are read off those sections, and the Hilbert function then fixes the
+syzygy degrees (Hilbert-Burch).  A configuration with a point on Z = 0 is
+first moved off that line by a change of coordinates of determinant 1.
+It is resolved exactly when it has at most 15 points and r_Z <= 5; see
 `minimal_resolution`.  Coordinates read from JSON have at most MAX_DIGITS
 digits in numerator and denominator.
 """
@@ -22,14 +26,15 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
 from math import lcm
 
 from .forms import (MAX_DIGITS, Form, ParseError, block_mult_map, divides,
-                    monomial_values, position, quoted, space_dim)
-from .linalg import QMatrix, from_columns
+                    monomial_values, quoted, space_dim)
+from .linalg import QMatrix, from_columns, integer_echelon, null_vectors
 from .presentation import Presentation
 
 
@@ -238,41 +243,47 @@ def _line_missing(points):
                     return a, b
 
 
-def _section(f: Form) -> list:
-    """The coefficients of f(X, Y, 0) on X^t, X^(t-1) Y, ..., Y^t."""
-    return [f.coeffs[position(k, 0)] for k in range(f.degree + 1)]
-
-
 def minimal_resolution(cfg: PointConfig) -> BettiShape:
     """Generator and syzygy degrees of the minimal free resolution
     0 -> (+) S(-b) -> (+) S(-a) -> I_Z -> 0 of the point ideal.
 
-    Only dimensions are computed.  For t = 0, 1, ... the ideal slice I_t gives
-    the Hilbert function H_Z(t) = dim S_t - dim I_t.  The walk stops at
-    t = r_Z + 1, where r_Z = min{t : H_Z(t) = n} is the regularity index: no
-    generator lies above r_Z + 1, and there H_Z(t) = n already gives
-    dim I_t = dim S_t - n, so the last slice taken is I_(r_Z).  By
-    Hilbert-Burch the Hilbert-series numerator 1 - sum s^a + sum s^b is the
-    third difference c_t = H(t) - 3H(t-1) + 3H(t-2) - H(t-3) (H = 0 below
-    0, H = n from r_Z on), so the syzygies in degree t number
-    c_t - [t = 0] + (generators in degree t); the last one sits in degree
+    Only dimensions are computed, all from one reduced fraction-free
+    elimination.  If some point lies on Z = 0, the configuration is first
+    replaced by its image (x, y, ax + by + z) for the first line
+    aX + bY + Z that misses every point (`_line_missing`).  That change of
+    coordinates has determinant 1 and maps the ideal by a graded
+    automorphism of S, so the Hilbert function and the graded Betti numbers
+    are the same, and now Z vanishes at no point.
+
+    Take top = min(n - 1, DEGREE_CAP - 3), and 0 for no points: n points
+    impose independent conditions in degree n - 1.  The matrix has one row
+    per point and the space_dim(top) columns X^(t-b) Y^b Z^(top-t), in the
+    order of t, then b; `integer_echelon` reduces it to m / d.  Its first
+    space_dim(t) columns are Z^(top-t) S_t, whose kernel is Z^(top-t) I_t
+    as Z vanishes at no point, so the Hilbert function
+    H_Z(t) = dim S_t - dim I_t is the number of pivots among them, and
+    r_Z = min{t : H_Z(t) = n} is the regularity index; H_Z(t) = n from r_Z
+    on.  By Hilbert-Burch the Hilbert-series numerator
+    1 - sum s^a + sum s^b is the third difference
+    c_t = H(t) - 3H(t-1) + 3H(t-2) - H(t-3) (H = 0 below 0), so the
+    syzygies in degree t number c_t - [t = 0] + (generators in degree t);
+    no generator lies above r_Z + 1, and the last syzygy sits in degree
     r_Z + 2.
 
-    The generators are counted on the section by the line Z = 0.  If Z
-    vanishes at no point, Z is a non-zero-divisor on S/I_Z: Zf in I_Z
-    forces f in I_Z, so I_Z meets ZS in Z I_Z.  The section
-    J = (I_Z + ZS)/ZS is then I_Z/Z I_Z, an ideal of R = k[X, Y] with
-    dim J_t = dim I_t - dim I_(t-1), and I_Z/m I_Z = J/m_R J (Eisenbud, The
-    Geometry of Syzygies, ch. 1 and 3).  So the generators new in degree t
-    number (dim I_t - dim I_(t-1)) - rank R_1 J_(t-1).  J_(t-1) is spanned
-    by the sections g = f(X, Y, 0) of a basis of I_(t-1), and R_1 J_(t-1)
-    by X g and Y g: on X^t, X^(t-1) Y, ..., Y^t these are g + [0] and
-    [0] + g, so each rank has t + 1 <= 7 rows.  If some point lies on
-    Z = 0, the configuration is first replaced by its image
-    (x, y, ax + by + z) for the first line aX + bY + Z that misses every
-    point (`_line_missing`).  That change of coordinates has determinant 1
-    and maps the ideal by a graded automorphism of S, so the Hilbert
-    function and the graded Betti numbers are the same.
+    The generators are counted on the section by the line Z = 0.  As Z is
+    a non-zero-divisor on S/I_Z, Zf in I_Z forces f in I_Z, so I_Z meets
+    ZS in Z I_Z.  The section J = (I_Z + ZS)/ZS is then I_Z/Z I_Z, an ideal
+    of R = k[X, Y] with dim J_t = dim I_t - dim I_(t-1), and
+    I_Z/m I_Z = J/m_R J (Eisenbud, The Geometry of Syzygies, ch. 1 and 3).
+    So the generators new in degree t number dim J_t - rank R_1 J_(t-1).
+    A free column c of degree t gives the form of I_t with d at c, 0 at the
+    other free columns and -m[r][c] at the pivot of each row r.  Rows with
+    a pivot of lower degree are zero at c, so its section is d at c and
+    -m[r][c] at the pivots of degree t: `null_vectors` of the columns of
+    degree t.  These sections have distinct free columns, and there are
+    dim J_t of them, so they are a basis of J_t.  R_1 J_(t-1) is spanned by
+    X g and Y g for g in that basis: on X^t, X^(t-1) Y, ..., Y^t these are
+    g + [0] and [0] + g, so each rank has t + 1 <= 7 rows.
 
     A configuration is accepted exactly when it has at most 15 points and
     r_Z <= 5, so that every syzygy lies below DEGREE_CAP; otherwise
@@ -284,30 +295,33 @@ def minimal_resolution(cfg: PointConfig) -> BettiShape:
     n = len(cfg)
     if n > 15:
         raise PointError("configurations above 15 points exceed the degree cap")
-    a, b = _line_missing(cfg.points)
-    if (a, b) != (0, 0):
-        cfg = PointConfig([(x, y, a * x + b * y + z) for x, y, z in cfg.points])
-    hilb = []            # H_Z(t) for t = 0 .. r_Z + 1
+    a, b = _line_missing(cfg._integer_points)
+    top = max(min(n - 1, DEGREE_CAP - 3), 0)
+    # X^(t-b) Y^b Z^(top-t) in the order of t, then b, is the basis order
+    # of degree top in the variables (Z, X, Y)
+    m = [monomial_values(top, (a * x + b * y + z, x, y)) for x, y, z in cfg._integer_points]
+    pivots, d = integer_echelon(m, space_dim(top), reduced=True)
+    hilb = [bisect_left(pivots, space_dim(t)) for t in range(top + 1)]
+    if hilb[top] < n:
+        raise PointError("regularity index above %d: the last syzygy reaches "
+                         "the degree cap %d" % (DEGREE_CAP - 3, DEGREE_CAP))
+    del hilb[hilb.index(n) + 1:]
+    hilb.append(n)       # H_Z(t) for t = 0 .. r_Z + 1
     gens = []            # generator degrees, ascending
-    sections = []        # the sections of the basis of I_(t-1)
-    for t in count():
-        last = t > 0 and hilb[t - 1] == n      # t = r_Z + 1, where H_Z(t) = n
-        cur = None if last else ideal_slice(cfg, t)
-        hilb.append(n if last else space_dim(t) - len(cur))
+    sections = []        # a basis of J_(t-1)
+    for t, h in enumerate(hilb):
+        below = hilb[t - 1] if t else 0      # the rows with a pivot of degree below t
         # columns X*g = g + [0] and Y*g = [0] + g, none below the first generator
         shifted = (QMatrix(t + 1, 2 * len(sections),
                            [[g[k] if k < t else 0 for g in sections]
                             + [g[k - 1] if k else 0 for g in sections]
                             for k in range(t + 1)]).rank()
                    if sections else 0)
-        # dim J_t = dim I_t - dim I_(t-1), one section per basis form of I_(t-1)
-        gens.extend([t] * (space_dim(t) - hilb[t] - len(sections) - shifted))
-        if last:
-            break
-        if hilb[t] < n and t + 3 >= DEGREE_CAP:
-            raise PointError("regularity index above %d: the last syzygy reaches "
-                             "the degree cap %d" % (DEGREE_CAP - 3, DEGREE_CAP))
-        sections = [_section(f) for f in cur]
+        # dim J_t, the free columns of degree t, less rank R_1 J_(t-1)
+        gens.extend([t] * (t + 1 - (h - below) - shifted))
+        lo = space_dim(t - 1)
+        sections = null_vectors([m[r][lo:lo + t + 1] for r in range(below, h)],
+                                [pivots[r] - lo for r in range(below, h)], d, t + 1)
 
     padded = [0, 0, 0] + hilb + [n]      # H(-3) .. H(r_Z + 2)
     syz = []

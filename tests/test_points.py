@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from planesheaves import points
 from planesheaves.forms import Form, monomial_values, space_dim
-from planesheaves.linalg import QMatrix
-from planesheaves.points import (CLAIMS, BettiShape, GenericityError,
+from planesheaves.linalg import QMatrix, integer_echelon
+from planesheaves.points import (CLAIMS, DEGREE_CAP, BettiShape, GenericityError,
                                  PointConfig, PointError,
                                  colinear_subset_exists, colinear_triple_exists,
                                  contained_in_curve_of_degree,
@@ -242,23 +242,33 @@ def test_cap_violation_errors():
             minimal_resolution(colinear_points(n, rng))
 
 
-@pytest.mark.parametrize("cfg,last", [
-    (config_satisfying(CLAIMS["len8_general"].predicates, 8, random.Random(8)), 4),
-    (colinear_points(5, random.Random(18)), 5),
-    (TRIANGLE, 2),
-])
-def test_walk_stops_after_regularity_index(monkeypatch, cfg, last):
-    # the slices are read up to r_Z and no further: dim I_(r_Z + 1) is
-    # dim S_(r_Z + 1) - n without a slice
-    seen = []
+@pytest.mark.parametrize("cfg", [
+    PointConfig([]),
+    TRIANGLE,                                               # two points on Z = 0
+    colinear_points(5, random.Random(18)),
+    config_satisfying(CLAIMS["len8_general"].predicates, 8, random.Random(8)),
+    PointConfig([(Fraction(1, 2), 1, 0), (Fraction(-2, 3), Fraction(1, 5), 1),
+                 (0, Fraction(7, 4), 1), (3, Fraction(-5, 3), 1), (1, 1, 0)]),
+    colinear_points(7, random.Random(10)),                  # r_Z = 6, refused
+], ids=["empty", "triangle", "colinear5", "general8", "fractional", "colinear7"])
+def test_one_elimination_resolves(monkeypatch, cfg):
+    # one reduced elimination of n rows and space_dim(top) columns,
+    # top = min(n - 1, DEGREE_CAP - 3) (0 for no points), and no ideal slice
+    expected = _outcome(walk_resolution, cfg)
+    calls = []
 
-    def recording_slice(cfg, t):
-        seen.append(t)
-        return ideal_slice(cfg, t)
+    def recording_echelon(rows, ncols, reduced=False):
+        calls.append((len(rows), ncols, reduced))
+        return integer_echelon(rows, ncols, reduced)
 
-    monkeypatch.setattr(points, "ideal_slice", recording_slice)
-    minimal_resolution(cfg)
-    assert seen == list(range(last))
+    def refuse(*args):
+        raise AssertionError("ideal_slice called")
+
+    monkeypatch.setattr(points, "ideal_slice", refuse)
+    monkeypatch.setattr(points, "integer_echelon", recording_echelon)
+    n = len(cfg)
+    assert _outcome(minimal_resolution, cfg) == expected
+    assert calls == [(n, space_dim(max(min(n - 1, DEGREE_CAP - 3), 0)), True)]
 
 
 def _planted_points(rng, kind, n, whole):
@@ -308,6 +318,11 @@ def _outcome(resolve, cfg):
 @example(0, "line", 9, True)           # r_Z = 8, refused
 @example(0, "anywhere", 16, False)     # above 15 points, refused
 @example(0, "conic", 11, True)         # r_Z = 5, accepted
+@example(0, "anywhere", 0, False)      # no points: the unit ideal
+@example(0, "line", 6, True)           # r_Z = 5, accepted: (1, 6), (7)
+@example(0, "line", 7, True)           # r_Z = 6, refused
+@example(0, "conic", 15, True)         # r_Z = 7, refused
+@example(2, "anywhere", 15, False)     # 15 general points, one on Z = 0: six quintics
 def test_section_count_agrees_with_the_walk(seed, kind, n, whole):
     cfg = PointConfig(_planted_points(random.Random(seed), kind, n, whole))
     assert _outcome(minimal_resolution, cfg) == _outcome(walk_resolution, cfg)
