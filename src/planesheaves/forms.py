@@ -33,8 +33,8 @@ linear algebra on multiplication matrices (``mult_map``), run by the one
 exact core in ``linalg``: ``form_gcd`` takes one rank, one kernel and one
 solve, ``divides`` one solve.  Where a monomial sits in the basis of its
 degree (``position``, a closed form, so products need no table), the values
-of the monomials at a point (``monomial_values``) and determinants of
-matrices of forms (``form_det``) are worked out here and nowhere else.
+of the monomials at a point (``monomial_values``) and the maximal minors of
+matrices of forms (``form_minors``) are worked out here and nowhere else.
 
 Coefficients are ints, and Fractions only where a coefficient has a
 denominator; any other number given to ``Form`` becomes a Fraction
@@ -47,6 +47,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import combinations
 
 from .linalg import CERTIFICATE_PRIME, SCALAR_TYPES, QMatrix, integer_rows
 
@@ -171,8 +172,12 @@ class Form:
         return not any(self.coeffs)
 
     def terms(self):
-        basis = monomials(self.degree)
-        return [(basis[i], c) for i, c in enumerate(self.coeffs) if c]
+        d, coeffs = self.degree, self.coeffs
+        if d <= _KEPT_TABLE_DEGREE:
+            return [(m, c) for m, c in zip(monomials(d), coeffs) if c]
+        # no table above: X^(d - s) Y^(s - c) Z^c sits at position s(s + 1)/2 + c
+        return [((d - s, s - c, c), x) for s in range(d + 1)
+                for c, x in enumerate(coeffs[s * (s + 1) // 2:(s + 1) * (s + 2) // 2]) if x]
 
     def __eq__(self, other):
         return (isinstance(other, Form) and self.degree == other.degree
@@ -243,22 +248,24 @@ def form_mul(f: Form, g: Form) -> Form:
     return Form(deg, coeffs)
 
 
-def form_det(block) -> Form:
-    """Determinant of a square matrix of forms, expanded along the first row;
-    the constant 1 for the empty matrix."""
-    n = len(block)
-    if n == 0:
-        return Form.constant(1)
-    if n == 1:
-        return block[0][0]
-    acc = None
-    for j in range(n):
-        sub = [[block[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = block[0][j] * form_det(sub)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+def form_minors(block) -> dict:
+    """Every maximal minor of a k x n matrix of forms, k <= n, keyed by its
+    sorted column tuple; {(): 1} for k = 0.  Those on rows 0..i come by
+    Laplace along row i from those on rows 0..i-1, each formed once: fewer
+    than n * 2^(n - 1) products, where one cofactor expansion takes k!."""
+    if not block:
+        return {(): Form.constant(1)}
+    minors = {(j,): f for j, f in enumerate(block[0])}
+    for i, row in enumerate(block[1:], 1):
+        layer = {}
+        for cols in combinations(range(len(row)), i + 1):
+            acc = Form.zero(0)
+            for t, j in enumerate(cols):
+                term = row[j] * minors[cols[:t] + cols[t + 1:]]
+                acc = acc - term if (i + t) % 2 else acc + term
+            layer[cols] = acc
+        minors = layer
+    return minors
 
 
 def random_ints(rng, n: int, bound: int) -> list:

@@ -58,7 +58,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .forms import Form, form_det, linearly_independent, parse_form, random_ints
+from .forms import Form, form_minors, linearly_independent, parse_form, random_ints
 from .linalg import (CERTIFICATE_PRIME, QMatrix, from_columns, integer_echelon, integer_rows,
                      mod_nonsingular, null_vectors)
 from .presentation import Presentation, derive_seed
@@ -226,12 +226,10 @@ def minors_semistable(K: KroneckerModule) -> bool:
     """Closed form for shapes (p, q) = (2, 3) and (3, 2): semistable iff the
     three maximal minors are linearly independent forms.  `is_semistable`
     does not call it; it is an independent reference for that verdict."""
-    if (K.p, K.q) == (3, 2):
-        return minors_semistable(K.transpose())
-    if (K.p, K.q) != (2, 3):
+    if {K.p, K.q} != {2, 3}:
         raise KroneckerError("minors criterion needs shape (2, 3) or (3, 2)")
-    return linearly_independent([form_det([row for i, row in enumerate(K.entries) if i != skip])
-                                 for skip in range(3)])
+    block = K.entries if K.q == 2 else K.transpose().entries
+    return linearly_independent(form_minors(block).values())
 
 
 def dim_kronecker_moduli(n: int, p: int, q: int) -> int:

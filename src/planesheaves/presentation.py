@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from numbers import Real
 from operator import mul
 
-from .forms import (Form, ParseError, form_det, format_form, monomial_values, parse_form,
+from .forms import (Form, ParseError, form_minors, format_form, monomial_values, parse_form,
                     quoted, random_ints, space_dim)
 from .linalg import QMatrix, integer_echelon, integer_rows
 
@@ -209,8 +209,8 @@ def h1_twist(P: Presentation, t: int) -> int:
 
 # The seeded integer points, in -99..99, at which `is_injective` looks for a
 # kernel vector before it walks the triangle, and the largest rank at such a
-# point for which it builds one: the vector takes rank + 1 determinants of
-# forms, each expanded into rank! products.
+# point for which it builds one: the vector is one `form_minors` pass, fewer
+# than (rank + 1) * 2^rank products, whose cost above rank 5 is unmeasured.
 _WITNESS_DRAWS = 3
 _WITNESS_SEED = 1
 _WITNESS_MAX_RANK = 5
@@ -286,10 +286,10 @@ def _cramer_vector(P: Presentation, values, cols):
     p = len(P.source)
     rows, _ = integer_echelon(integer_rows(zip(*values))[0], p)
     support = sorted([*cols, min(set(range(p)).difference(cols))])
-    block = [[P.matrix[i][j] for j in support] for i in rows]
+    minors = form_minors([[P.matrix[i][j] for j in support] for i in rows])
     v = [Form.zero(0)] * p
     for k, j in enumerate(support):
-        minor = form_det([row[:k] + row[k + 1:] for row in block])
+        minor = minors[tuple(c for c in range(len(support)) if c != k)]
         v[j] = -minor if k % 2 else minor
     return v
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import Form, divides, form_det, form_gcd, space_dim
+from .forms import Form, divides, form_gcd, form_minors, space_dim
 from .linalg import QMatrix
 from .presentation import (Presentation, PresentationError,
                            euler_char_line_bundle)
@@ -66,17 +66,13 @@ def _sorted_square(P: Presentation):
 def _restriction_minors(P: Presentation):
     """Maximal minors of the matrix with the lowest-twist source column removed.
 
-    Minor i omits target row i; returns (minor forms, their required degrees)."""
+    Minor i omits target row i, a column of the transpose that `form_minors`
+    takes; returns (minor forms, their required degrees)."""
     n = len(P.source)
-    degs = []
-    minors = []
-    total_e = sum(P.target)
-    tail_d = sum(P.source[1:])
-    for i in range(n):
-        rows = [r for r in range(n) if r != i]
-        minors.append(form_det([[P.matrix[r][c] for c in range(1, n)] for r in rows]))
-        degs.append(total_e - P.target[i] - tail_d)
-    return minors, degs
+    minors = form_minors(list(zip(*[row[1:] for row in P.matrix])))
+    tail = sum(P.target) - sum(P.source[1:])
+    return ([minors[tuple(r for r in range(n) if r != i)] for i in range(n)],
+            [tail - e for e in P.target])
 
 
 def _gcd_of_all(forms):
@@ -206,12 +202,10 @@ def pencil_block_failure(block) -> str | None:
     one quadric and two linear forms per row: None if the linear 2x2 block
     has a nonzero determinant and the two mixed minors are nonzero and
     independent modulo determinant * (linear forms), else the failed part."""
-    (q1, l11, l12), (q2, l21, l22) = block
-    det = l11 * l22 - l12 * l21
+    minors = form_minors(block)
+    det, m1, m2 = minors[1, 2], minors[0, 1], minors[0, 2]
     if det.is_zero():
         return "linear block determinant vanishes"
-    m1 = q1 * l21 - q2 * l11
-    m2 = q1 * l22 - q2 * l12
     if m1.is_zero() or m2.is_zero():
         return "a mixed minor vanishes"
     x, y, z = Form.monomial(1, 0, 0), Form.monomial(0, 1, 0), Form.monomial(0, 0, 1)

@@ -2,6 +2,7 @@
 the reference computations that faster paths of the package are checked
 against."""
 
+import random
 from fractions import Fraction
 from itertools import count
 
@@ -145,6 +146,38 @@ def printed_back_reading(text):
         return None
     form = Form(d, coeffs)
     return form if format_form(form) == text else None
+
+
+def laplace_det(block):
+    """Determinant of a square matrix of forms, expanded along the first row
+    by cofactors (k! products); the constant 1 for the empty matrix.  The
+    reference for `forms.form_minors`."""
+    n = len(block)
+    if n == 0:
+        return Form.constant(1)
+    if n == 1:
+        return block[0][0]
+    acc = None
+    for j in range(n):
+        sub = [[block[r][c] for c in range(n) if c != j] for r in range(1, n)]
+        term = block[0][j] * laplace_det(sub)
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def minor_cliff(n):
+    """O(-(n-1)) + O(-1)^(n-1) -> O^n, each row one form of degree n - 1 and
+    n - 1 linear forms drawn in order from random.Random(5): every twist gate
+    of `stability.minor_gcd_criterion` holds, so the criterion takes all n
+    maximal minors of the n x (n - 1) linear truncation, which a cofactor
+    expansion of each forms in about n! products."""
+    rng = random.Random(5)
+    rows = [[forms.random_form(n - 1, rng, 9)] + [forms.random_form(1, rng, 9)
+                                                   for _ in range(n - 1)]
+            for _ in range(n)]
+    return Presentation([-(n - 1)] + [-1] * (n - 1), [0] * n, rows)
 
 
 def mat_vec(m, v):

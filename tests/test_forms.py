@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import time
@@ -10,15 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from planesheaves import forms
 from planesheaves.forms import (MAX_DIGITS, Form, FormError, ParseError,
-                                block_mult_map, divides, form_det, form_gcd,
+                                block_mult_map, divides, form_gcd, form_minors,
                                 form_mul, format_form, linearly_independent,
                                 monomials, mult_map, parse_form, position,
                                 random_ints, space_dim)
 from planesheaves.linalg import CERTIFICATE_PRIME, QMatrix
 from planesheaves.presentation import Presentation, is_injective
 from planesheaves.strata import REGISTRY, generate
-from helpers import (macaulay_gcd, printed_back_reading, random_form, random_nonzero_form,
-                     solve_divides)
+from helpers import (laplace_det, macaulay_gcd, printed_back_reading, random_form,
+                     random_nonzero_form, solve_divides)
 
 X = Form.monomial(1, 0, 0)
 Y = Form.monomial(0, 1, 0)
@@ -427,15 +428,34 @@ def test_products_index_the_product_monomial(s, k):
             assert basis[position(b1 + b2, c1 + c2)] == (a + u, b1 + b2, c1 + c2)
 
 
-def test_form_det_evaluates_to_the_determinant_of_the_values():
+def test_form_minors_evaluates_to_the_determinant_of_the_values():
     rng = random.Random(23)
     for row in REGISTRY:
         P = generate(row.chi, row.id, seed=5)
-        det = form_det(P.matrix)
+        (det,) = form_minors(P.matrix).values()
         for _ in range(2):
             pt = tuple(rng.randint(-4, 4) for _ in range(3))
             values = QMatrix.from_rows([[f.evaluate(pt) for f in r] for r in P.matrix])
             assert det.evaluate(pt) == values.det(), (row.chi, row.id, pt)
+
+
+def test_form_minors_match_the_laplace_reference():
+    # seeded k x n blocks, k <= n <= 6, entry (i, j) of degree r_i + c_j:
+    # about a quarter the zero form of degree 0, about a third with Fraction
+    # coefficients; k = 0 and 1 x 1 blocks included
+    rng = random.Random(41)
+    shapes = [(0, 0), (0, 3), (1, 1)] + [(k, n) for n in range(1, 7) for k in range(1, n + 1)]
+    for k, n in shapes:
+        r, c = [rng.randint(0, 1) for _ in range(k)], [rng.randint(0, 1) for _ in range(n)]
+        block = [[Form.zero(0) if rng.random() < 0.25
+                  else random_form(ri + cj, rng).scale(Fraction(1, rng.choice((1, 1, 2, 3))))
+                  for cj in c] for ri in r]
+        minors = form_minors(block)
+        assert sorted(minors) == list(itertools.combinations(range(n), k)), (k, n)
+        for cols, minor in minors.items():
+            ref = laplace_det([[row[j] for j in cols] for row in block])
+            assert (minor - ref).is_zero(), (k, n, cols)
+    assert form_minors([]) == {(): Form.constant(1)}
 
 
 def test_block_mult_map_places_mult_map_blocks():
@@ -706,6 +726,15 @@ def test_the_term_by_term_reader_agrees_with_the_print_back_reader():
     assert len(long) > 500
     with mock.patch.object(forms, "_parse_grammar", side_effect=AssertionError):
         assert parse_form(long) == printed_back_reading(long) is not None
+
+
+def test_terms_above_the_kept_tables_follow_the_basis():
+    # above the kept tables the terms are read at their `position`, with no
+    # basis table: the same terms, in the same order, as the table gives
+    rng = random.Random(43)
+    for d in (12, 13, 20, 40, 120):
+        for f in (random_form(d, rng), Form.monomial(d // 3, d // 2, d - d // 3 - d // 2, -2)):
+            assert f.terms() == [(m, c) for m, c in zip(monomials(d), f.coeffs) if c]
 
 
 def test_large_degree_basis_tables_are_not_kept():

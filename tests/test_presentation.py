@@ -16,7 +16,7 @@ from planesheaves.presentation import (InconsistentPresentationError,
                                        is_injective, minimal_presentation,
                                        profile, twist)
 from planesheaves.strata import REGISTRY, classify, generate
-from helpers import random_equivalence, random_form
+from helpers import laplace_det, random_equivalence, random_form
 
 SEXTIC = "X^6 + Y^6 + Z^6 + X*Y*Z^4 + 2*X^2*Y^2*Z^2"
 
@@ -255,6 +255,26 @@ def test_a_map_of_rank_6_everywhere_is_refuted_by_the_walk():
     with mock.patch.object(presentation, "_walk", wraps=presentation._walk) as walk:
         assert not is_injective(P)
     walk.assert_called_once_with(P)
+
+
+def test_cramer_vectors_match_the_laplace_reference():
+    # ranks 2 (the planted kernels at a seeded point) and 0 (a map that
+    # vanishes at (0, 0, 1), whose Cramer vector is the unit vector e_0)
+    zero_at_origin = Presentation.from_text([-2, -2], [0, 0], [["X*Y", "X*Z"], ["Y*Z", "X^2"]])
+    cases = [(P, (2, -5, 7)) for P in _planted_kernels(random.Random(4))]
+    for P, point in cases + [(zero_at_origin, (0, 0, 1))]:
+        p = len(P.source)
+        values = presentation._evaluator(P)(point)
+        cols, _ = integer_echelon(integer_rows(values)[0], p)
+        rows, _ = integer_echelon(integer_rows(zip(*values))[0], p)
+        support = sorted([*cols, min(set(range(p)).difference(cols))])
+        v = presentation._cramer_vector(P, values, cols)
+        for k, j in enumerate(support):
+            minor = laplace_det([[P.matrix[i][c] for c in support if c != j] for i in rows])
+            assert (v[j] - (-minor if k % 2 else minor)).is_zero()
+        assert all(v[j].is_zero() for j in range(p) if j not in support)
+    assert presentation._cramer_vector(zero_at_origin, [[0, 0], [0, 0]], []) \
+        == [Form.constant(1), Form.zero(0)]
 
 
 def test_a_mutated_kernel_vector_is_rejected():

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from planesheaves import forms
-from planesheaves.forms import Form, parse_form
+from planesheaves.forms import Form, form_mul, parse_form
 from planesheaves.presentation import Presentation, PresentationError, hilbert, is_injective
-from planesheaves.stability import (BoundsQuery, _pair_special_form, bounds_check,
-                                    minor_gcd_criterion,
+from planesheaves.stability import (BoundsQuery, StabilityVerdict, _pair_special_form,
+                                    _restriction_minors, bounds_check, minor_gcd_criterion,
                                     pencil_block_criterion,
                                     pencil_block_failure, slope,
                                     two_by_two_criterion)
 from planesheaves.strata import generate
-from helpers import random_form
+from helpers import laplace_det, minor_cliff, random_form
 
 
 def test_slope():
@@ -67,6 +67,57 @@ def test_minor_gcd_common_factor_is_inconclusive():
     assert verdict.kind in ("inconclusive", "stable")
 
 
+# Sorted twists of an injective map have e_i >= d_i for every i (a nonzero
+# term of det P matches each source twist with a target twist at least as
+# large), so the quadratic bound, a weighted mean of e_i + d_i over i >= 1,
+# is at least e_0 + d_0; and vanishing truncation minors make det P zero.
+# So the first three gates below are reached only by maps that are not
+# injective.
+@pytest.mark.parametrize("source,target,rows,reason", [
+    ([-2, -2, 1], [0, 0, 0], [["X^2", "Y^2", "0"], ["Y^2", "Z^2", "0"], ["Z^2", "X^2", "0"]],
+     "twist quadratic inequality fails"),
+    ([-3, -1, 0], [-1, -1, -1], [["X^2", "0", "0"], ["Y^2", "0", "0"], ["Z^2", "0", "0"]],
+     "componentwise twist inequality fails"),
+    ([-1, -1], [0, 0], [["X", "0"], ["Y", "0"]], "all truncation minors vanish"),
+    ([-3, -2, 0], [-1, 0, 0], [["X^2", "Y", "0"], ["Y^3", "Z^2", "1"], ["Z^3", "X^2", "0"]],
+     "integral slope ratio with possible subsheaf embeddings is undecided beyond pairs"),
+])
+def test_minor_gcd_verdicts(source, target, rows, reason):
+    P = Presentation.from_text(source, target, rows)
+    assert is_injective(P) == reason.startswith("integral")
+    assert minor_gcd_criterion(P) == StabilityVerdict("inconclusive", reason)
+
+
+def test_truncation_minors_match_the_laplace_reference():
+    # one summand: the truncation has no columns, its one minor is 1
+    one = Presentation.from_text([-3], [0], [["X^3 + Y^3 + Z^3"]])
+    assert minor_gcd_criterion(one).reason == "a truncation minor has degree zero"
+    for P in [one, generate(0, "X_3", seed=1), generate(1, "X_0", seed=2), minor_cliff(6)]:
+        n = len(P.source)
+        minors, _ = _restriction_minors(P)
+        for i in range(n):
+            ref = laplace_det([P.matrix[r][1:] for r in range(n) if r != i])
+            assert (minors[i] - ref).is_zero()
+
+
+@pytest.mark.parametrize("n,reason", [
+    (9, "slope ratio is not an integer"),
+    (10, "no room for a slope-matching subsheaf"),
+])
+def test_minor_gcd_takes_one_minors_pass(monkeypatch, n, reason):
+    # a count, not a clock: one pass over the linear truncation forms fewer
+    # than n * 2^(n - 1) products, where cofactor expansions of its n minors
+    # form 623,520 at n = 9
+    products = []
+
+    def counted(f, g):
+        products.append(1)
+        return form_mul(f, g)
+    monkeypatch.setattr(forms, "form_mul", counted)
+    assert minor_gcd_criterion(minor_cliff(n)) == StabilityVerdict("stable", reason)
+    assert len(products) <= n * 2 ** (n - 1)
+
+
 # -- pair criterion -----------------------------------------------------------
 
 def test_pair_strict_gap_stable():
@@ -106,6 +157,19 @@ def test_pair_precondition_violation_inconclusive():
     verdict = two_by_two_criterion(P)
     assert verdict.kind == "inconclusive"
     assert "gap ordering" in verdict.reason
+
+
+@pytest.mark.parametrize("source,target,rows,reason", [
+    ([-1], [0], [["X"]], "needs exactly two summands on each side"),
+    ([-2, -1], [-1, 0], [["X", "0"], ["Y^2", "Z"]], "twist ordering d2 < e1 fails"),
+    # not injective: det P is zero
+    ([-3, -2], [-1, -1], [["X^2", "0"], ["Y^2", "0"]], "second column vanishes"),
+    ([-3, -2], [0, 0], [["X^3", "X^2 + X*Y"], ["Y^3 + Z^3", "X*Y + Y^2"]],
+     "second-column entries share a factor"),
+])
+def test_pair_gates(source, target, rows, reason):
+    P = Presentation.from_text(source, target, rows)
+    assert two_by_two_criterion(P) == StabilityVerdict("inconclusive", reason)
 
 
 def test_pair_agrees_with_minor_gcd_on_shared_domain():
