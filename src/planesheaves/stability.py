@@ -3,6 +3,11 @@
 The criteria implemented here are hypothesis-gated: when a criterion's
 preconditions fail the verdict is Inconclusive with the failed hypothesis
 named, never a guess.  Stable/ProperlySemistable answers are exact.
+
+Each criterion takes an injective map, which it does not check: the
+`stability` command and `verify_row` decide injectivity first.  A map that
+is not injective still gets a verdict and never a traceback, but the verdict
+proves nothing.
 """
 
 from __future__ import annotations
@@ -10,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .forms import Form, divides, form_gcd, form_minors, space_dim
-from .linalg import QMatrix
+from .forms import Form, divides, form_gcd, form_minors, linearly_independent, space_dim
 from .presentation import (Presentation, PresentationError,
                            euler_char_line_bundle)
 
@@ -44,7 +48,7 @@ class SubsheafWitness:
 
 @dataclass
 class StabilityVerdict:
-    kind: str                   # "stable" | "properly_semistable" | "semistable" | "inconclusive"
+    kind: str                   # "stable" | "properly_semistable" | "inconclusive"
     reason: str = ""
     witness: SubsheafWitness | None = None
 
@@ -60,7 +64,7 @@ def _sorted_square(P: Presentation):
         raise PresentationError("criterion needs a square presentation")
     if not P.source:
         raise PresentationError("criterion needs a nonempty presentation")
-    return list(P.source), list(P.target)
+    return P.source, P.target
 
 
 def _restriction_minors(P: Presentation):
@@ -75,16 +79,18 @@ def _restriction_minors(P: Presentation):
             [tail - e for e in P.target])
 
 
-def _gcd_of_all(forms):
+def _share_a_factor(forms) -> bool:
+    """Whether the forms have a common factor of positive degree; forms that
+    are all zero share every factor."""
     forms = [f for f in forms if not f.is_zero()]
     if not forms:
-        return None
+        return True
     g = forms[0]
     for f in forms[1:]:
         g = form_gcd(g, f)
         if g.degree == 0:
-            return g
-    return g.monic()
+            return False
+    return g.degree > 0
 
 
 def _pair_special_form(P: Presentation) -> bool:
@@ -97,8 +103,9 @@ def _pair_special_form(P: Presentation) -> bool:
     if d1 < d2:
         # a row scalar cannot mix rows downward; only the column operation
         # col1 += u * col2 (deg u = d2 - d1) and scalars act on the slot.
-        # f12 != 0: else the caller's column gcd f22.monic() is constant only
-        # if e2 = d2, and equal gaps give e1 = d1 <= d2, against d2 < e1
+        # f12 != 0: else the caller's coprime second column makes f22 a
+        # nonzero constant, so e2 = d2, and equal gaps give e1 = d1 <= d2,
+        # against d2 < e1
         return divides(f12, f11)
     # d1 == d2 (hence e1 == e2): both sides act by full 2x2 scalars; the slot
     # can be cleared iff a*phi*c = 0 for some nonzero scalar vectors a, c,
@@ -116,16 +123,16 @@ def _pair_special_form(P: Presentation) -> bool:
     w_11 = wedge(f11, f21)
     w_cross = [x + y for x, y in zip(wedge(f11, f22), wedge(f12, f21))]
     w_22 = wedge(f12, f22)
-    g = _gcd_of_all([Form.from_dict(2, {(2, 0, 0): a, (1, 1, 0): b, (0, 2, 0): c})
-                     for a, b, c in zip(w_11, w_cross, w_22)])
-    return g is None or g.degree > 0
+    return _share_a_factor([Form.from_dict(2, {(2, 0, 0): a, (1, 1, 0): b, (0, 2, 0): c})
+                            for a, b, c in zip(w_11, w_cross, w_22)])
 
 
 def two_by_two_criterion(P: Presentation) -> StabilityVerdict:
     """Pairs O(d1)+O(d2) -> O(e1)+O(e2) with d2 < e1 and e1-d1 >= e2-d2 and the
     second-column entries coprime: stable, unless the twist gaps agree and the
     top-left slot can be cleared, which is the properly-semistable wall.
-    P must be injective; that is not checked here."""
+    P must be injective, which is not checked here; a second column that
+    vanishes, as it may only when P is not, shares every factor."""
     d, e = _sorted_square(P)
     if len(d) != 2:
         return StabilityVerdict("inconclusive", "needs exactly two summands on each side")
@@ -135,11 +142,7 @@ def two_by_two_criterion(P: Presentation) -> StabilityVerdict:
         return StabilityVerdict("inconclusive", "twist ordering d2 < e1 fails")
     if not (e1 - d1 >= e2 - d2):
         return StabilityVerdict("inconclusive", "twist gap ordering e1-d1 >= e2-d2 fails")
-    f12, f22 = P.matrix[0][1], P.matrix[1][1]
-    if f12.is_zero() and f22.is_zero():
-        return StabilityVerdict("inconclusive", "second column vanishes")
-    g = _gcd_of_all([f12, f22])
-    if g is not None and g.degree > 0:
+    if _share_a_factor([P.matrix[0][1], P.matrix[1][1]]):
         return StabilityVerdict("inconclusive", "second-column entries share a factor")
     if e1 - d1 > e2 - d2:
         return StabilityVerdict("stable", "strict twist gap")
@@ -154,28 +157,21 @@ def minor_gcd_criterion(P: Presentation) -> StabilityVerdict:
     hold and the maximal minors of the truncation (lowest source column
     removed) are coprime of positive degree, the cokernel is stable unless an
     integral slope ratio admits a line-bundle-pair subsheaf.  P must be
-    injective; that is not checked here."""
+    injective, which is not checked here; truncation minors that all vanish,
+    as they may only when P is not, share every factor."""
+    # An injective P has e_i >= d_i for every i, else rows 0..i and columns
+    # i..n-1 hold an (i+1) x (n-i) zero block and det P = 0; so the further
+    # twist-gap inequalities hold (their quadratic bound is a weighted mean of
+    # the e_i + d_i, each at least e_0 + d_0), and det P, which expands along
+    # column 0 into the truncation minors, keeps them from all vanishing.
     d, e = _sorted_square(P)
     n = len(d)
-    tail_e = sum(e[1:])
-    tail_d = sum(d[1:])
-    if not (e[0] - d[0] >= tail_e - tail_d):
+    if not (e[0] - d[0] >= sum(e[1:]) - sum(d[1:])):
         return StabilityVerdict("inconclusive", "twist gap inequality (first summand) fails")
-    denom = tail_e - tail_d
-    if denom > 0:
-        bound = Fraction(sum(k * k for k in e[1:]) - sum(k * k for k in d[1:]), denom)
-        if not Fraction(e[0] + d[0]) <= bound:
-            return StabilityVerdict("inconclusive", "twist quadratic inequality fails")
-    else:
-        if not all(e[i] >= d[i] for i in range(1, n)):
-            return StabilityVerdict("inconclusive", "componentwise twist inequality fails")
     minors, degs = _restriction_minors(P)
     if any(deg == 0 for deg in degs):
         return StabilityVerdict("inconclusive", "a truncation minor has degree zero")
-    g = _gcd_of_all(minors)
-    if g is None:
-        return StabilityVerdict("inconclusive", "all truncation minors vanish")
-    if g.degree > 0:
+    if _share_a_factor(minors):
         return StabilityVerdict("inconclusive", "truncation minors share a common factor")
     num = sum(k * k for k in e) - sum(k * k for k in d)
     den = sum(e) - sum(d)
@@ -209,10 +205,9 @@ def pencil_block_failure(block) -> str | None:
     if m1.is_zero() or m2.is_zero():
         return "a mixed minor vanishes"
     x, y, z = Form.monomial(1, 0, 0), Form.monomial(0, 1, 0), Form.monomial(0, 0, 1)
-    # multiplication by det != 0 is injective on linear forms, so the three
-    # rows det*X, det*Y, det*Z have rank 3
-    rows = [list((det * v).coeffs) for v in (x, y, z)]
-    if QMatrix.from_rows(rows + [list(m1.coeffs), list(m2.coeffs)]).rank() == 5:
+    # multiplication by det != 0 is injective on linear forms, so det*X,
+    # det*Y and det*Z are independent
+    if linearly_independent([det * x, det * y, det * z, m1, m2]):
         return None
     return "mixed minors dependent modulo the pencil determinant"
 
@@ -222,7 +217,7 @@ def pencil_block_criterion(P: Presentation) -> StabilityVerdict:
     passes pencil_block_failure, inconclusive with the failed part otherwise.
     P must be injective; that is not checked here."""
     d, e = _sorted_square(P)
-    if tuple(d) != (-3, -2, -2) or tuple(e) != (-1, -1, 1):
+    if d != (-3, -2, -2) or e != (-1, -1, 1):
         raise PresentationError("pencil block criterion needs shape (-3,-2,-2) -> (-1,-1,1)")
     failure = pencil_block_failure(P.matrix[:2])
     if failure is None:

@@ -11,8 +11,11 @@ before the lazy Bareiss scaling and the shorter-side rank landed; they reach
 (2305843009213693951, that is 2^61 - 1).  The `kron-check pencil` hash was
 recorded when the pencil closed form left `is_semistable`: the verdict
 became the blow-up's, and the output before differs only by the
-`"certificate"` it now carries.  A deliberate change of output must update
-the table below and say why.
+`"certificate"` it now carries.  The `stability` hashes, one per criterion
+over the `gen --seed 1` sample of every registry row, were recorded before
+the criteria lost the verdicts that only a map that is not injective
+reaches, so they show that the deletion leaves that output byte-identical.
+A deliberate change of output must update the table below and say why.
 """
 
 import hashlib
@@ -21,7 +24,7 @@ import json
 import pytest
 
 from planesheaves.cli import main
-from planesheaves.strata import REGISTRY
+from planesheaves.strata import REGISTRY, generate
 
 PENCIL = json.dumps({"source": [-1, -1], "target": [0, 0, 0],
                      "matrix": [["X", "Y"], ["Y", "Z"], ["Z", "X"]]})
@@ -79,6 +82,11 @@ GOLDEN = {
     "points resolve 5": "0c187f5303578f5d198161d15e6de2f50a9fb7ad35a9eea12ac7ef9f8874a3c6",
     "points resolve 9": "5171a398b07de330d2962885678a4b2e7e5aa6cd2ae980021a2e7d716547bd03",
     "points claim len8_general": "e20fa4fc24ffa5e4280fbb8ceef8c822f956b3e235f31db10e7be4e3968fb894",
+    # exit code and stdout of each row's call, in REGISTRY order
+    "stability auto": "ef5c2db96d07047a9f91780dd48bc480927d568a0d4ac245ecf91f4368a09ff8",
+    "stability minor-gcd": "bfb07c030f664cc7f0ea70c2190d76347bc0ba1cfdbe01257eb9cfb07459b98a",
+    "stability two-by-two": "d5840c9b654ad8c61a52fcffc2f619bffd5d49e0605c0ef8702c0b2cde938747",
+    "stability pencil-block": "ddb1bcae3b92d20d9bed47f6700b5bbfb7b90de970c26b234c2d63baef292aea",
 }
 
 
@@ -129,3 +137,13 @@ def test_points_claim_len8_general(capsys):
                         "--input", POINTS[8])
     assert code == 0
     assert digest == GOLDEN["points claim len8_general"]
+
+
+@pytest.mark.parametrize("criterion", ["auto", "minor-gcd", "two-by-two", "pencil-block"])
+def test_stability_on_gen_seed_1(capsys, criterion):
+    digest = hashlib.sha256()
+    for row in REGISTRY:
+        sample = json.dumps(generate(row.chi, row.id, seed=1).to_json())
+        code = main(["stability", "--criterion", criterion, "--input", sample])
+        digest.update(b"%d\n" % code + capsys.readouterr().out.encode())
+    assert digest.hexdigest() == GOLDEN["stability " + criterion]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from planesheaves import forms
-from planesheaves.forms import Form, form_mul, parse_form
+from planesheaves.forms import Form, form_mul, parse_form, space_dim
 from planesheaves.presentation import Presentation, PresentationError, hilbert, is_injective
 from planesheaves.stability import (BoundsQuery, StabilityVerdict, _pair_special_form,
                                     _restriction_minors, bounds_check, minor_gcd_criterion,
@@ -67,18 +67,15 @@ def test_minor_gcd_common_factor_is_inconclusive():
     assert verdict.kind in ("inconclusive", "stable")
 
 
-# Sorted twists of an injective map have e_i >= d_i for every i (a nonzero
-# term of det P matches each source twist with a target twist at least as
-# large), so the quadratic bound, a weighted mean of e_i + d_i over i >= 1,
-# is at least e_0 + d_0; and vanishing truncation minors make det P zero.
-# So the first three gates below are reached only by maps that are not
-# injective.
+# The first three maps are not injective, so outside the criterion's
+# contract: each has a zero column in its truncation, whose minors then all
+# vanish and share every factor.
 @pytest.mark.parametrize("source,target,rows,reason", [
     ([-2, -2, 1], [0, 0, 0], [["X^2", "Y^2", "0"], ["Y^2", "Z^2", "0"], ["Z^2", "X^2", "0"]],
-     "twist quadratic inequality fails"),
+     "truncation minors share a common factor"),
     ([-3, -1, 0], [-1, -1, -1], [["X^2", "0", "0"], ["Y^2", "0", "0"], ["Z^2", "0", "0"]],
-     "componentwise twist inequality fails"),
-    ([-1, -1], [0, 0], [["X", "0"], ["Y", "0"]], "all truncation minors vanish"),
+     "truncation minors share a common factor"),
+    ([-1, -1], [0, 0], [["X", "0"], ["Y", "0"]], "truncation minors share a common factor"),
     ([-3, -2, 0], [-1, 0, 0], [["X^2", "Y", "0"], ["Y^3", "Z^2", "1"], ["Z^3", "X^2", "0"]],
      "integral slope ratio with possible subsheaf embeddings is undecided beyond pairs"),
 ])
@@ -162,8 +159,9 @@ def test_pair_precondition_violation_inconclusive():
 @pytest.mark.parametrize("source,target,rows,reason", [
     ([-1], [0], [["X"]], "needs exactly two summands on each side"),
     ([-2, -1], [-1, 0], [["X", "0"], ["Y^2", "Z"]], "twist ordering d2 < e1 fails"),
-    # not injective: det P is zero
-    ([-3, -2], [-1, -1], [["X^2", "0"], ["Y^2", "0"]], "second column vanishes"),
+    # not injective (det P is zero), so outside the contract: a zero column
+    # shares every factor
+    ([-3, -2], [-1, -1], [["X^2", "0"], ["Y^2", "0"]], "second-column entries share a factor"),
     ([-3, -2], [0, 0], [["X^3", "X^2 + X*Y"], ["Y^3 + Z^3", "X*Y + Y^2"]],
      "second-column entries share a factor"),
 ])
@@ -196,9 +194,8 @@ def test_pair_agrees_with_minor_gcd_on_shared_domain():
 
 # the reasons of minor_gcd_criterion's own gates
 _MINOR_GCD_GATES = {
-    "twist gap inequality (first summand) fails", "twist quadratic inequality fails",
-    "componentwise twist inequality fails", "a truncation minor has degree zero",
-    "all truncation minors vanish", "truncation minors share a common factor",
+    "twist gap inequality (first summand) fails", "a truncation minor has degree zero",
+    "truncation minors share a common factor",
 }
 
 
@@ -221,6 +218,79 @@ def test_minor_gcd_on_pairs_is_its_own_gates_or_the_pair_criterion(twists, seed,
         assert two_by_two_criterion(P).kind == "stable"
     else:
         assert verdict == two_by_two_criterion(P)
+
+
+# Reasons that only a map with det P = 0 could reach.
+_OUT_OF_CONTRACT = {
+    "twist quadratic inequality fails", "componentwise twist inequality fails",
+    "all truncation minors vanish", "second column vanishes",
+}
+# Every (criterion, reason) that the injective draws below reach.
+_REACHED_ON_INJECTIVE = {
+    (minor_gcd_criterion, reason) for reason in (
+        "twist gap inequality (first summand) fails", "a truncation minor has degree zero",
+        "truncation minors share a common factor", "slope ratio is not an integer",
+        "no special form", "slope-matching subsheaf found",
+        "no room for a slope-matching subsheaf",
+        "integral slope ratio with possible subsheaf embeddings is undecided beyond pairs")
+} | {
+    (two_by_two_criterion, reason) for reason in (
+        "needs exactly two summands on each side", "twist ordering d2 < e1 fails",
+        "twist gap ordering e1-d1 >= e2-d2 fails", "second-column entries share a factor",
+        "strict twist gap", "no special form", "slope-matching subsheaf found")
+}
+
+
+def test_square_criteria_on_injective_maps_reach_only_their_kept_verdicts():
+    # every caller passes an injective map, and on those each twist gate
+    # past the first, and each gate on vanishing forms, is never reached
+    rng = random.Random(134)
+    injective, reached = 0, set()
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        d = sorted(rng.randint(-4, 0) for _ in range(n))
+        e = sorted(rng.randint(-2, 1) for _ in range(n))
+        bound = rng.choice((1, 9))
+        P = Presentation(tuple(d), tuple(e),
+                         [[forms.random_form(ei - dj, rng, bound) if ei >= dj else Form.zero(0)
+                           for dj in d] for ei in e])
+        if not is_injective(P):
+            continue
+        injective += 1
+        for criterion in (minor_gcd_criterion, two_by_two_criterion):
+            reason = criterion(P).reason
+            assert reason not in _OUT_OF_CONTRACT
+            reached.add((criterion, reason))
+    assert injective == 1220
+    assert reached == _REACHED_ON_INJECTIVE
+
+
+class _OverBudget(Exception):
+    pass
+
+
+@pytest.mark.xfail(strict=True, raises=_OverBudget,
+                   reason="ROADMAP item 16: form_gcd answers a pair with a common factor "
+                          "by its Macaulay matrix")
+def test_pair_with_a_shared_linear_factor_within_a_matrix_budget(monkeypatch):
+    # the second column shares X + 2Y + 3Z, so no line certifies it coprime;
+    # the Macaulay matrix of its degree-20 entries is 820 x 210 cells, and
+    # form_gcd took minutes to finish it
+    rng = random.Random(1)
+    line = parse_form("X + 2*Y + 3*Z")
+    P = Presentation((-21, -20), (0, 0),
+                     [[forms.random_form(21, rng, 9), line * forms.random_form(19, rng, 9)]
+                      for _ in range(2)])
+    assert is_injective(P)
+    mult_map = forms.mult_map
+
+    def capped(f, s):
+        if space_dim(s + f.degree) * space_dim(s) > 50_000:
+            raise _OverBudget("mult_map(f, %d) of a degree-%d form" % (s, f.degree))
+        return mult_map(f, s)
+    monkeypatch.setattr(forms, "mult_map", capped)
+    assert two_by_two_criterion(P) == StabilityVerdict(
+        "inconclusive", "second-column entries share a factor")
 
 
 # The wedge quadrics of [[f11, f12], [f21, f22]] in (u, v) vanish where
