@@ -80,17 +80,27 @@ def _read_input(arg):
         raise CliError(EXIT_PARSE, "cannot read input: %s" % exc)
 
 
-def _load_presentation(arg) -> Presentation:
+def _load_json(arg, what):
+    """json.loads of the input; what it refuses (even past a limit) exits 2."""
     try:
-        return Presentation.from_json(json.loads(_read_input(arg)))
+        return json.loads(_read_input(arg))
+    except (ValueError, RecursionError) as exc:
+        raise CliError(EXIT_PARSE, "bad %s input: %s" % (what, exc))
+
+
+def _load_presentation(arg) -> Presentation:
+    obj = _load_json(arg, "presentation")
+    try:
+        return Presentation.from_json(obj)
     except (json.JSONDecodeError, ParseError, PresentationError, FormError) as exc:
         raise CliError(EXIT_PARSE, "bad presentation input: %s" % exc)
 
 
 def _load_points(arg) -> PointConfig:
+    obj = _load_json(arg, "point")
     try:
-        return PointConfig.from_json(json.loads(_read_input(arg)))
-    except (json.JSONDecodeError, ParseError, PointError, ValueError) as exc:
+        return PointConfig.from_json(obj)
+    except ValueError as exc:
         raise CliError(EXIT_PARSE, "bad point input: %s" % exc)
 
 
@@ -210,8 +220,8 @@ def cmd_points(args):
 
 
 def cmd_flag_pair(args):
+    data = _load_json(args.input, "flag-pair")
     try:
-        data = json.loads(_read_input(args.input))
         cfg = PointConfig.from_json(data)
         sextic = parse_form(data["sextic"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -342,25 +342,25 @@ def parse_form(text: str) -> Form:
     digits.  The zero form is read in degree 0.
 
     Text as ``format_form`` prints it is read term by term, checking each
-    term as it is read (``_read_printed``); a printed coefficient is one
+    term as it is read (``read_printed``); a printed coefficient is one
     numeral, or two around "/", so a numeral within the digit cap keeps
     the coefficient within it.  Everything else, a numeral past the cap
     included, is read by the grammar, which gives the same form.
     """
     if type(text) is str:
-        form = _read_printed(text)
+        form = read_printed(text)
         if form is not None:
             return form
     return _parse_grammar(text)
 
 
-def _read_printed(text: str):
-    """The form that ``format_form`` prints as text, read term by term; None
-    unless each term is the print of one nonzero coefficient times one basis
-    monomial, the monomials strictly follow the basis order and the terms
-    are joined as ``format_form`` joins them.  Text built that way is the
-    print of the form read, so by the round trip that form is the one
-    ``_parse_grammar`` returns, with the same coefficient types."""
+def read_printed(text: str, degree=None):
+    """The form that ``format_form`` prints as text, read term by term at the
+    degree given, else at that of the first term; None unless the degree is
+    in 0..MAX_DEGREE, each term is the print of one nonzero coefficient times
+    one basis monomial of that degree, in strict basis order, joined as
+    ``format_form`` joins them.  Such text is the print of the form read, so
+    that form is ``_parse_grammar``'s, with its int and Fraction coefficients."""
     if text == "0":
         return Form.zero(0)
     # the printer joins a negative term with " - ", never with " + -"
@@ -368,13 +368,14 @@ def _read_printed(text: str):
         return None
     terms = text.replace(" - ", " + -").split(" + ")
     try:
-        first = terms[0].lstrip("-")
-        if first[:1] not in _VARIABLE_INDEX:
-            first = first.partition("*")[2]
-        d = sum(int(f[2:]) if f[1:] else 1 for f in first.split("*")) if first else 0
-        if not 0 <= d <= MAX_DEGREE:
+        if degree is None:
+            first = terms[0].lstrip("-")
+            if first[:1] not in _VARIABLE_INDEX:
+                first = first.partition("*")[2]
+            degree = sum(int(f[2:]) if f[1:] else 1 for f in first.split("*")) if first else 0
+        if not 0 <= degree <= MAX_DEGREE:
             return None
-        index = _spelling_index(d)
+        index = _spelling_index(degree)
         coeffs = [0] * len(index)
         last = -1
         for term in terms:
@@ -403,7 +404,9 @@ def _read_printed(text: str):
             last = i
     except (ValueError, ZeroDivisionError):
         return None
-    return Form(d, coeffs)
+    form = object.__new__(Form)
+    form.degree, form.coeffs = degree, tuple(coeffs)
+    return form
 
 
 def _parse_grammar(text: str) -> Form:

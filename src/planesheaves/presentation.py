@@ -19,7 +19,7 @@ from numbers import Real
 from operator import mul
 
 from .forms import (Form, ParseError, form_minors, format_form, monomial_values, parse_form,
-                    quoted, random_ints, space_dim)
+                    quoted, random_ints, read_printed, space_dim)
 from .linalg import QMatrix, integer_echelon, integer_rows
 
 
@@ -94,22 +94,23 @@ class Presentation:
 
     @classmethod
     def from_text(cls, source, target, rows) -> "Presentation":
-        """Rows of polynomial text (or Form objects), target-major."""
+        """Rows of polynomial text (or Form objects), target-major: printed text
+        read at each entry's degree e_i - d_j, else by `parse_form` and `_validate`."""
         try:
-            twists = [_twist(d) for d in (*source, *target)]
+            source, target = [[_twist(d) for d in t] for t in ((*source,), (*target,))]
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError("twists must be integers: %s" % exc) from exc
-        if any(abs(d) > MAX_TWIST for d in twists):
+        if any(abs(d) > MAX_TWIST for d in (*source, *target)):
             raise ParseError("twist beyond the cap: |twist| must be at most %d" % MAX_TWIST)
         if not isinstance(rows, (list, tuple)) \
                 or not all(isinstance(row, (list, tuple)) for row in rows):
             raise ParseError("the matrix must be a list of rows, each a list of entries")
-        matrix = []
-        for row in rows:
-            out = []
-            for entry in row:
-                out.append(entry if isinstance(entry, Form) else parse_form(str(entry)))
-            matrix.append(out)
+        if len(rows) == len(target) and all(len(row) == len(source) for row in rows):
+            matrix = [[read_printed(f, e - d) if type(f) is str else None
+                       for d, f in zip(source, row)] for e, row in zip(target, rows)]
+            if all(map(all, matrix)):       # no None: every Form is true
+                return cls(*_sorted(source, target, matrix), _checked=True)
+        matrix = [[f if isinstance(f, Form) else parse_form(str(f)) for f in row] for row in rows]
         return cls(source, target, matrix)
 
     @classmethod
@@ -150,16 +151,20 @@ def _twist(d) -> int:
     return t
 
 
+def _sorted(source, target, matrix):
+    """The twists sorted, stably, and the rows and columns of the matrix with them."""
+    src_order = sorted(range(len(source)), key=source.__getitem__)
+    tgt_order = sorted(range(len(target)), key=target.__getitem__)
+    return (tuple(source[j] for j in src_order), tuple(target[i] for i in tgt_order),
+            tuple(tuple(matrix[i][j] for j in src_order) for i in tgt_order))
+
+
 def _validate(source, target, matrix):
     if len(matrix) != len(target):
         raise PresentationError("matrix must have one row per target summand")
     if any(len(row) != len(source) for row in matrix):
         raise PresentationError("matrix must have one column per source summand")
-    src_order = sorted(range(len(source)), key=lambda j: source[j])
-    tgt_order = sorted(range(len(target)), key=lambda i: target[i])
-    source = tuple(source[j] for j in src_order)
-    target = tuple(target[i] for i in tgt_order)
-    matrix = tuple(tuple(matrix[i][j] for j in src_order) for i in tgt_order)
+    source, target, matrix = _sorted(source, target, matrix)
     for i, e in enumerate(target):
         for j, d in enumerate(source):
             f = matrix[i][j]
@@ -360,9 +365,11 @@ def profile(P: Presentation) -> CohomologyProfile:
 # ---------------------------------------------------------------------------
 
 def dual(P: Presentation) -> Presentation:
-    """Transpose with twists reflected through -3; swaps chi and -chi."""
-    return Presentation([-3 - e for e in P.target], [-3 - d for d in P.source],
-                        [[row[j] for row in P.matrix] for j in range(len(P.source))])
+    """Transpose with twists reflected through -3, which keeps the degree of
+    every entry, so only the twists are sorted again; swaps chi and -chi."""
+    return Presentation(*_sorted([-3 - e for e in P.target], [-3 - d for d in P.source],
+                                 [[row[j] for row in P.matrix] for j in range(len(P.source))]),
+                        _checked=True)
 
 
 def twist(P: Presentation, k: int) -> Presentation:

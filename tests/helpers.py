@@ -7,11 +7,12 @@ from fractions import Fraction
 from itertools import count
 
 from planesheaves import forms
-from planesheaves.forms import (MAX_DEGREE, VARIABLES, Form, FormError, block_mult_map,
-                                format_form, mult_map, space_dim)
+from planesheaves import presentation
+from planesheaves.forms import (MAX_DEGREE, VARIABLES, Form, FormError, ParseError,
+                                block_mult_map, format_form, mult_map, parse_form, space_dim)
 from planesheaves.linalg import QMatrix
 from planesheaves.points import DEGREE_CAP, BettiShape, PointConfig, PointError, ideal_slice
-from planesheaves.presentation import Presentation
+from planesheaves.presentation import MAX_TWIST, Presentation
 
 
 def random_form(degree, rng):
@@ -115,7 +116,7 @@ def solve_divides(f, g):
 
 
 def printed_back_reading(text):
-    """`forms._read_printed` as it was before each term was checked as it
+    """`forms.read_printed` as it was before each term was checked as it
     was read: the terms split, each monomial spelling looked up in the table
     `format_form` prints from, and the form kept only if it prints back to
     the very same text.  The reference for the term-by-term reader."""
@@ -248,3 +249,21 @@ def random_equivalence(P: Presentation, rng) -> Presentation:
             row.append(Form.zero(0) if f.is_zero() else f)
         fixed.append(row)
     return Presentation(P.source, P.target, fixed)
+
+
+def parsed_presentation(source, target, rows):
+    """`Presentation.from_text` as it was before printed text was read at
+    each entry's twist degree: the twists checked, every entry read by
+    `parse_form` alone, then `Presentation`, whose `_validate` checks every
+    entry's degree.  The reference for the one-pass read."""
+    try:
+        twists = [presentation._twist(d) for d in (*source, *target)]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError("twists must be integers: %s" % exc) from exc
+    if any(abs(d) > MAX_TWIST for d in twists):
+        raise ParseError("twist beyond the cap: |twist| must be at most %d" % MAX_TWIST)
+    if not isinstance(rows, (list, tuple)) \
+            or not all(isinstance(row, (list, tuple)) for row in rows):
+        raise ParseError("the matrix must be a list of rows, each a list of entries")
+    matrix = [[f if isinstance(f, Form) else parse_form(str(f)) for f in row] for row in rows]
+    return Presentation(source, target, matrix)

@@ -78,6 +78,40 @@ def test_a_long_rejected_twist_or_coordinate_is_quoted_in_part(argv, capsys):
     assert "characters)" in captured.err
 
 
+# JSON that json.loads refuses past one of Python's limits: an integer
+# literal of more than 4300 digits and arrays nested 100,000 deep
+_LONG_LITERAL = "9" * 5000
+_DEEP = "[" * 100000 + "]" * 100000
+_PRESENTATION_COMMANDS = [["classify"], ["hilbert"], ["dual"], ["kron-check"], ["stability"]]
+
+
+@pytest.mark.parametrize("argv", [
+    *[[*cmd, "--input", blob] for cmd in _PRESENTATION_COMMANDS for blob in (
+        '{"source": [%s], "target": [0], "matrix": [["X"]]}' % _LONG_LITERAL,
+        '{"source": [-1], "target": [0], "matrix": [[%s]]}' % _LONG_LITERAL)],
+    ["points", "resolve", "--input", '{"points": [[%s, 0, 1]]}' % _LONG_LITERAL],
+    ["flag-pair", "--input", '{"points": [[%s, 0, 1]], "sextic": "Z^6"}' % _LONG_LITERAL],
+    ["classify", "--input", '{"source": [-1], "target": [0], "matrix": %s}' % _DEEP],
+    ["points", "resolve", "--input", '{"points": %s}' % _DEEP],
+], ids=lambda argv: "%s:%s" % (argv[0], "deep" if _DEEP in argv[-1] else "long"))
+def test_json_past_pythons_limits_is_a_parse_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: bad [a-z-]+ input: [^\n]*\n", captured.err), captured.err[:200]
+    assert "Traceback" not in captured.err
+
+
+def test_an_input_file_that_is_not_utf_8_is_a_parse_error(tmp_path, capsys):
+    # the decode error is a ValueError, read inside the same helper as the JSON
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"source": [-1], "target": [0], "matrix": [["X"]], "points": "\xe9"}')
+    for argv in (["classify"], ["hilbert"], ["points", "resolve"], ["flag-pair"]):
+        assert main([*argv, "--input", str(path)]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: bad "), argv
+
+
 def test_oversize_degree_and_twist_are_parse_errors(capsys):
     # caught before any dense coefficient vector or matrix is built
     oversize = [

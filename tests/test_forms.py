@@ -667,7 +667,7 @@ def test_printed_and_mutated_text_read_as_the_grammar(f, data):
     text = format_form(f)
     assert_reads_as_the_grammar(text)
     # the lookup reads every print itself
-    assert forms._read_printed(text) is not None
+    assert forms.read_printed(text) is not None
     assert_reads_as_the_grammar(_respell(text, data.draw))
     for mutated in _mutations(text):
         assert_reads_as_the_grammar(mutated)
@@ -712,7 +712,7 @@ def test_the_term_by_term_reader_agrees_with_the_print_back_reader():
     accepted = 0
     for text in _printed_and_edited(3000, 32):
         want = printed_back_reading(text)
-        got = forms._read_printed(text)
+        got = forms.read_printed(text)
         assert (got is None) == (want is None), text
         if want is not None:
             assert got == want, text

@@ -5,8 +5,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planesheaves import presentation
-from planesheaves.forms import Form, block_mult_map, form_mul, random_ints, space_dim
+from planesheaves import forms, presentation
+from planesheaves.forms import Form, ParseError, block_mult_map, form_mul, random_ints, space_dim
 from planesheaves.linalg import QMatrix, integer_echelon, integer_rows
 from planesheaves.points import PointConfig, evaluation_matrix
 from planesheaves.presentation import (InconsistentPresentationError,
@@ -16,7 +16,7 @@ from planesheaves.presentation import (InconsistentPresentationError,
                                        is_injective, minimal_presentation,
                                        profile, twist)
 from planesheaves.strata import REGISTRY, classify, generate
-from helpers import laplace_det, random_equivalence, random_form
+from helpers import laplace_det, parsed_presentation, random_equivalence, random_form
 
 SEXTIC = "X^6 + Y^6 + Z^6 + X*Y*Z^4 + 2*X^2*Y^2*Z^2"
 
@@ -485,6 +485,98 @@ def test_json_roundtrip_bit_exact():
         Q = Presentation.from_json(json.loads(blob))
         assert Q == P
         assert json.dumps(Q.to_json(), sort_keys=True) == blob
+
+
+def _read_both_ways(obj):
+    """What `Presentation.from_json` and the reference route make of a
+    presentation JSON object: the presentation with the type of every
+    coefficient, or the exception type and message."""
+    def outcome(read):
+        try:
+            P = read(obj)
+        except (ParseError, PresentationError) as exc:
+            return type(exc), str(exc)
+        return P, [[list(map(type, f.coeffs)) for f in row] for row in P.matrix]
+    return (outcome(Presentation.from_json),
+            outcome(lambda o: parsed_presentation(o["source"], o["target"], o["matrix"])))
+
+
+# CI's mixed presentation: Fraction, unit, constant and zero entries
+MIXED = {"source": [-2, -1], "target": [-1, 0],
+         "matrix": [["1/2*X - Y", "3"], ["X^2 - 2/3*Y*Z + Z^2", "0"]]}
+
+
+def test_the_one_pass_read_builds_the_parsed_presentation():
+    printed = [MIXED, dual(Presentation.from_json(MIXED)).to_json()]
+    for seed in (1, 2, 3):
+        for row in REGISTRY:
+            P = generate(row.chi, row.id, seed=seed)
+            printed += [P.to_json(), dual(P).to_json(), twist(P, seed - 3).to_json()]
+    # unsorted twists, int entries and Form entries
+    printed += [{"source": [0, -1], "target": [1, 0], "matrix": [["X", "X^2"], ["1", "X"]]},
+                {"source": [-1, 0], "target": [0, 0], "matrix": [["X", 2], ["Y", "-1"]]},
+                {"source": [-1], "target": [0], "matrix": [[Form(1, (1, Fraction(1, 2), 0))]]},
+                {"source": [], "target": [], "matrix": []}]
+    for obj in printed:
+        new, old = _read_both_ways(obj)
+        assert isinstance(new[0], Presentation) and new == old, obj
+
+
+@pytest.mark.parametrize("obj", [
+    # a wrong-degree entry, and a syntax error read after it: the parse error wins
+    {"source": [-1], "target": [0], "matrix": [["X^2"]]},
+    {"source": [-1, -1], "target": [0], "matrix": [["X^2", "X +"]]},
+    {"source": [-1, -1], "target": [0, 0], "matrix": [["X", "Y"], ["X^2", "2*"]]},
+    # a required degree above the degree cap, with an entry above it and below it
+    {"source": [-30], "target": [20], "matrix": [["X^50"]]},
+    {"source": [-30], "target": [20], "matrix": [["X^10"]]},
+    {"source": [-30], "target": [20], "matrix": [["0"]]},
+    # a nonzero entry where the required degree is negative
+    {"source": [0], "target": [-1], "matrix": [["X"]]},
+    # ragged rows, too few and too many
+    {"source": [-1, -1], "target": [0, 0], "matrix": [["X", "Y"], ["X"]]},
+    {"source": [-1], "target": [0], "matrix": [["X"], ["Y"]]},
+    # a twist beyond the cap, a bool twist, a twist that is no number
+    {"source": [-41], "target": [0], "matrix": [["0"]]},
+    {"source": [True], "target": [0], "matrix": [["0"]]},
+    {"source": 5, "target": [0], "matrix": [["0"]]},
+    {"source": [-1], "target": [0], "matrix": "X"},
+    # text the printer does not write, read by the grammar alike
+    {"source": [-1], "target": [0], "matrix": [["0*X"]]},
+    {"source": [-1], "target": [0], "matrix": [[" X"]]},
+    {"source": [-1], "target": [0], "matrix": [["1*X"]]},
+    {"source": [-2, -1], "target": [0, 0], "matrix": [["Y*X", "X"], ["Z^2", "Y"]]},
+])
+def test_the_one_pass_read_keeps_the_parsed_outcome(obj):
+    new, old = _read_both_ways(obj)
+    assert new == old
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_printed_sample_is_read_without_the_grammar_or_validate(monkeypatch):
+    # counts, not a clock: printed text is read once, at each entry's degree
+    P = generate(3, "X_7", seed=1)
+    obj = P.to_json()
+    grammar = _counting(monkeypatch, forms, "_parse_grammar")
+    validate = _counting(monkeypatch, presentation, "_validate")
+    assert Presentation.from_json(obj) == P
+    assert dual(P) == Presentation.from_json(dual(P).to_json())
+    assert (len(grammar), len(validate)) == (0, 0)
+    # an entry of the wrong degree sends the whole presentation to the old route
+    obj["matrix"][0][0] = "X^9"
+    with pytest.raises(PresentationError, match="has degree 9"):
+        Presentation.from_json(obj)
+    assert (len(grammar), len(validate)) == (0, 1)
 
 
 def test_minimal_presentation_leaves_a_generated_sample_alone():
