@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .forms import FormError, ParseError, parse_form
+from .forms import FormError, ParseError, load_json, parse_form
 from .kronecker import KroneckerError, KroneckerModule, is_semistable
 from .points import (CLAIMS, PointConfig, PointError, flag_pair_presentation,
                      minimal_resolution, verify_point_claim)
@@ -81,10 +81,11 @@ def _read_input(arg):
 
 
 def _load_json(arg, what):
-    """json.loads of the input; what it refuses (even past a limit) exits 2."""
+    """The input as JSON; a file that is not UTF-8 and what `load_json`
+    refuses exit 2."""
     try:
-        return json.loads(_read_input(arg))
-    except (ValueError, RecursionError) as exc:
+        return load_json(_read_input(arg))
+    except ValueError as exc:
         raise CliError(EXIT_PARSE, "bad %s input: %s" % (what, exc))
 
 
@@ -92,7 +93,7 @@ def _load_presentation(arg) -> Presentation:
     obj = _load_json(arg, "presentation")
     try:
         return Presentation.from_json(obj)
-    except (json.JSONDecodeError, ParseError, PresentationError, FormError) as exc:
+    except (ParseError, PresentationError, FormError) as exc:
         raise CliError(EXIT_PARSE, "bad presentation input: %s" % exc)
 
 

@@ -21,7 +21,9 @@ order, and the separators must be the printer's.  Text built that way is
 what ``format_form`` prints for the form read, so by the round trip it is
 the grammar's reading.  Any other text is checked with one compiled
 regular expression, then read by string splits; the caps and the error
-messages are the grammar's.
+messages are the grammar's.  JSON is decoded here too, by ``load_json``,
+so what ``json.loads`` refuses, even past one of Python's limits, is a
+``ParseError`` like bad polynomial text.
 
 Questions about factors are put first to a word-size certificate on a
 line: ``form_gcd`` and ``divides`` restrict both forms to Z = 0, then to a
@@ -43,6 +45,7 @@ denominator; any other number given to ``Form`` becomes a Fraction
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -73,6 +76,16 @@ class FormError(ValueError):
 
 class ParseError(ValueError):
     pass
+
+
+def load_json(text):
+    """json.loads of the text.  What it refuses, even past one of Python's
+    limits (an integer literal of more than 4300 digits is a ValueError,
+    deep nesting a RecursionError), is a ParseError with its message."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def space_dim(k: int) -> int:

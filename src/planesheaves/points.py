@@ -7,12 +7,13 @@ Colinearity is decided by counting the points on the line p x q through
 each pair; the curve predicates take one elimination of an evaluation
 matrix each, and `subset_on_curve_exists` answers every subset from the
 left kernel of one matrix.  Minimal free resolutions are counted from one
-reduced fraction-free elimination: with no point on the line Z = 0, the
+forward fraction-free elimination: with no point on the line Z = 0, the
 monomials X^(t-b) Y^b Z^(top-t) evaluated at the points, columns in the
 order of t, then b, have the ideal slice Z^(top-t) I_t as the kernel of
 their first dim S_t columns, so the pivots there count the Hilbert
-function, and the free columns of degree t give a basis of the section
-of I_t by Z = 0: binary forms in X and Y whose products by X and Y are
+function, and the rows with a pivot of degree t, on the columns of degree
+t, form a block of at most 7 columns whose null space is the section of
+I_t by Z = 0: binary forms in X and Y whose products by X and Y are
 shifted coefficient vectors of at most 7 entries.  The generator degrees
 are read off those sections, and the Hilbert function then fixes the
 syzygy degrees (Hilbert-Burch).  A configuration with a point on Z = 0 is
@@ -24,7 +25,6 @@ digits in numerator and denominator.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations, count
 from math import lcm
 
-from .forms import (MAX_DIGITS, Form, ParseError, block_mult_map, divides,
+from .forms import (MAX_DIGITS, Form, ParseError, block_mult_map, divides, load_json,
                     monomial_values, quoted, space_dim)
 from .linalg import QMatrix, from_columns, integer_echelon, null_vectors
 from .presentation import Presentation
@@ -122,7 +122,7 @@ class PointConfig:
     @classmethod
     def from_json(cls, obj) -> "PointConfig":
         if isinstance(obj, str):
-            obj = json.loads(obj)
+            obj = load_json(obj)
         try:
             pts = obj["points"]
         except (KeyError, TypeError) as exc:
@@ -174,7 +174,8 @@ def evaluation_matrix(cfg: PointConfig, t: int) -> QMatrix:
 
 def _ideal_dim(cfg: PointConfig, k: int) -> int:
     """dim I_k = dim S_k - rank E_k, the degree-k forms through the points."""
-    return space_dim(k) - evaluation_matrix(cfg, k).rank()
+    rows = [monomial_values(k, p) for p in cfg._integer_points]
+    return space_dim(k) - len(integer_echelon(rows, space_dim(k))[0])
 
 
 def contained_in_curve_of_degree(cfg: PointConfig, k: int) -> bool:
@@ -210,7 +211,7 @@ def subset_on_curve_exists(cfg: PointConfig, size: int, degree: int) -> bool:
     values = evaluation_matrix(cfg, degree)
     w = from_columns(values.data, values.cols).integer_kernel_basis()
     bound = values.cols - size + len(w)      # rank E_S < dim S_degree iff rank W_out < bound
-    return any(QMatrix(len(w), n - size, [[v[i] for i in out] for v in w]).rank() < bound
+    return any(len(integer_echelon([[v[i] for i in out] for v in w], n - size)[0]) < bound
                for out in combinations(range(n), n - size))
 
 
@@ -247,24 +248,25 @@ def minimal_resolution(cfg: PointConfig) -> BettiShape:
     """Generator and syzygy degrees of the minimal free resolution
     0 -> (+) S(-b) -> (+) S(-a) -> I_Z -> 0 of the point ideal.
 
-    Only dimensions are computed, all from one reduced fraction-free
-    elimination.  If some point lies on Z = 0, the configuration is first
-    replaced by its image (x, y, ax + by + z) for the first line
-    aX + bY + Z that misses every point (`_line_missing`).  That change of
-    coordinates has determinant 1 and maps the ideal by a graded
-    automorphism of S, so the Hilbert function and the graded Betti numbers
-    are the same, and now Z vanishes at no point.
+    Only dimensions are computed, all from one forward fraction-free
+    elimination and one small reduced one per degree.  If some point lies
+    on Z = 0, the configuration is first replaced by its image
+    (x, y, ax + by + z) for the first line aX + bY + Z that misses every
+    point (`_line_missing`).  That change of coordinates has determinant 1
+    and maps the ideal by a graded automorphism of S, so the Hilbert
+    function and the graded Betti numbers are the same, and now Z vanishes
+    at no point.
 
     Take top = min(n - 1, DEGREE_CAP - 3), and 0 for no points: n points
-    impose independent conditions in degree n - 1.  The matrix has one row
-    per point and the space_dim(top) columns X^(t-b) Y^b Z^(top-t), in the
-    order of t, then b; `integer_echelon` reduces it to m / d.  Its first
-    space_dim(t) columns are Z^(top-t) S_t, whose kernel is Z^(top-t) I_t
-    as Z vanishes at no point, so the Hilbert function
-    H_Z(t) = dim S_t - dim I_t is the number of pivots among them, and
-    r_Z = min{t : H_Z(t) = n} is the regularity index; H_Z(t) = n from r_Z
-    on.  By Hilbert-Burch the Hilbert-series numerator
-    1 - sum s^a + sum s^b is the third difference
+    impose independent conditions in degree n - 1.  The matrix E has one
+    row per point and the space_dim(top) columns X^(t-b) Y^b Z^(top-t), in
+    the order of t, then b; `integer_echelon` brings it to a forward
+    echelon form m, pivots ascending.  Its first space_dim(t) columns,
+    E_(<=t), are Z^(top-t) S_t, whose kernel is Z^(top-t) I_t as Z vanishes
+    at no point, so the Hilbert function H_Z(t) = dim S_t - dim I_t is the
+    number of pivots among them, and r_Z = min{t : H_Z(t) = n} is the
+    regularity index; H_Z(t) = n from r_Z on.  By Hilbert-Burch the
+    Hilbert-series numerator 1 - sum s^a + sum s^b is the third difference
     c_t = H(t) - 3H(t-1) + 3H(t-2) - H(t-3) (H = 0 below 0), so the
     syzygies in degree t number c_t - [t = 0] + (generators in degree t);
     no generator lies above r_Z + 1, and the last syzygy sits in degree
@@ -276,14 +278,21 @@ def minimal_resolution(cfg: PointConfig) -> BettiShape:
     of R = k[X, Y] with dim J_t = dim I_t - dim I_(t-1), and
     I_Z/m I_Z = J/m_R J (Eisenbud, The Geometry of Syzygies, ch. 1 and 3).
     So the generators new in degree t number dim J_t - rank R_1 J_(t-1).
-    A free column c of degree t gives the form of I_t with d at c, 0 at the
-    other free columns and -m[r][c] at the pivot of each row r.  Rows with
-    a pivot of lower degree are zero at c, so its section is d at c and
-    -m[r][c] at the pivots of degree t: `null_vectors` of the columns of
-    degree t.  These sections have distinct free columns, and there are
-    dim J_t of them, so they are a basis of J_t.  R_1 J_(t-1) is spanned by
-    X g and Y g for g in that basis: on X^t, X^(t-1) Y, ..., Y^t these are
-    g + [0] and [0] + g, so each rank has t + 1 <= 7 rows.
+    The section of a form of I_t is its part on the columns of degree t,
+    those without Z in S_t, so J_t is the projection of ker E_(<=t) onto
+    them.  That projection is ker B_t, B_t the rows H_Z(t-1) .. H_Z(t) - 1
+    of m (those with a pivot of degree t) on the columns of degree t:
+    - in a forward echelon form, a row whose pivot has degree t is zero on
+      every column of lower degree, so a vector (u, w) of ker E_(<=t), u on
+      the lower columns and w on those of degree t, has B_t w = 0;
+    - the rows above it have their pivots on the lower columns, so they
+      have full row rank there, and for every w of ker B_t some u solves
+      their equations: (u, w) is in ker E_(<=t).
+    Each B_t, at most 7 columns, is reduced on its own and `null_vectors`
+    gives dim J_t sections.  Their scale differs from block to block, but
+    they only feed ranks.  R_1 J_(t-1) is spanned by X g and Y g for g in
+    that basis: on X^t, X^(t-1) Y, ..., Y^t these are g + [0] and [0] + g,
+    so each rank has t + 1 <= 7 columns.
 
     A configuration is accepted exactly when it has at most 15 points and
     r_Z <= 5, so that every syzygy lies below DEGREE_CAP; otherwise
@@ -300,7 +309,7 @@ def minimal_resolution(cfg: PointConfig) -> BettiShape:
     # X^(t-b) Y^b Z^(top-t) in the order of t, then b, is the basis order
     # of degree top in the variables (Z, X, Y)
     m = [monomial_values(top, (a * x + b * y + z, x, y)) for x, y, z in cfg._integer_points]
-    pivots, d = integer_echelon(m, space_dim(top), reduced=True)
+    pivots, _ = integer_echelon(m, space_dim(top))
     hilb = [bisect_left(pivots, space_dim(t)) for t in range(top + 1)]
     if hilb[top] < n:
         raise PointError("regularity index above %d: the last syzygy reaches "
@@ -311,17 +320,15 @@ def minimal_resolution(cfg: PointConfig) -> BettiShape:
     sections = []        # a basis of J_(t-1)
     for t, h in enumerate(hilb):
         below = hilb[t - 1] if t else 0      # the rows with a pivot of degree below t
-        # columns X*g = g + [0] and Y*g = [0] + g, none below the first generator
-        shifted = (QMatrix(t + 1, 2 * len(sections),
-                           [[g[k] if k < t else 0 for g in sections]
-                            + [g[k - 1] if k else 0 for g in sections]
-                            for k in range(t + 1)]).rank()
-                   if sections else 0)
-        # dim J_t, the free columns of degree t, less rank R_1 J_(t-1)
+        # rows X*g = g + [0] and Y*g = [0] + g, none below the first generator
+        shifted = len(integer_echelon([g + [0] for g in sections] + [[0] + g for g in sections],
+                                      t + 1)[0])
+        # dim J_t, the free columns of B_t, less rank R_1 J_(t-1)
         gens.extend([t] * (t + 1 - (h - below) - shifted))
         lo = space_dim(t - 1)
-        sections = null_vectors([m[r][lo:lo + t + 1] for r in range(below, h)],
-                                [pivots[r] - lo for r in range(below, h)], d, t + 1)
+        block = [m[r][lo:lo + t + 1] for r in range(below, h)]
+        block_pivots, d = integer_echelon(block, t + 1, reduced=True)
+        sections = null_vectors(block, block_pivots, d, t + 1)
 
     padded = [0, 0, 0] + hilb + [n]      # H(-3) .. H(r_Z + 2)
     syz = []

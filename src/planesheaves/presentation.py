@@ -12,14 +12,13 @@ the matrix matters, from exact linear algebra on multiplication maps.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 from numbers import Real
 from operator import mul
 
-from .forms import (Form, ParseError, form_minors, format_form, monomial_values, parse_form,
-                    quoted, random_ints, read_printed, space_dim)
+from .forms import (Form, ParseError, form_minors, format_form, load_json, monomial_values,
+                    parse_form, quoted, random_ints, read_printed, space_dim)
 from .linalg import QMatrix, integer_echelon, integer_rows
 
 
@@ -116,7 +115,7 @@ class Presentation:
     @classmethod
     def from_json(cls, obj) -> "Presentation":
         if isinstance(obj, str):
-            obj = json.loads(obj)
+            obj = load_json(obj)
         try:
             source = obj["source"]
             target = obj["target"]

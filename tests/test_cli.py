@@ -102,6 +102,34 @@ def test_json_past_pythons_limits_is_a_parse_error(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+_DOUBLE_ENCODED = [
+    *[([*cmd], blob) for cmd in _PRESENTATION_COMMANDS for blob in (
+        '{"source": [%s], "target": [0], "matrix": [["X"]]}' % _LONG_LITERAL,
+        '{"source": [-1], "target": [0], "matrix": %s}' % _DEEP)],
+    *[(["points", "resolve"], blob) for blob in (
+        '{"points": [[%s, 0, 1]]}' % _LONG_LITERAL, '{"points": %s}' % _DEEP)],
+    *[(["flag-pair"], blob) for blob in (
+        '{"points": [[%s, 0, 1]], "sextic": "Z^6"}' % _LONG_LITERAL,
+        '{"points": %s, "sextic": "Z^6"}' % _DEEP)],
+]
+
+
+@pytest.mark.parametrize("argv,blob", _DOUBLE_ENCODED,
+                         ids=lambda x: " ".join(x) if isinstance(x, list)
+                         else "deep" if _DEEP in x else "long")
+def test_json_past_pythons_limits_inside_a_json_string_is_a_parse_error(argv, blob, tmp_path,
+                                                                         capsys):
+    # a file holding json.dumps of the input is a JSON string, which
+    # from_json decodes a second time: what that refuses is bad input too
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps(blob))
+    assert main([*argv, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: bad [a-z-]+ input: [^\n]*\n", captured.err), captured.err[:200]
+    assert "Traceback" not in captured.err
+
+
 def test_an_input_file_that_is_not_utf_8_is_a_parse_error(tmp_path, capsys):
     # the decode error is a ValueError, read inside the same helper as the JSON
     path = tmp_path / "latin1.json"

@@ -252,8 +252,9 @@ def test_cap_violation_errors():
     colinear_points(7, random.Random(10)),                  # r_Z = 6, refused
 ], ids=["empty", "triangle", "colinear5", "general8", "fractional", "colinear7"])
 def test_one_elimination_resolves(monkeypatch, cfg):
-    # one reduced elimination of n rows and space_dim(top) columns,
-    # top = min(n - 1, DEGREE_CAP - 3) (0 for no points), and no ideal slice
+    # one forward elimination of n rows and space_dim(top) columns,
+    # top = min(n - 1, DEGREE_CAP - 3) (0 for no points), then only
+    # eliminations of at most 7 columns, and no ideal slice
     expected = _outcome(walk_resolution, cfg)
     calls = []
 
@@ -268,7 +269,8 @@ def test_one_elimination_resolves(monkeypatch, cfg):
     monkeypatch.setattr(points, "integer_echelon", recording_echelon)
     n = len(cfg)
     assert _outcome(minimal_resolution, cfg) == expected
-    assert calls == [(n, space_dim(max(min(n - 1, DEGREE_CAP - 3), 0)), True)]
+    assert calls[0] == (n, space_dim(max(min(n - 1, DEGREE_CAP - 3), 0)), False)
+    assert all(ncols <= 7 for _, ncols, _ in calls[1:])
 
 
 def _planted_points(rng, kind, n, whole):
@@ -330,25 +332,64 @@ def test_section_count_agrees_with_the_walk(seed, kind, n, whole):
         assert points._line_missing(cfg.points) == (0, 0)
 
 
-def test_generators_are_counted_without_block_mult_map(monkeypatch):
-    # every rank of the generator count is a section product of t + 1 <= 7 rows
-    sizes = []
+def _subset_on_curve_by_rank(cfg, size, degree):
+    """Whether some `size` rows of the evaluation matrix have rank below
+    dim S_degree, each subset ranked by `QMatrix.rank`."""
+    e = evaluation_matrix(cfg, degree)
+    return any(QMatrix(size, e.cols, [e.data[i] for i in rows]).rank() < e.cols
+               for rows in combinations(range(len(cfg)), size))
 
-    class RecordingMatrix(QMatrix):
-        def rank(self):
-            sizes.append(self.rows)
-            return super().rank()
+
+def test_the_forward_elimination_agrees_with_the_exact_references():
+    # 300 configurations: every kind of `_planted_points`, n = 1..15, four
+    # draws each (planted whole, then in part, twice)
+    rng = random.Random(3)
+    corpus = [PointConfig(_planted_points(rng, kind, n, whole))
+              for kind in ("anywhere", "line", "infinity", "conic", "grid")
+              for n in range(1, 16) for whole in (True, False, True, False)]
+    subsets = set()
+    for cfg in corpus:
+        assert _outcome(minimal_resolution, cfg) == _outcome(walk_resolution, cfg), cfg.to_json()
+        n = len(cfg)
+        for k in (1, 2, 3):
+            assert points._ideal_dim(cfg, k) == space_dim(k) - evaluation_matrix(cfg, k).rank()
+        for degree in (1, 2):
+            for size in (n - 2, n - 1):
+                if size >= 0:
+                    found = points.subset_on_curve_exists(cfg, size, degree)
+                    assert found == _subset_on_curve_by_rank(cfg, size, degree), \
+                        (cfg.to_json(), size, degree)
+                    subsets.add((size >= space_dim(degree), found))
+    # both answers occur where `size` points need not lie on such a curve
+    assert {(True, True), (True, False)} <= subsets
+
+
+def test_generators_are_counted_without_block_mult_map(monkeypatch):
+    # after the one forward elimination, every elimination is a block B_t
+    # (reduced) or a section product (forward) of t + 1 <= 7 columns
+    rng = random.Random(24)
+    configs = [TRIANGLE, colinear_points(6, rng), random_affine_config(15, rng),
+               PointConfig(_planted_points(rng, "infinity", 5, True))]
+    expected = [walk_resolution(cfg) for cfg in configs]
+    calls = []
+
+    def recording_echelon(rows, ncols, reduced=False):
+        calls.append((ncols, reduced))
+        return integer_echelon(rows, ncols, reduced)
 
     def refuse(*args):
-        raise AssertionError("block_mult_map called")
+        raise AssertionError("block_mult_map or QMatrix called")
 
     monkeypatch.setattr(points, "block_mult_map", refuse)
-    monkeypatch.setattr(points, "QMatrix", RecordingMatrix)
-    rng = random.Random(24)
-    for cfg in (TRIANGLE, colinear_points(6, rng), random_affine_config(15, rng),
-                PointConfig(_planted_points(rng, "infinity", 5, True))):
-        assert minimal_resolution(cfg) == walk_resolution(cfg)
-    assert sizes and max(sizes) <= 7
+    monkeypatch.setattr(points, "QMatrix", refuse)
+    monkeypatch.setattr(points, "integer_echelon", recording_echelon)
+    for cfg, shape in zip(configs, expected):
+        del calls[:]
+        assert minimal_resolution(cfg) == shape
+        later = calls[1:]
+        assert any(not reduced for _, reduced in later)
+        assert any(reduced for _, reduced in later)
+        assert max(ncols for ncols, _ in later) <= 7
 
 
 @settings(max_examples=30, deadline=None)
